@@ -1,6 +1,6 @@
-"""The self-play ABR agent: a shared conv feature trunk with softmax policy
-and value heads, trained from match outcomes with an entropy bonus and a
-win-rate-scheduled learning rate.
+"""The self-play ABR agent: a conv feature trunk over flat normalized observation
+rows with softmax policy and value heads, trained from match outcomes with an
+entropy bonus and a win-rate-scheduled learning rate.
 """
 
 from __future__ import annotations
@@ -97,13 +97,9 @@ def normalize(obs: Observation, config: AgentConfig, scales: SessionScales) -> O
 def flatten_observation(obs: Observation) -> np.ndarray:
     """Concatenate observation fields into one float32 vector."""
     return np.concatenate([
-        np.asarray(obs.throughput_kbps, dtype=DTYPE),
-        np.asarray(obs.download_time_s, dtype=DTYPE),
-        np.asarray(obs.chosen_bitrate_kbps, dtype=DTYPE),
-        np.asarray([obs.remaining_play_s, obs.buffer_s], dtype=DTYPE),
-        np.asarray(obs.next_sizes_bits, dtype=DTYPE),
-        np.asarray(obs.hidden, dtype=DTYPE),
-    ])
+        obs.throughput_kbps, obs.download_time_s, obs.chosen_bitrate_kbps,
+        [obs.remaining_play_s, obs.buffer_s], obs.next_sizes_bits, obs.hidden,
+    ], dtype=DTYPE)
 
 
 def dynamic_lr(win_rate: float, base_lr: float) -> float:
@@ -150,115 +146,124 @@ def advantages(rewards: np.ndarray, values: np.ndarray, discount: float,
 
 @dataclass
 class UpdateBatch:
-    """Stacked training data for one epoch's policy/value update."""
+    """One epoch's policy/value update data; ``inputs`` stacks every step's flat row."""
 
-    inputs: dict[str, np.ndarray]
+    inputs: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     q_targets: np.ndarray
     win_rate: float
 
 
+class FeatureTrunk:
+    """The shared feature layer, read straight off flat observation rows.
+
+    Each history segment of the row (throughput, download time, bitrate, next
+    sizes, hidden) feeds a 1-channel kernel-3 valid convolution, run as a
+    gather of its windows plus one matmul; the two scalars feed a dense layer.
+    ReLU outputs fill one feature row: branches in that order, each
+    filter-major (filter f, position l at f * width + l), scalar units last.
+    The parameters stay in the Conv1D/Dense layers the checkpoint names.
+    """
+
+    def __init__(self, config: AgentConfig, rng: np.random.Generator):
+        k, n = config.history_len, config.num_levels
+        segments = {"throughput": (0, k), "download": (k, k), "bitrate": (2 * k, k),
+                    "sizes": (3 * k + 2, n), "hidden": (3 * k + 2 + n, HIDDEN_SIZE)}
+        # _taps[j, c]: the row column kernel tap j reads at output position c.
+        # Branch i owns positions lo:hi, so feature columns CONV_FILTERS * (lo:hi).
+        self.convs, self._branches, taps, lo = {}, [], [], 0
+        for name, (start, length) in segments.items():
+            conv = self.convs[name] = Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng)
+            hi = lo + length - CONV_KERNEL + 1
+            taps.append(start + np.arange(CONV_KERNEL)[:, None] + np.arange(hi - lo))
+            self._branches.append((conv, lo, hi))
+            lo = hi
+        self._taps = np.concatenate(taps, axis=1)
+        self.scalars = Dense(2, CONV_FILTERS, rng=rng)
+        self._scalar_cols = slice(3 * k, 3 * k + 2)
+        self.dim = CONV_FILTERS * (lo + 1)
+
+    def params(self) -> list[np.ndarray]:
+        return [p for layer in (*self.convs.values(), self.scalars) for p in layer.params()]
+
+    def nets(self) -> dict[str, Sequential]:
+        """The per-branch networks the checkpoint format stores."""
+        nets = {f"branch_{name}": Sequential([conv, Relu()]) for name, conv in self.convs.items()}
+        nets["scalars"] = Sequential([self.scalars, Relu()])
+        return nets
+
+    def forward(self, rows: np.ndarray):
+        """Features of ``rows`` (batch, flat_dim), in the parameters' dtype."""
+        rows = np.asarray(rows, dtype=self.scalars.weight.dtype)
+        windows = rows[:, self._taps]
+        features = np.empty((len(rows), self.dim), dtype=rows.dtype)
+        for conv, lo, hi in self._branches:
+            # (filters, kernel) @ (batch, kernel, width): filter-major output.
+            pre = conv.weight.reshape(CONV_FILTERS, CONV_KERNEL) @ windows[:, :, lo:hi]
+            out = features[:, CONV_FILTERS * lo:CONV_FILTERS * hi]
+            np.add(pre, conv.bias[:, None], out=out.reshape(-1, CONV_FILTERS, hi - lo))
+        np.add(rows[:, self._scalar_cols] @ self.scalars.weight, self.scalars.bias,
+               out=features[:, -CONV_FILTERS:])
+        np.maximum(features, 0, out=features)
+        if not np.all(np.isfinite(features)):
+            raise FloatingPointError("non-finite network output")
+        return features, (rows, features)
+
+    def backward(self, cache, d_features: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients, in :meth:`params` order; no input gradient."""
+        rows, features = cache
+        windows = rows[:, self._taps]
+        grads: list[np.ndarray] = []
+        for conv, lo, hi in self._branches:
+            span = slice(CONV_FILTERS * lo, CONV_FILTERS * hi)
+            d_pre = d_features[:, span] * (features[:, span] > 0)
+            # One matmul over all (row, position) pairs: (filters, batch * width).
+            d_pre = d_pre.reshape(-1, CONV_FILTERS, hi - lo).transpose(1, 0, 2)
+            d_pre = d_pre.reshape(CONV_FILTERS, -1)
+            patches = windows[:, :, lo:hi].transpose(0, 2, 1).reshape(-1, CONV_KERNEL)
+            grads += [(d_pre @ patches).reshape(conv.weight.shape), d_pre.sum(axis=1)]
+        d_pre = d_features[:, -CONV_FILTERS:] * (features[:, -CONV_FILTERS:] > 0)
+        return grads + [rows[:, self._scalar_cols].T @ d_pre, d_pre.sum(axis=0)]
+
+
 class Agent:
-    """Dual feature network, policy and value heads, and a paired GEM."""
+    """Feature trunk, policy and value heads, and a paired GEM."""
 
     def __init__(self, config: AgentConfig = AgentConfig(), *, seed: int = 0):
         self.config = config
-        k, n = config.history_len, config.num_levels
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        self._branch_dims = (
-            ("throughput", k), ("download", k), ("bitrate", k),
-            ("sizes", n), ("hidden", HIDDEN_SIZE),
-        )
-        self.branches = {
-            name: Sequential([Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng), Relu()])
-            for name, _ in self._branch_dims
-        }
-        self.scalar_branch = Sequential([Dense(2, CONV_FILTERS, rng=rng), Relu()])
-        feat_dim = sum(CONV_FILTERS * (length - CONV_KERNEL + 1)
-                       for _, length in self._branch_dims) + CONV_FILTERS
-        self.policy_head = Sequential([
-            Dense(feat_dim, HEAD_WIDTH, rng=rng), Relu(), Dense(HEAD_WIDTH, n, rng=rng),
-        ])
-        self.value_head = Sequential([
-            Dense(feat_dim, HEAD_WIDTH, rng=rng), Relu(), Dense(HEAD_WIDTH, 1, rng=rng),
-        ])
-        trunk_params = self._trunk_params()
+        self.trunk = FeatureTrunk(config, rng)
+        self.policy_head = Sequential([Dense(self.trunk.dim, HEAD_WIDTH, rng=rng), Relu(),
+                                       Dense(HEAD_WIDTH, config.num_levels, rng=rng)])
+        self.value_head = Sequential([Dense(self.trunk.dim, HEAD_WIDTH, rng=rng), Relu(),
+                                      Dense(HEAD_WIDTH, 1, rng=rng)])
+        trunk_params = self.trunk.params()
         self.policy_opt = Adam(trunk_params + self.policy_head.params(), lr=config.policy_lr)
         self.value_opt = Adam(trunk_params + self.value_head.params(), lr=config.value_lr)
         gem_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         self.gem = gem_mod.GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
         self.rating = Rating()
 
-    def _trunk_params(self) -> list[np.ndarray]:
-        params = [p for _, net in self._trunk_nets() for p in net.params()]
-        return params
-
-    def _trunk_nets(self) -> list[tuple[str, Sequential]]:
-        nets = [(f"branch_{name}", self.branches[name]) for name, _ in self._branch_dims]
-        nets.append(("scalars", self.scalar_branch))
-        return nets
-
     # ---- forward passes -------------------------------------------------
 
-    def branch_inputs(self, norm_obs: Sequence[Observation]) -> dict[str, np.ndarray]:
-        """Stack normalized observations into per-branch network inputs."""
+    def observation_rows(self, norm_obs: Sequence[Observation]) -> np.ndarray:
+        """Stack normalized observations into flat network input rows."""
         k, n = self.config.history_len, self.config.num_levels
         for obs in norm_obs:
-            if (obs.throughput_kbps.shape != (k,) or obs.download_time_s.shape != (k,)
-                    or obs.chosen_bitrate_kbps.shape != (k,)
-                    or obs.next_sizes_bits.shape != (n,)
-                    or np.asarray(obs.hidden).shape != (HIDDEN_SIZE,)):
+            if ({obs.throughput_kbps.shape, obs.download_time_s.shape,
+                 obs.chosen_bitrate_kbps.shape} != {(k,)} or obs.next_sizes_bits.shape != (n,)
+                    or np.shape(obs.hidden) != (HIDDEN_SIZE,)):
                 raise ValueError("observation shapes do not match agent config")
-        as_rows = lambda field: np.stack(
-            [np.asarray(getattr(o, field), dtype=DTYPE) for o in norm_obs]
-        )[:, None, :]
-        return {
-            "throughput": as_rows("throughput_kbps"),
-            "download": as_rows("download_time_s"),
-            "bitrate": as_rows("chosen_bitrate_kbps"),
-            "sizes": as_rows("next_sizes_bits"),
-            "hidden": as_rows("hidden"),
-            "scalars": np.array(
-                [[o.remaining_play_s, o.buffer_s] for o in norm_obs], dtype=DTYPE
-            ),
-        }
+        return np.stack([flatten_observation(obs) for obs in norm_obs])
 
-    def _forward_features(self, inputs: dict[str, np.ndarray]):
-        outputs, caches, widths = [], {}, []
-        for name, _ in self._branch_dims:
-            y, cache = self.branches[name].forward(inputs[name])
-            flat = y.reshape(y.shape[0], -1)
-            outputs.append(flat)
-            caches[name] = (cache, y.shape)
-            widths.append(flat.shape[1])
-        y, cache = self.scalar_branch.forward(inputs["scalars"])
-        outputs.append(y)
-        caches["scalars"] = (cache, y.shape)
-        widths.append(y.shape[1])
-        return np.concatenate(outputs, axis=1), caches, widths
-
-    def _backward_features(self, caches, widths, d_features: np.ndarray) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        offset = 0
-        for (name, _), width in zip(self._branch_dims, widths):
-            part = d_features[:, offset:offset + width]
-            cache, shape = caches[name]
-            _, branch_grads = self.branches[name].backward(cache, part.reshape(shape))
-            grads.extend(branch_grads)
-            offset += width
-        cache, _ = caches["scalars"]
-        _, scalar_grads = self.scalar_branch.backward(cache, d_features[:, offset:])
-        grads.extend(scalar_grads)
-        return grads
-
-    def policy_probs(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        features, _, _ = self._forward_features(inputs)
+    def policy_probs(self, rows: np.ndarray) -> np.ndarray:
+        features, _ = self.trunk.forward(rows)
         logits, _ = self.policy_head.forward(features)
         return softmax(logits)
 
-    def state_values(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        features, _, _ = self._forward_features(inputs)
+    def state_values(self, rows: np.ndarray) -> np.ndarray:
+        features, _ = self.trunk.forward(rows)
         values, _ = self.value_head.forward(features)
         return values[:, 0]
 
@@ -271,7 +276,7 @@ class Agent:
         Greedy takes the argmax (ties resolve to the lowest index); sample
         mode draws from the softmax distribution with the provided generator.
         """
-        probs = self.policy_probs(self.branch_inputs([norm_obs]))[0]
+        probs = self.policy_probs(self.observation_rows([norm_obs]))[0]
         if mode == "greedy":
             return int(np.argmax(probs))
         if mode == "sample":
@@ -307,26 +312,16 @@ class Agent:
                            win: float,
                            scales: Sequence[SessionScales]) -> UpdateBatch:
         """Normalize, bootstrap, and stack one epoch's trajectories."""
-        all_obs: list[Observation] = []
-        actions: list[int] = []
-        rewards_parts: list[np.ndarray] = []
-        targets_parts: list[np.ndarray] = []
-        for traj, reward, scale in zip(trajectories, outcome_rewards, scales):
-            norm = [normalize(s.observation, self.config, scale) for s in traj.steps]
-            values = self.state_values(self.branch_inputs(norm)).astype(np.float64)
-            rewards = self.trajectory_rewards(reward, len(norm))
-            targets_parts.append(td_targets(rewards, values, self.config.discount,
-                                            self.config.td_steps))
-            rewards_parts.append(rewards)
-            all_obs.extend(norm)
-            actions.extend(s.action for s in traj.steps)
-        return UpdateBatch(
-            inputs=self.branch_inputs(all_obs),
-            actions=np.asarray(actions, dtype=np.int64),
-            rewards=np.concatenate(rewards_parts),
-            q_targets=np.concatenate(targets_parts),
-            win_rate=win,
-        )
+        rows = np.concatenate([self.flatten_trajectory(t, s) for t, s in zip(trajectories, scales)])
+        values = np.split(self.state_values(rows).astype(np.float64),
+                          np.cumsum([len(t.steps) for t in trajectories])[:-1])
+        rewards = [self.trajectory_rewards(r, len(v)) for r, v in zip(outcome_rewards, values)]
+        targets = [td_targets(r, v, self.config.discount, self.config.td_steps)
+                   for r, v in zip(rewards, values)]
+        actions = [s.action for t in trajectories for s in t.steps]
+        return UpdateBatch(inputs=rows, actions=np.asarray(actions, dtype=np.int64),
+                           rewards=np.concatenate(rewards), q_targets=np.concatenate(targets),
+                           win_rate=win)
 
     def gradients(self, batch: UpdateBatch):
         """Losses plus policy-side and value-side gradients.
@@ -337,7 +332,7 @@ class Agent:
         a loss came out non-finite.
         """
         cfg = self.config
-        features, caches, widths = self._forward_features(batch.inputs)
+        features, trunk_cache = self.trunk.forward(batch.inputs)
         batch_size = features.shape[0]
 
         values, value_cache = self.value_head.forward(features)
@@ -363,7 +358,7 @@ class Agent:
         # d(value_loss)/d(v) for the squared bootstrap error.
         d_values = (-2.0 * adv / batch_size)[:, None].astype(DTYPE)
         d_feat_v, value_grads = self.value_head.backward(value_cache, d_values)
-        trunk_grads_v = self._backward_features(caches, widths, d_feat_v)
+        trunk_grads_v = self.trunk.backward(trunk_cache, d_feat_v)
 
         # d(policy_loss)/d(logits): the log-likelihood term plus the entropy
         # bonus, both expressed directly at the logits for stability.
@@ -373,7 +368,7 @@ class Agent:
                     + cfg.entropy_weight * probs * (log_probs + entropy[:, None]))
         d_logits = (d_logits / batch_size).astype(DTYPE)
         d_feat_p, policy_grads = self.policy_head.backward(policy_cache, d_logits)
-        trunk_grads_p = self._backward_features(caches, widths, d_feat_p)
+        trunk_grads_p = self.trunk.backward(trunk_cache, d_feat_p)
 
         return report, trunk_grads_p + policy_grads, trunk_grads_v + value_grads
 
@@ -394,15 +389,14 @@ class Agent:
         return report
 
     def flatten_trajectory(self, trajectory: Trajectory, scales: SessionScales) -> np.ndarray:
-        """Per-step flattened normalized observations (generator input pool)."""
-        rows = [flatten_observation(normalize(s.observation, self.config, scales))
-                for s in trajectory.steps]
-        return np.stack(rows)
+        """Per-step flat normalized observation rows."""
+        return self.observation_rows(
+            [normalize(s.observation, self.config, scales) for s in trajectory.steps])
 
     # ---- persistence -----------------------------------------------------
 
     def _nets(self) -> dict[str, Sequential]:
-        nets = dict(self._trunk_nets())
+        nets = self.trunk.nets()
         nets["policy_head"] = self.policy_head
         nets["value_head"] = self.value_head
         nets["gem_generator"] = self.gem.gen

@@ -10,7 +10,9 @@ forwards are safe to share across threads while nobody writes parameters.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -368,7 +370,8 @@ def save_bundle(path, nets: dict[str, Sequential], extra: dict | None = None) ->
 
     Layout: magic, u32 version, u32 header length, JSON header (layer specs,
     array shapes, extra metadata), then every array as flat little-endian
-    float32 in header order. Round-trips are bit-exact.
+    float32 in header order. Round-trips are bit-exact. A temporary file in
+    the same directory replaces ``path`` only once it is fully written.
     """
     header = {
         "order": list(nets),
@@ -382,14 +385,17 @@ def save_bundle(path, nets: dict[str, Sequential], extra: dict | None = None) ->
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for name in nets:
-            for arr in _net_arrays(nets[name]):
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for net in nets.values():
+                for arr in _net_arrays(net):
+                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_bundle(path) -> tuple[dict[str, Sequential], dict]:

@@ -148,14 +148,11 @@ def run_epoch(
 
         for traj, reward in zip(trajectories, rewards):
             agent.gem.collect(traj, won=reward == 1.0)
-        pool_rows = np.concatenate(
-            [agent.flatten_trajectory(t, s) for t, s in zip(trajectories, scales)]
-        )
+        # The batch's observation rows double as the generator's input pool.
+        batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx], scales)
         gem_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_GEM, epoch, agent_idx]))
-        gem_report = agent.gem.update(pool_rows, gem_rng)
-
-        batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx], scales)
+        gem_report = agent.gem.update(batch.inputs, gem_rng)
         report = agent.update(batch)
         report["g_loss"] = gem_report.g_loss
         report["d_loss"] = gem_report.d_loss
@@ -201,8 +198,9 @@ def evaluate(
 ) -> EvalResult:
     """Head-to-head matches against every baseline on every trace.
 
-    Returns per-opponent win rates, one CDF-ready record per (trace,
-    opponent), and (when anchor ratings are supplied) the updated Elo.
+    The evaluated side plays each trace once (deterministically: agents play
+    greedily) for all opponents. Returns per-opponent win rates, one CDF-ready
+    record per (trace, opponent), and (when anchor ratings are supplied) the updated Elo.
     """
     if not traces:
         raise ValueError("empty trace set")
@@ -212,10 +210,11 @@ def evaluate(
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
     policy, provider = _policy_and_provider(policy_or_agent, manifest, cfg)
+    my_sessions = [run_session(policy, manifest, trace, cfg, hidden_provider=provider)
+                   for trace in traces]
     for name, opponent in baselines.items():
         outcomes: list[MatchOutcome] = []
-        for trace in traces:
-            mine = run_session(policy, manifest, trace, cfg, hidden_provider=provider)
+        for trace, mine in zip(traces, my_sessions):
             theirs = run_session(opponent, manifest, trace, cfg)
             outcome = judge(mine.metrics, theirs.metrics)
             outcomes.append(outcome)

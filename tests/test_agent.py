@@ -1,12 +1,16 @@
+import copy
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from gradcheck import gradient_errors
 
 from abr_arena.agent import (
-    Agent, AgentConfig, SessionScales, UpdateBatch, advantages, dynamic_lr,
-    flatten_observation, normalize, td_targets,
+    CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, SessionScales, UpdateBatch, advantages,
+    dynamic_lr, flatten_observation, normalize, td_targets,
 )
+from abr_arena.neural import Conv1D, Dense, Relu, Sequential
 from abr_arena.simulator import HIDDEN_SIZE, Observation, SessionConfig
 from abr_arena.workload import SynthManifestConfig, synth_manifest
 
@@ -175,17 +179,124 @@ def test_act_shape_mismatch_rejected():
 def test_policy_probs_sum_to_one():
     agent = Agent(CFG, seed=3)
     rng = np.random.default_rng(5)
-    inputs = agent.branch_inputs([norm_obs(rng) for _ in range(16)])
+    inputs = agent.observation_rows([norm_obs(rng) for _ in range(16)])
     probs = agent.policy_probs(inputs)
     assert np.all(probs > 0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+# ---- feature trunk ---------------------------------------------------------
+
+def reference_branches(agent):
+    """The per-branch layer composition the trunk replaces, built on copies
+    of the trunk's parameter arrays: (row columns, network) per branch, in
+    feature order."""
+    k, n = agent.config.history_len, agent.config.num_levels
+    columns = {
+        "throughput": slice(0, k), "download": slice(k, 2 * k), "bitrate": slice(2 * k, 3 * k),
+        "sizes": slice(3 * k + 2, 3 * k + 2 + n), "hidden": slice(3 * k + 2 + n, None),
+    }
+    branches = []
+    for name, trunk_conv in agent.trunk.convs.items():
+        conv = Conv1D(1, CONV_FILTERS, CONV_KERNEL)
+        conv.weight[...] = trunk_conv.weight
+        conv.bias[...] = trunk_conv.bias
+        branches.append((columns[name], Sequential([conv, Relu()])))
+    dense = Dense(2, CONV_FILTERS)
+    dense.weight[...] = agent.trunk.scalars.weight
+    dense.bias[...] = agent.trunk.scalars.bias
+    branches.append((slice(3 * k, 3 * k + 2), Sequential([dense, Relu()])))
+    return branches
+
+
+def assert_close(actual, expected, rtol=1e-5):
+    """Equal within ``rtol`` of the expected tensor's largest magnitude."""
+    assert actual.shape == expected.shape
+    scale = max(float(np.abs(expected).max()), 1e-12)
+    assert float(np.abs(actual - expected).max()) <= rtol * scale
+
+
+@pytest.mark.parametrize("batch", [1, 9])
+def test_trunk_matches_per_branch_layers(batch):
+    agent = Agent(CFG, seed=16)
+    rng = np.random.default_rng(17)
+    rows = agent.observation_rows([norm_obs(rng) for _ in range(batch)])
+    features, cache = agent.trunk.forward(rows)
+    d_features = rng.normal(size=features.shape).astype(np.float32)
+    grads = agent.trunk.backward(cache, d_features)
+
+    ref_features, ref_grads, offset = [], [], 0
+    for columns, net in reference_branches(agent):
+        x = rows[:, columns]
+        y, caches = net.forward(x if isinstance(net.layers[0], Dense) else x[:, None, :])
+        width = y[0].size
+        _, branch_grads = net.backward(
+            caches, d_features[:, offset:offset + width].reshape(y.shape))
+        ref_features.append(y.reshape(batch, width))
+        ref_grads += branch_grads
+        offset += width
+    assert_close(features, np.concatenate(ref_features, axis=1))
+    assert len(grads) == len(ref_grads) == len(agent.trunk.params())
+    for grad, ref, param in zip(grads, ref_grads, agent.trunk.params()):
+        assert grad.shape == param.shape
+        assert_close(grad, ref)
+
+
+def float64_twin(agent):
+    """A deep copy of ``agent`` with every network array widened to float64."""
+    twin = copy.deepcopy(agent)
+    for net in twin._nets().values():
+        for layer in net.layers:
+            for name, value in vars(layer).items():
+                if isinstance(value, np.ndarray):
+                    setattr(layer, name, value.astype(np.float64))
+    return twin
+
+
+def test_agent_gradients_match_float64_differences():
+    agent = Agent(CFG, seed=14)
+    rng = np.random.default_rng(15)
+    batch = make_batch(agent, rng, size=6)
+    report, policy_grads, value_grads = agent.gradients(batch)
+
+    twin = float64_twin(agent)
+    rows = batch.inputs.astype(np.float64)
+    q = np.asarray(batch.q_targets, dtype=np.float64)
+    # The policy objective treats the advantage as a constant coefficient.
+    values = agent.state_values(batch.inputs).astype(np.float64)
+    adv = (q - values).astype(np.float32).astype(np.float64)
+    picked = (np.arange(len(rows)), batch.actions)
+
+    def policy_loss():
+        probs = twin.policy_probs(rows)
+        log_probs = np.log(np.maximum(probs, 1e-12))
+        entropy = -(probs * log_probs).sum(axis=1)
+        return float(-np.mean(adv * log_probs[picked] + CFG.entropy_weight * entropy))
+
+    def value_loss():
+        return float(np.mean((q - twin.state_values(rows)) ** 2))
+
+    assert policy_loss() == pytest.approx(report["policy_loss"], rel=1e-4)
+    assert value_loss() == pytest.approx(report["value_loss"], rel=1e-4)
+    trunk = twin.trunk.params()
+    errors = []
+    for loss, params, grads in (
+        (policy_loss, trunk + twin.policy_head.params(), policy_grads),
+        (value_loss, trunk + twin.value_head.params(), value_grads),
+    ):
+        assert len(params) == len(grads)
+        for param, grad in zip(params, grads):
+            assert grad.shape == param.shape
+            errors += gradient_errors(loss, param, grad, rng=rng, max_coords=24)
+    assert max(errors) < 1e-2
+    assert float(np.median(errors)) < 1e-3
 
 
 # ---- updates ---------------------------------------------------------------
 
 def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
     obs = [norm_obs(rng) for _ in range(size)]
-    inputs = agent.branch_inputs(obs)
+    inputs = agent.observation_rows(obs)
     values = agent.state_values(inputs)
     if adv_zero:
         q = values.copy()
@@ -231,7 +342,7 @@ def test_uniform_policy_entropy_value():
     out.bias[:] = 0.0
     rng = np.random.default_rng(8)
     obs = [normalize(physical_obs(rng, n=6), agent.config, SCALES) for _ in range(4)]
-    inputs = agent.branch_inputs(obs)
+    inputs = agent.observation_rows(obs)
     values = agent.state_values(inputs)
     batch = UpdateBatch(inputs=inputs, actions=np.zeros(4, dtype=np.int64),
                         rewards=np.ones(4), q_targets=values, win_rate=0.5)
@@ -243,7 +354,7 @@ def test_policy_gradient_direction():
     agent = Agent(CFG, seed=10)
     rng = np.random.default_rng(9)
     obs = norm_obs(rng)
-    inputs = agent.branch_inputs([obs])
+    inputs = agent.observation_rows([obs])
     action = 1
     batch = UpdateBatch(
         inputs=inputs, actions=np.array([action]), rewards=np.ones(1),
@@ -303,6 +414,18 @@ def test_checkpoint_reproduces_decisions(tmp_path):
     for _ in range(50):
         obs = norm_obs(rng)
         assert agent.act(obs, "greedy") == loaded.act(obs, "greedy")
+
+
+# SHA-256 of the default agent's seed-0 checkpoint. It pins the parameter
+# init order, the network names, the layer specs and the array order of
+# checkpoint format version 1.
+DEFAULT_AGENT_SHA256 = "a46a83408a6d54e41e9dcd6e6da845715a1dfc4e202a82a2cd644c1b3d1a5889"
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    path = tmp_path / "agent.ckpt"
+    Agent(AgentConfig(), seed=0).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_AGENT_SHA256
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):

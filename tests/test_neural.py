@@ -241,6 +241,20 @@ def test_checkpoint_corruption_detected(tmp_path):
         load(trailing)
 
 
+def test_failed_save_keeps_existing_checkpoint(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_bundle(path, {"net": build_demo_net(12)})
+    before = path.read_bytes()
+    broken = build_demo_net(13)
+    # The last parameter cannot be written as float32, so the write fails
+    # after the header and the earlier arrays.
+    broken.layers[3].bias = np.array(["not a number"] * 4, dtype=object)
+    with pytest.raises(ValueError):
+        save_bundle(path, {"net": broken})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+
 def test_bundle_round_trip_with_extra(tmp_path):
     nets = {"a": build_demo_net(1), "b": Sequential([Dense(2, 2, rng=rng_for(2))])}
     path = tmp_path / "bundle.ckpt"

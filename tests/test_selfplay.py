@@ -143,6 +143,28 @@ def test_evaluate_record_count_and_rating():
         evaluate(agent, baselines, [], MANIFEST, SESSION_CFG)
 
 
+def test_evaluate_plays_agent_once_per_trace():
+    agent = Agent(AGENT_CFG, seed=31)
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(3)]
+    baselines = {name: make_policy(name, MANIFEST, SESSION_CFG)
+                 for name in ("constrained", "throughput", "bola")}
+    decisions = []
+    act = agent.act
+
+    def counting_act(*args, **kwargs):
+        decisions.append(None)
+        return act(*args, **kwargs)
+
+    agent.act = counting_act
+    result = evaluate(agent, baselines, traces, MANIFEST, SESSION_CFG)
+    assert len(decisions) == len(traces) * MANIFEST.num_chunks
+    # Judging each opponent in its own call gives the same records.
+    separate = [record for name, policy in baselines.items()
+                for record in evaluate(agent, {name: policy}, traces, MANIFEST,
+                                       SESSION_CFG).records]
+    assert result.records == separate
+
+
 def small_train_config(seed=0, epochs=2, workers=1):
     traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=100 + s,
                           trace_id=f"tr{s:02d}") for s in range(6)]
