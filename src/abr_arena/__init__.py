@@ -13,13 +13,13 @@ from .baselines import (
 )
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
-from .gem import GemModule, WinBuffer, collect_winning, d_loss, g_loss, gen_hidden, init_hidden
+from .gem import GemModule, WinBuffer, collect_winning, d_loss, g_loss
 from .rule import MatchOutcome, judge, win_rate
 from .simulator import (
     HIDDEN_SIZE, Observation, Session, SessionConfig, SessionMetrics, Trajectory,
-    TrajectoryStep, new_session, run_session,
+    TrajectoryStep, run_session,
 )
-from .selfplay import EpochReport, TrainConfig, evaluate, run_epoch, run_match, train
+from .selfplay import EpochReport, TrainConfig, evaluate, rollout, run_epoch, run_match, train
 from .workload import (
     DatasetSplit, Manifest, SynthManifestConfig, SynthTraceConfig, Trace,
     bandwidth_at, load_manifest, load_trace, save_manifest, save_trace,
@@ -33,12 +33,11 @@ __all__ = [
     "BolaParams", "DynamicDashParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
-    "GemModule", "WinBuffer", "collect_winning", "d_loss", "g_loss", "gen_hidden",
-    "init_hidden",
+    "GemModule", "WinBuffer", "collect_winning", "d_loss", "g_loss",
     "MatchOutcome", "judge", "win_rate",
     "HIDDEN_SIZE", "Observation", "Session", "SessionConfig", "SessionMetrics",
-    "Trajectory", "TrajectoryStep", "new_session", "run_session",
-    "EpochReport", "TrainConfig", "evaluate", "run_epoch", "run_match", "train",
+    "Trajectory", "TrajectoryStep", "run_session",
+    "EpochReport", "TrainConfig", "evaluate", "rollout", "run_epoch", "run_match", "train",
     "DatasetSplit", "Manifest", "SynthManifestConfig", "SynthTraceConfig", "Trace",
     "bandwidth_at", "load_manifest", "load_trace", "save_manifest", "save_trace",
     "split_dataset", "synth_manifest", "synth_trace",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,6 +183,7 @@ class FeatureTrunk:
         self.scalars = Dense(2, CONV_FILTERS, rng=rng)
         self._scalar_cols = slice(3 * k, 3 * k + 2)
         self.dim = CONV_FILTERS * (lo + 1)
+        self.flat_dim = config.flat_dim
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in (*self.convs.values(), self.scalars) for p in layer.params()]
@@ -196,6 +197,8 @@ class FeatureTrunk:
     def forward(self, rows: np.ndarray):
         """Features of ``rows`` (batch, flat_dim), in the parameters' dtype."""
         rows = np.asarray(rows, dtype=self.scalars.weight.dtype)
+        if rows.ndim != 2 or rows.shape[1] != self.flat_dim:
+            raise ValueError(f"rows must be (batch, {self.flat_dim}), got {rows.shape}")
         windows = rows[:, self._taps]
         features = np.empty((len(rows), self.dim), dtype=rows.dtype)
         for conv, lo, hi in self._branches:
@@ -257,6 +260,10 @@ class Agent:
                 raise ValueError("observation shapes do not match agent config")
         return np.stack([flatten_observation(obs) for obs in norm_obs])
 
+    def observation_row(self, obs: Observation, scales: SessionScales) -> np.ndarray:
+        """The flat normalized network input row of a physical-unit observation."""
+        return flatten_observation(normalize(obs, self.config, scales))
+
     def policy_probs(self, rows: np.ndarray) -> np.ndarray:
         features, _ = self.trunk.forward(rows)
         logits, _ = self.policy_head.forward(features)
@@ -269,34 +276,24 @@ class Agent:
 
     # ---- acting ----------------------------------------------------------
 
-    def act(self, norm_obs: Observation, mode: str = "greedy",
-            rng: np.random.Generator | None = None) -> int:
-        """Pick a level from a normalized observation.
+    def act(self, rows: np.ndarray, mode: str = "greedy",
+            rngs: Sequence[np.random.Generator | None] | None = None) -> np.ndarray:
+        """Pick one level per flat normalized row.
 
         Greedy takes the argmax (ties resolve to the lowest index); sample
-        mode draws from the softmax distribution with the provided generator.
+        mode draws row i from its softmax distribution with ``rngs[i]``.
         """
-        probs = self.policy_probs(self.observation_rows([norm_obs]))[0]
+        probs = self.policy_probs(rows)
         if mode == "greedy":
-            return int(np.argmax(probs))
+            return np.argmax(probs, axis=1)
         if mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs a random generator")
+            if rngs is None or len(rngs) != len(probs) or any(rng is None for rng in rngs):
+                raise ValueError("sample mode needs one random generator per row")
             p = probs.astype(np.float64)
-            p /= p.sum()
-            return int(rng.choice(self.config.num_levels, p=p))
+            p /= p.sum(axis=1, keepdims=True)
+            return np.array([rng.choice(self.config.num_levels, p=row)
+                             for rng, row in zip(rngs, p)], dtype=np.int64)
         raise ValueError(f"unknown act mode {mode!r}")
-
-    def policy_fn(self, scales: SessionScales, mode: str = "greedy",
-                  rng: np.random.Generator | None = None) -> Callable[[Observation], int]:
-        return lambda obs: self.act(normalize(obs, self.config, scales), mode, rng)
-
-    def hidden_provider(self, scales: SessionScales) -> Callable[[Observation], np.ndarray]:
-        def provider(prev_obs: Observation) -> np.ndarray:
-            norm = normalize(prev_obs, self.config, scales)
-            state_flat = flatten_observation(norm)[:-HIDDEN_SIZE]
-            return self.gem.hidden_for(state_flat, norm.hidden)
-        return provider
 
     # ---- learning --------------------------------------------------------
 
@@ -309,10 +306,10 @@ class Agent:
 
     def build_update_batch(self, trajectories: Sequence[Trajectory],
                            outcome_rewards: Sequence[float],
-                           win: float,
-                           scales: Sequence[SessionScales]) -> UpdateBatch:
-        """Normalize, bootstrap, and stack one epoch's trajectories."""
-        rows = np.concatenate([self.flatten_trajectory(t, s) for t, s in zip(trajectories, scales)])
+                           win: float) -> UpdateBatch:
+        """Bootstrap and stack one epoch's trajectories over the rows their
+        rollout wrote."""
+        rows = np.concatenate([t.rows for t in trajectories])
         values = np.split(self.state_values(rows).astype(np.float64),
                           np.cumsum([len(t.steps) for t in trajectories])[:-1])
         rewards = [self.trajectory_rewards(r, len(v)) for r, v in zip(outcome_rewards, values)]
@@ -389,7 +386,8 @@ class Agent:
         return report
 
     def flatten_trajectory(self, trajectory: Trajectory, scales: SessionScales) -> np.ndarray:
-        """Per-step flat normalized observation rows."""
+        """Per-step flat normalized rows rebuilt from the trajectory's
+        observations; equal to the ``rows`` its rollout wrote."""
         return self.observation_rows(
             [normalize(s.observation, self.config, scales) for s in trajectory.steps])
 

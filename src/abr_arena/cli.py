@@ -33,7 +33,6 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "epochs": {"type": "integer", "minimum": 0},
         "matches_per_epoch": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
         "eval_every": {"type": "integer", "minimum": 1},
         "checkpoint_every": {"type": "integer", "minimum": 1},
         "baselines": {
@@ -174,7 +173,6 @@ def cmd_convert_trace(args) -> int:
 def _build_train_config(doc: dict, args) -> selfplay.TrainConfig:
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     epochs = args.epochs if args.epochs is not None else doc["epochs"]
-    workers = args.workers if args.workers is not None else doc.get("workers", 1)
 
     traces_doc = doc["traces"]
     if "dir" in traces_doc:
@@ -240,7 +238,6 @@ def _build_train_config(doc: dict, args) -> selfplay.TrainConfig:
         manifests=[manifest],
         epochs=epochs,
         matches_per_epoch=doc.get("matches_per_epoch", 16),
-        workers=workers,
         seed=seed,
         eval_every=doc.get("eval_every", 10),
         checkpoint_every=doc.get("checkpoint_every", 50),
@@ -350,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint against baselines")

@@ -5,7 +5,6 @@ ones harvested from winning sessions. Least-squares losses, RMSProp updates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,6 @@ from .simulator import HIDDEN_SIZE, Trajectory
 GEM_LR = 1e-4
 GEM_BATCH = 64
 WIN_BUFFER_CAPACITY = 10_000
-
-
-def init_hidden() -> np.ndarray:
-    """Hidden feature before any history exists: the zero vector."""
-    return np.zeros(HIDDEN_SIZE, dtype=DTYPE)
 
 
 def build_generator(input_dim: int, rng: np.random.Generator) -> Sequential:
@@ -40,19 +34,6 @@ def build_discriminator(rng: np.random.Generator) -> Sequential:
         Dense(64, 32, rng=rng), BatchNorm(32), LeakyRelu(),
         Dense(32, 1, rng=rng),
     ])
-
-
-def gen_hidden(gen: Sequential, state_flat: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-    """Next hidden feature from (previous normalized state, previous hidden).
-
-    Inference-mode forward pass; deterministic.
-    """
-    h_prev = np.asarray(h_prev, dtype=DTYPE)
-    if h_prev.shape != (HIDDEN_SIZE,):
-        raise ValueError(f"h_prev must have shape ({HIDDEN_SIZE},), got {h_prev.shape}")
-    x = np.concatenate([np.asarray(state_flat, dtype=DTYPE), h_prev])[None, :]
-    out, _ = gen.forward(x, training=False)
-    return out[0]
 
 
 def d_loss(disc: Sequential, win_batch: np.ndarray, gen_batch: np.ndarray,
@@ -85,29 +66,35 @@ def g_loss(gen: Sequential, disc: Sequential, inputs: np.ndarray,
 
 
 class WinBuffer:
-    """Bounded FIFO of hidden-feature vectors from winning sessions."""
+    """Bounded FIFO of hidden-feature vectors from winning sessions, kept in a
+    ring array: once full, each append overwrites the oldest vector."""
 
     def __init__(self, capacity: int = WIN_BUFFER_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: deque[np.ndarray] = deque(maxlen=capacity)
+        self._items = np.zeros((capacity, HIDDEN_SIZE), dtype=DTYPE)
+        self._len = 0
+        self._next = 0  # the slot the next append writes
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
     def append(self, h: np.ndarray) -> None:
         h = np.asarray(h, dtype=DTYPE)
         if h.shape != (HIDDEN_SIZE,):
             raise ValueError(f"hidden feature must have shape ({HIDDEN_SIZE},), got {h.shape}")
-        self._items.append(h.copy())
+        self._items[self._next] = h
+        self._next = (self._next + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if not self._items:
+        """``size`` vectors drawn with replacement; draw i is the i-th oldest."""
+        if not self._len:
             raise ValueError("sampling from an empty buffer")
-        idx = rng.integers(len(self._items), size=size)
-        stacked = np.stack(list(self._items))
-        return stacked[idx]
+        idx = rng.integers(self._len, size=size)
+        oldest = (self._next - self._len) % self.capacity
+        return self._items[(oldest + idx) % self.capacity]
 
 
 def collect_winning(buffer: WinBuffer, trajectory: Trajectory, won: bool) -> None:
@@ -139,8 +126,18 @@ class GemModule:
         self.gen_opt = RMSProp(self.gen.params(), lr=lr)
         self.disc_opt = RMSProp(self.disc.params(), lr=lr)
 
-    def hidden_for(self, state_flat: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-        return gen_hidden(self.gen, state_flat, h_prev)
+    def hidden_for(self, prev_rows: np.ndarray) -> np.ndarray:
+        """Next hidden features (n, HIDDEN_SIZE) from the previous steps' flat
+        rows: a row ``concat(state, h_prev)`` is exactly the generator input.
+
+        Inference-mode forward pass; deterministic.
+        """
+        prev_rows = np.asarray(prev_rows, dtype=DTYPE)
+        if prev_rows.ndim != 2 or prev_rows.shape[1] != self.input_dim + HIDDEN_SIZE:
+            raise ValueError(f"previous rows must be (n, {self.input_dim + HIDDEN_SIZE}), "
+                             f"got {prev_rows.shape}")
+        out, _ = self.gen.forward(prev_rows, training=False)
+        return out
 
     def collect(self, trajectory: Trajectory, won: bool) -> None:
         collect_winning(self.buffer, trajectory, won)

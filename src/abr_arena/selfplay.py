@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -17,8 +16,12 @@ import numpy as np
 from .agent import Agent, AgentConfig, SessionScales
 from .baselines import make_policy
 from .elo import K_FACTOR, anchor_baselines, rate_agent
+from .neural import DTYPE
 from .rule import MatchOutcome, judge, match_scores, win_rate
-from .simulator import Observation, SessionConfig, SessionMetrics, Trajectory, run_session
+from .simulator import (
+    HIDDEN_SIZE, Observation, Session, SessionConfig, SessionMetrics, Trajectory,
+    TrajectoryStep, run_session,
+)
 from .workload import Manifest, Trace
 
 # Seed-derivation tags keeping every random stream independent.
@@ -40,7 +43,6 @@ class TrainConfig:
     manifests: Sequence[Manifest]
     epochs: int
     matches_per_epoch: int = 16
-    workers: int = 1
     seed: int = 0
     eval_every: int = 10
     checkpoint_every: int = 50
@@ -51,8 +53,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.matches_per_epoch < 1:
             raise ValueError("matches_per_epoch must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.train_traces:
             raise ValueError("empty training trace set")
         if not self.manifests:
@@ -75,26 +75,70 @@ def _rollout_rng(seed: int, epoch: int, match: int, agent_idx: int) -> np.random
     return np.random.default_rng(np.random.SeedSequence([seed, _TAG_ROLLOUT, epoch, match, agent_idx]))
 
 
+def rollout(
+    agent: Agent,
+    matches: Sequence[tuple[Trace, Manifest]],
+    cfg: SessionConfig = SessionConfig(),
+    mode: str = "greedy",
+    rngs: Sequence[np.random.Generator | None] | None = None,
+) -> list[Trajectory]:
+    """Play ``agent`` over every (trace, video) pair in lockstep.
+
+    Sessions advance one chunk index at a time. At each index every active
+    session's normalized observation is written once into its flat row, one
+    generator forward over the previous rows gives the hidden features, and
+    one policy forward over the current rows picks the levels; session i
+    samples with ``rngs[i]``. Finished sessions drop out, so videos may
+    differ in length. Each trajectory keeps its rows.
+    """
+    config = agent.config
+    if not matches:
+        raise ValueError("no sessions to play")
+    if cfg.history_len != config.history_len or any(
+            manifest.num_levels != config.num_levels for _, manifest in matches):
+        raise ValueError("session shapes do not match agent config")
+    sessions = [Session(manifest, trace, cfg) for trace, manifest in matches]
+    scales = [SessionScales.from_session(manifest, cfg) for _, manifest in matches]
+    lengths = np.array([manifest.num_chunks for _, manifest in matches])
+    horizon = int(lengths.max())
+    rows = np.zeros((len(sessions), horizon, config.flat_dim), dtype=DTYPE)
+    observations = [session.observe() for session in sessions]
+    steps: list[list[TrajectoryStep]] = [[] for _ in sessions]
+    for t in range(horizon):
+        active = np.flatnonzero(lengths > t)
+        for i in active:
+            rows[i, t] = agent.observation_row(observations[i], scales[i])
+        if t:
+            rows[active, t, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[active, t - 1])
+        actions = agent.act(rows[active, t], mode,
+                            None if rngs is None else [rngs[i] for i in active])
+        for i, action in zip(active, actions.tolist()):
+            played = replace(observations[i], hidden=rows[i, t, -HIDDEN_SIZE:])
+            observations[i], _ = sessions[i].step(action)
+            steps[i].append(TrajectoryStep(played, action, sessions[i].last_download_s,
+                                           played.hidden))
+    return [Trajectory(steps=tuple(s), metrics=session.metrics(), rows=rows[i, :len(s)])
+            for i, (session, s) in enumerate(zip(sessions, steps))]
+
+
 def run_match(
     agent0: Agent,
     agent1: Agent,
-    trace: Trace,
-    manifest: Manifest,
+    matches: Sequence[tuple[Trace, Manifest]],
     cfg: SessionConfig = SessionConfig(),
     *,
     mode: str = "sample",
-    rngs: tuple[np.random.Generator | None, np.random.Generator | None] = (None, None),
-) -> tuple[Trajectory, Trajectory, MatchOutcome]:
-    """Stream both agents over the same (trace, video) and judge the result."""
-    scales = SessionScales.from_session(manifest, cfg)
-    trajectories = []
-    for agent, rng in ((agent0, rngs[0]), (agent1, rngs[1])):
-        trajectories.append(run_session(
-            agent.policy_fn(scales, mode, rng), manifest, trace, cfg,
-            hidden_provider=agent.hidden_provider(scales),
-        ))
-    outcome = judge(trajectories[0].metrics, trajectories[1].metrics)
-    return trajectories[0], trajectories[1], outcome
+    rngs: tuple[Sequence[np.random.Generator] | None,
+                Sequence[np.random.Generator] | None] = (None, None),
+) -> list[tuple[Trajectory, Trajectory, MatchOutcome]]:
+    """Stream both agents over the same (trace, video) pairs and judge each pair.
+
+    Each agent plays all its sessions in one lockstep rollout; session ``m``
+    of agent ``a`` samples with ``rngs[a][m]``.
+    """
+    played = [rollout(agent, matches, cfg, mode, agent_rngs)
+              for agent, agent_rngs in zip((agent0, agent1), rngs)]
+    return [(t0, t1, judge(t0.metrics, t1.metrics)) for t0, t1 in zip(*played)]
 
 
 def _mean_metrics(trajectories: Sequence[Trajectory]) -> SessionMetrics:
@@ -113,43 +157,32 @@ def run_epoch(
     *,
     seed: int = 0,
     epoch: int = 0,
-    workers: int = 1,
 ) -> tuple[EpochReport, list[tuple[Trajectory, Trajectory, MatchOutcome]]]:
     """Roll out every match, then apply GEM and policy/value updates.
 
-    All rollouts use the epoch-start parameters (updates happen at the epoch
-    barrier), so worker count changes scheduling only, never results.
+    ``run_match`` plays every match at the epoch-start parameters (updates
+    happen at the epoch barrier); session ``m`` of agent ``a`` samples from
+    its own ``_rollout_rng(seed, epoch, m, a)``.
     """
     if not matches:
         raise ValueError("no matches sampled")
-
-    def play(idx: int):
-        trace, manifest = matches[idx]
-        return run_match(
-            agent0, agent1, trace, manifest, cfg, mode="sample",
-            rngs=(_rollout_rng(seed, epoch, idx, 0), _rollout_rng(seed, epoch, idx, 1)),
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(play, range(len(matches))))
-    else:
-        results = [play(i) for i in range(len(matches))]
+    results = run_match(agent0, agent1, matches, cfg, rngs=tuple(
+        [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(matches))]
+        for agent_idx in (0, 1)))
+    played = ([t0 for t0, _, _ in results], [t1 for _, t1, _ in results])
 
     outcomes = [outcome for _, _, outcome in results]
     w0, w1 = win_rate(outcomes)
     wins = (w0, w1)
 
     losses: list[dict[str, float]] = []
-    for agent_idx, agent in enumerate((agent0, agent1)):
-        trajectories = [result[agent_idx] for result in results]
+    for agent_idx, (agent, trajectories) in enumerate(zip((agent0, agent1), played)):
         rewards = [match_scores(outcome)[agent_idx] for outcome in outcomes]
-        scales = [SessionScales.from_session(man, cfg) for _, man in matches]
 
         for traj, reward in zip(trajectories, rewards):
             agent.gem.collect(traj, won=reward == 1.0)
         # The batch's observation rows double as the generator's input pool.
-        batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx], scales)
+        batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx])
         gem_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_GEM, epoch, agent_idx]))
         gem_report = agent.gem.update(batch.inputs, gem_rng)
@@ -165,8 +198,8 @@ def run_epoch(
         elo_a0=agent0.rating.value,
         losses0=losses[0],
         losses1=losses[1],
-        mean_metrics0=_mean_metrics([r[0] for r in results]),
-        mean_metrics1=_mean_metrics([r[1] for r in results]),
+        mean_metrics0=_mean_metrics(played[0]),
+        mean_metrics1=_mean_metrics(played[1]),
     )
     return report, results
 
@@ -176,14 +209,6 @@ class EvalResult:
     win_rates: dict[str, float]
     records: list[dict]
     rating: float | None
-
-
-def _policy_and_provider(policy_or_agent, manifest: Manifest, cfg: SessionConfig):
-    if isinstance(policy_or_agent, Agent):
-        scales = SessionScales.from_session(manifest, cfg)
-        return (policy_or_agent.policy_fn(scales, "greedy"),
-                policy_or_agent.hidden_provider(scales))
-    return policy_or_agent, None
 
 
 def evaluate(
@@ -209,9 +234,10 @@ def evaluate(
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
-    policy, provider = _policy_and_provider(policy_or_agent, manifest, cfg)
-    my_sessions = [run_session(policy, manifest, trace, cfg, hidden_provider=provider)
-                   for trace in traces]
+    if isinstance(policy_or_agent, Agent):
+        my_sessions = rollout(policy_or_agent, [(trace, manifest) for trace in traces], cfg)
+    else:
+        my_sessions = [run_session(policy_or_agent, manifest, trace, cfg) for trace in traces]
     for name, opponent in baselines.items():
         outcomes: list[MatchOutcome] = []
         for trace, mine in zip(traces, my_sessions):
@@ -317,7 +343,7 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
             matches = [(traces[i], manifests[j]) for i, j in zip(picks_t, picks_m)]
             report, _ = run_epoch(
                 agent0, agent1, matches, cfg.session,
-                seed=cfg.seed, epoch=epoch, workers=cfg.workers,
+                seed=cfg.seed, epoch=epoch,
             )
             if epoch % cfg.eval_every == 0:
                 agent0.rating.value = evaluate_a0().rating

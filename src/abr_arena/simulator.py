@@ -10,7 +10,7 @@ scaling for learned policies lives with the agent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,8 +40,8 @@ class Observation:
     """State presented to a policy before each chunk decision.
 
     History arrays hold the last ``history_len`` values, oldest first, with
-    pre-history slots zero-filled. ``hidden`` is the 16-dim feature supplied
-    by the hidden-feature provider (zeros when no provider is used).
+    pre-history slots zero-filled. ``hidden`` is the 16-dim GEM feature an
+    agent's rollout fills in (zeros from the session itself).
     """
 
     throughput_kbps: np.ndarray
@@ -72,8 +72,12 @@ class TrajectoryStep:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A played session. ``rows`` holds the agent's flat network input, one
+    row per step, when an agent played it (None for a plain policy)."""
+
     steps: tuple[TrajectoryStep, ...]
     metrics: SessionMetrics
+    rows: np.ndarray | None = None
 
 
 class Session:
@@ -208,37 +212,20 @@ class Session:
         )
 
 
-def new_session(manifest: Manifest, trace: Trace, cfg: SessionConfig = SessionConfig()) -> Session:
-    return Session(manifest, trace, cfg)
-
-
 def run_session(
     policy: Callable[[Observation], int],
     manifest: Manifest,
     trace: Trace,
     cfg: SessionConfig = SessionConfig(),
-    hidden_provider: Callable[[Observation], np.ndarray] | None = None,
 ) -> Trajectory:
-    """Play the whole video with ``policy`` and return the trajectory.
-
-    Before each decision after the first, ``hidden_provider`` (if given) is
-    called with the previous observation to refresh the hidden feature.
-    """
+    """Play the whole video with ``policy`` and return the trajectory."""
     session = Session(manifest, trace, cfg)
     steps: list[TrajectoryStep] = []
-    hidden = np.zeros(HIDDEN_SIZE, dtype=np.float32)
-    prev_obs: Observation | None = None
     obs = session.observe()
     done = False
     while not done:
-        if prev_obs is not None and hidden_provider is not None:
-            hidden = np.asarray(hidden_provider(prev_obs), dtype=np.float32)
-            if hidden.shape != (HIDDEN_SIZE,):
-                raise ValueError(f"hidden provider returned shape {hidden.shape}")
-        obs = replace(obs, hidden=hidden)
         action = int(policy(obs))
         next_obs, done = session.step(action)
-        steps.append(TrajectoryStep(obs, action, session.last_download_s, hidden))
-        prev_obs = obs
+        steps.append(TrajectoryStep(obs, action, session.last_download_s, obs.hidden))
         obs = next_obs
     return Trajectory(steps=tuple(steps), metrics=session.metrics())

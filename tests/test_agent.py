@@ -38,6 +38,10 @@ def norm_obs(rng=None):
     return normalize(physical_obs(rng), CFG, SCALES)
 
 
+def norm_rows(rng, count=3):
+    return np.stack([flatten_observation(norm_obs(rng)) for _ in range(count)])
+
+
 # ---- dynamic learning rate -------------------------------------------------
 
 def test_dynamic_lr_table():
@@ -143,7 +147,7 @@ def test_act_greedy_tie_breaks_low():
     out = agent.policy_head.layers[-1]
     out.weight[:] = 0.0
     out.bias[:] = 0.0
-    assert agent.act(norm_obs(np.random.default_rng(1)), "greedy") == 0
+    assert agent.act(norm_rows(np.random.default_rng(1)), "greedy").tolist() == [0, 0, 0]
 
 
 def test_act_dominant_logit_wins_in_both_modes():
@@ -151,21 +155,28 @@ def test_act_dominant_logit_wins_in_both_modes():
     out = agent.policy_head.layers[-1]
     out.weight[:] = 0.0
     out.bias[:] = np.array([0.0, 50.0, 0.0], dtype=np.float32)
-    obs = norm_obs(np.random.default_rng(2))
-    assert agent.act(obs, "greedy") == 1
-    assert agent.act(obs, "sample", np.random.default_rng(3)) == 1
+    rows = norm_rows(np.random.default_rng(2))
+    assert agent.act(rows, "greedy").tolist() == [1, 1, 1]
+    rngs = [np.random.default_rng(3 + i) for i in range(len(rows))]
+    assert agent.act(rows, "sample", rngs).tolist() == [1, 1, 1]
 
 
 def test_act_sample_deterministic_given_seed():
     agent = Agent(CFG, seed=1)
-    obs = norm_obs(np.random.default_rng(4))
-    first = agent.act(obs, "sample", np.random.default_rng(99))
-    second = agent.act(obs, "sample", np.random.default_rng(99))
-    assert first == second
+    rows = norm_rows(np.random.default_rng(4))
+    first = agent.act(rows, "sample", [np.random.default_rng(99 + i) for i in range(3)])
+    second = agent.act(rows, "sample", [np.random.default_rng(99 + i) for i in range(3)])
+    assert np.array_equal(first, second)
+    # Row i draws with rngs[i] exactly as a one-row call with that generator does.
+    for i in range(3):
+        alone = agent.act(rows[i:i + 1], "sample", [np.random.default_rng(99 + i)])
+        assert alone[0] == first[i]
     with pytest.raises(ValueError):
-        agent.act(obs, "sample")
+        agent.act(rows, "sample")
     with pytest.raises(ValueError):
-        agent.act(obs, "argmax")
+        agent.act(rows, "sample", [np.random.default_rng(0)])  # one generator per row
+    with pytest.raises(ValueError):
+        agent.act(rows, "argmax")
 
 
 def test_act_shape_mismatch_rejected():
@@ -173,7 +184,7 @@ def test_act_shape_mismatch_rejected():
     bad = normalize(physical_obs(np.random.default_rng(0), k=6, n=3),
                     AgentConfig(history_len=6, num_levels=3), SCALES)
     with pytest.raises(ValueError):
-        agent.act(bad, "greedy")
+        agent.act(flatten_observation(bad)[None], "greedy")
 
 
 def test_policy_probs_sum_to_one():
@@ -412,8 +423,8 @@ def test_checkpoint_reproduces_decisions(tmp_path):
     assert loaded.config == agent.config
     rng = np.random.default_rng(13)
     for _ in range(50):
-        obs = norm_obs(rng)
-        assert agent.act(obs, "greedy") == loaded.act(obs, "greedy")
+        rows = norm_rows(rng)
+        assert np.array_equal(agent.act(rows, "greedy"), loaded.act(rows, "greedy"))
 
 
 # SHA-256 of the default agent's seed-0 checkpoint. It pins the parameter

@@ -140,6 +140,26 @@ def test_train_rejects_bad_schema(tmp_path, capsys):
     assert code == 1
 
 
+def test_train_rejects_removed_workers_key_and_flag(tmp_path, capsys):
+    doc = train_config_doc(tmp_path)
+    doc["workers"] = 2
+    config = tmp_path / "workers.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli("train", "--config", str(config), "--out",
+                           str(tmp_path / "r"), capsys=capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "workers" in lines[0]
+    assert not (tmp_path / "r").exists()
+    del doc["workers"]
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli("train", "--config", str(config), "--out", str(tmp_path / "r"),
+                           "--workers", "2", capsys=capsys)
+    assert code == 1
+    assert err.strip().startswith("error:") and "--workers" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_checkpoint(tmp_path, capsys):
     traces_dir = write_traces(tmp_path, count=3)
     manifest_path = write_manifest(tmp_path)

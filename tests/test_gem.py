@@ -1,10 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from gradcheck import gradient_errors, to_float64
 
-from abr_arena.gem import (
-    GemModule, WinBuffer, collect_winning, d_loss, g_loss, gen_hidden, init_hidden,
-)
+from abr_arena.gem import GemModule, WinBuffer, collect_winning, d_loss, g_loss
 from abr_arena.simulator import HIDDEN_SIZE, SessionMetrics, Trajectory, TrajectoryStep
 
 STATE_DIM = 20
@@ -23,23 +23,18 @@ def make_trajectory(num_steps, fill=1.0):
     return Trajectory(steps=steps, metrics=SessionMetrics(1.0, 0.0, 0.0))
 
 
-def test_init_hidden_is_zero_vector():
-    h = init_hidden()
-    assert h.shape == (HIDDEN_SIZE,)
-    assert np.all(h == 0.0)
-    assert np.array_equal(init_hidden(), h)  # no randomness involved
-
-
 def test_gen_hidden_deterministic_and_finite():
     gem = make_gem()
-    state = np.random.default_rng(1).normal(size=STATE_DIM).astype(np.float32)
-    h0 = init_hidden()
-    h1 = gem.hidden_for(state, h0)
-    assert h1.shape == (HIDDEN_SIZE,)
+    states = np.random.default_rng(1).normal(size=(5, STATE_DIM)).astype(np.float32)
+    prev_rows = np.concatenate([states, np.zeros((5, HIDDEN_SIZE), dtype=np.float32)], axis=1)
+    h1 = gem.hidden_for(prev_rows)
+    assert h1.shape == (5, HIDDEN_SIZE)
     assert np.all(np.isfinite(h1))
-    assert np.array_equal(gem.hidden_for(state, h0), h1)
+    assert np.array_equal(gem.hidden_for(prev_rows), h1)
+    # Rows are independent in inference mode: one row alone gives its own feature.
+    np.testing.assert_allclose(gem.hidden_for(prev_rows[2:3])[0], h1[2], rtol=1e-6, atol=1e-7)
     with pytest.raises(ValueError):
-        gen_hidden(gem.gen, state, np.zeros(4, dtype=np.float32))
+        gem.hidden_for(prev_rows[:, :-4])
 
 
 class StubDisc:
@@ -112,6 +107,21 @@ def test_win_buffer_fifo():
         WinBuffer(0)
     with pytest.raises(ValueError):
         WinBuffer(4).sample(np.random.default_rng(0), 2)
+
+
+def test_win_buffer_ring_matches_deque_after_wrapping():
+    capacity = 7
+    buf, reference = WinBuffer(capacity), deque(maxlen=capacity)
+    rng = np.random.default_rng(3)
+    for count in range(1, 3 * capacity + 2):
+        h = rng.normal(size=HIDDEN_SIZE).astype(np.float32)
+        buf.append(h)
+        reference.append(h)
+        assert len(buf) == len(reference)
+        # Index i is the i-th oldest kept item, so one seed draws the same samples.
+        expected = np.stack(list(reference))[np.random.default_rng(count).integers(
+            len(reference), size=11)]
+        assert np.array_equal(buf.sample(np.random.default_rng(count), 11), expected)
 
 
 def test_collect_appends_all_steps():

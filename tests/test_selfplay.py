@@ -1,13 +1,18 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from abr_arena.agent import Agent, AgentConfig
+from abr_arena import agent as agent_module
+from abr_arena.agent import Agent, AgentConfig, SessionScales
 from abr_arena.baselines import make_policy
 from abr_arena.rule import MatchOutcome
 from abr_arena.selfplay import (
-    EPOCH_CSV_COLUMNS, TrainConfig, evaluate, run_epoch, run_match, train,
+    EPOCH_CSV_COLUMNS, TrainConfig, _rollout_rng, evaluate, rollout, run_epoch, run_match,
+    train,
 )
-from abr_arena.simulator import SessionConfig
+from abr_arena.simulator import HIDDEN_SIZE, SessionConfig
 from abr_arena.workload import (
     SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace,
 )
@@ -15,6 +20,8 @@ from abr_arena.workload import (
 AGENT_CFG = AgentConfig(history_len=4, num_levels=6)
 SESSION_CFG = SessionConfig(buffer_capacity_s=25.0, history_len=4)
 MANIFEST = synth_manifest(SynthManifestConfig(num_chunks=4), seed=0)
+LONG_MANIFEST = synth_manifest(SynthManifestConfig(num_chunks=7), seed=1)
+GOLDEN_DIR = Path(__file__).with_name("data")
 AMPLE = Trace(id="ample", samples=((1000.0, 10000.0),))
 
 
@@ -39,7 +46,7 @@ def trajectory_signature(traj):
 def test_run_match_identical_agents_draw():
     a = Agent(AGENT_CFG, seed=5)
     b = Agent(AGENT_CFG, seed=5)
-    t0, t1, outcome = run_match(a, b, AMPLE, MANIFEST, SESSION_CFG, mode="greedy")
+    [(t0, t1, outcome)] = run_match(a, b, [(AMPLE, MANIFEST)], SESSION_CFG, mode="greedy")
     assert outcome is MatchOutcome.DRAW
     assert trajectory_signature(t0) == trajectory_signature(t1)
 
@@ -47,7 +54,8 @@ def test_run_match_identical_agents_draw():
 def test_run_match_higher_bitrate_wins_on_ample_trace():
     low = pinned_agent(0, seed=1)
     high = pinned_agent(5, seed=2)
-    _, _, outcome = run_match(low, high, AMPLE, MANIFEST, SESSION_CFG, mode="greedy")
+    [(_, _, outcome)] = run_match(low, high, [(AMPLE, MANIFEST)], SESSION_CFG,
+                                   mode="greedy")
     assert outcome is MatchOutcome.AGENT1
 
 
@@ -56,8 +64,8 @@ def test_run_match_deterministic_given_rngs():
     b = Agent(AGENT_CFG, seed=4)
     runs = []
     for _ in range(2):
-        rngs = (np.random.default_rng(7), np.random.default_rng(8))
-        t0, t1, outcome = run_match(a, b, AMPLE, MANIFEST, SESSION_CFG, rngs=rngs)
+        rngs = ([np.random.default_rng(7)], [np.random.default_rng(8)])
+        [(t0, t1, outcome)] = run_match(a, b, [(AMPLE, MANIFEST)], SESSION_CFG, rngs=rngs)
         runs.append((trajectory_signature(t0), trajectory_signature(t1), outcome))
     assert runs[0] == runs[1]
 
@@ -103,21 +111,69 @@ def test_run_epoch_all_draws():
         -0.5 * np.log(0.5) * AGENT_CFG.policy_lr)
 
 
-def test_parallel_rollouts_match_serial():
-    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(4)]
-    matches = [(t, MANIFEST) for t in traces] * 2
+def mixed_length_matches():
+    """Matches over two videos of different length, so the lockstep rollout
+    keeps stepping the long sessions after the short ones finish."""
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(3)]
+    return [(traces[0], MANIFEST), (traces[1], LONG_MANIFEST), (traces[2], MANIFEST),
+            (traces[0], LONG_MANIFEST)]
 
-    def collect(workers):
-        a0 = Agent(AGENT_CFG, seed=20)
-        a1 = Agent(AGENT_CFG, seed=21)
-        _, results = run_epoch(a0, a1, matches, SESSION_CFG, seed=3, epoch=1,
-                               workers=workers)
-        return sorted(
-            (trajectory_signature(t0), trajectory_signature(t1))
-            for t0, t1, _ in results
-        )
 
-    assert collect(1) == collect(4)
+def test_run_epoch_rollouts_match_one_match_runs():
+    matches = mixed_length_matches()
+    seed, epoch = 3, 1
+    a0 = Agent(AGENT_CFG, seed=20)
+    a1 = Agent(AGENT_CFG, seed=21)
+    # One-match runs first: run_epoch updates the parameters after its rollouts.
+    separate = [
+        run_match(a0, a1, [match], SESSION_CFG,
+                  rngs=([_rollout_rng(seed, epoch, m, 0)], [_rollout_rng(seed, epoch, m, 1)]))[0]
+        for m, match in enumerate(matches)
+    ]
+    _, together = run_epoch(a0, a1, matches, SESSION_CFG, seed=seed, epoch=epoch)
+    assert [len(t0.steps) for t0, _, _ in together] == [4, 7, 4, 7]
+    for (s0, s1, s_outcome), (t0, t1, t_outcome) in zip(separate, together):
+        assert s_outcome is t_outcome
+        for alone, batched in ((s0, t0), (s1, t1)):
+            assert trajectory_signature(alone) == trajectory_signature(batched)
+            # Batched float32 forwards may round the hidden features differently.
+            np.testing.assert_allclose(batched.rows, alone.rows, rtol=1e-5, atol=1e-6)
+
+
+def test_rollout_rows_are_normalized_observations_and_gem_features():
+    agent = Agent(AGENT_CFG, seed=22)
+    matches = mixed_length_matches()
+    rngs = [np.random.default_rng(m) for m in range(len(matches))]
+    trajectories = rollout(agent, matches, SESSION_CFG, "sample", rngs)
+    for traj, (_, manifest) in zip(trajectories, matches):
+        assert traj.rows.shape == (manifest.num_chunks, AGENT_CFG.flat_dim)
+        scales = SessionScales.from_session(manifest, SESSION_CFG)
+        assert np.array_equal(traj.rows, agent.flatten_trajectory(traj, scales))
+        # Step t's hidden feature is the generator's output on step t-1's row.
+        assert np.all(traj.rows[0, -HIDDEN_SIZE:] == 0.0)
+        np.testing.assert_allclose(traj.rows[1:, -HIDDEN_SIZE:],
+                                   agent.gem.hidden_for(traj.rows[:-1]), rtol=1e-5, atol=1e-6)
+    with pytest.raises(ValueError):
+        rollout(agent, matches, SESSION_CFG, "sample", None)
+    with pytest.raises(ValueError):
+        rollout(agent, [], SESSION_CFG)
+    with pytest.raises(ValueError):
+        rollout(agent, matches, SessionConfig(history_len=5))
+
+
+def test_run_epoch_normalizes_each_observation_once(monkeypatch):
+    matches = mixed_length_matches()
+    calls = []
+    normalize = agent_module.normalize
+
+    def counting_normalize(*args):
+        calls.append(None)
+        return normalize(*args)
+
+    monkeypatch.setattr(agent_module, "normalize", counting_normalize)
+    run_epoch(Agent(AGENT_CFG, seed=23), Agent(AGENT_CFG, seed=24), matches, SESSION_CFG,
+              seed=4, epoch=1)
+    assert len(calls) == 2 * sum(manifest.num_chunks for _, manifest in matches)
 
 
 def test_evaluate_baseline_against_itself_draws():
@@ -151,13 +207,14 @@ def test_evaluate_plays_agent_once_per_trace():
     decisions = []
     act = agent.act
 
-    def counting_act(*args, **kwargs):
-        decisions.append(None)
-        return act(*args, **kwargs)
+    def counting_act(rows, *args, **kwargs):
+        decisions.append(len(rows))
+        return act(rows, *args, **kwargs)
 
     agent.act = counting_act
     result = evaluate(agent, baselines, traces, MANIFEST, SESSION_CFG)
-    assert len(decisions) == len(traces) * MANIFEST.num_chunks
+    # One batched decision over every trace per chunk index.
+    assert decisions == [len(traces)] * MANIFEST.num_chunks
     # Judging each opponent in its own call gives the same records.
     separate = [record for name, policy in baselines.items()
                 for record in evaluate(agent, {name: policy}, traces, MANIFEST,
@@ -165,7 +222,7 @@ def test_evaluate_plays_agent_once_per_trace():
     assert result.records == separate
 
 
-def small_train_config(seed=0, epochs=2, workers=1):
+def small_train_config(seed=0, epochs=2):
     traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=100 + s,
                           trace_id=f"tr{s:02d}") for s in range(6)]
     return TrainConfig(
@@ -174,7 +231,6 @@ def small_train_config(seed=0, epochs=2, workers=1):
         manifests=[MANIFEST],
         epochs=epochs,
         matches_per_epoch=2,
-        workers=workers,
         seed=seed,
         eval_every=1,
         checkpoint_every=1,
@@ -210,3 +266,29 @@ def test_train_fixed_seed_reproduces_log(tmp_path):
     train(small_train_config(seed=7), tmp_path / "b")
     assert (tmp_path / "a" / "epochs.csv").read_bytes() == \
         (tmp_path / "b" / "epochs.csv").read_bytes()
+
+
+def read_epochs(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_train_matches_golden_log(tmp_path):
+    """A fixed-seed run reproduces the recorded log: outcomes, Elo, session
+    metrics and the final evaluation exactly, losses up to float32 rounding
+    (batched forwards may sum in a different order)."""
+    train(small_train_config(seed=7, epochs=3), tmp_path / "run")
+    got = read_epochs(tmp_path / "run" / "epochs.csv")
+    want = read_epochs(GOLDEN_DIR / "golden_seed7_epochs.csv")
+    assert len(got) == len(want) == 4
+    losses = ("policy_loss", "value_loss", "g_loss", "d_loss")
+    for got_row, want_row in zip(got, want):
+        assert list(got_row) == list(EPOCH_CSV_COLUMNS)
+        for column in EPOCH_CSV_COLUMNS:
+            if column in losses:
+                assert float(got_row[column]) == pytest.approx(
+                    float(want_row[column]), rel=1e-5, nan_ok=True), column
+            else:
+                assert got_row[column] == want_row[column], column
+    assert (tmp_path / "run" / "eval.jsonl").read_bytes() == \
+        (GOLDEN_DIR / "golden_seed7_eval.jsonl").read_bytes()

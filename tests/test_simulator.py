@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abr_arena.simulator import (
-    HIDDEN_SIZE, Session, SessionConfig, new_session, run_session,
+    HIDDEN_SIZE, Session, SessionConfig, run_session,
 )
 from abr_arena.workload import Manifest, SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace
 
@@ -23,7 +23,7 @@ def constant_trace(bw_kbps, duration=1000.0):
 
 def test_initial_state():
     manifest = one_level_manifest()
-    session = new_session(manifest, constant_trace(2000.0))
+    session = Session(manifest, constant_trace(2000.0))
     obs = session.observe()
     assert np.all(obs.throughput_kbps == 0)
     assert np.all(obs.download_time_s == 0)
@@ -36,7 +36,7 @@ def test_initial_state():
 
 def test_no_stall_session():
     manifest = one_level_manifest()
-    session = new_session(manifest, constant_trace(2000.0))
+    session = Session(manifest, constant_trace(2000.0))
     obs, done = session.step(0)
     assert not done
     assert session.buffer_s == 4.0
@@ -52,7 +52,7 @@ def test_no_stall_session():
 
 def test_stall_session():
     manifest = one_level_manifest()
-    session = new_session(manifest, constant_trace(500.0))
+    session = Session(manifest, constant_trace(500.0))
     session.step(0)  # 8 s startup, excluded from rebuffer
     assert session.total_rebuffer_s == 0.0
     assert session.buffer_s == 4.0
@@ -70,7 +70,7 @@ def test_bitrate_change_accounting():
         ladder_kbps=(1000.0, 2000.0),
         chunk_sizes_bits=((4e6, 4e6), (4e6, 4e6)),
     )
-    session = new_session(manifest, constant_trace(4000.0))
+    session = Session(manifest, constant_trace(4000.0))
     session.step(0)
     session.step(1)
     assert session.metrics().total_change_kbps == 1000.0
@@ -79,7 +79,7 @@ def test_bitrate_change_accounting():
 def test_throughput_history_times_download_equals_size():
     manifest = one_level_manifest(num_chunks=3)
     trace = Trace(id="vary", samples=((1.5, 800.0), (2.0, 3000.0), (1.0, 1200.0)))
-    session = new_session(manifest, trace)
+    session = Session(manifest, trace)
     for _ in range(3):
         obs, _ = session.step(0)
         tput, dtime = obs.throughput_kbps[-1], obs.download_time_s[-1]
@@ -90,7 +90,7 @@ def test_download_time_integrates_across_segments():
     # 1 Mbit at 1000 kbps for 0.5 s (5e5 bits), remainder at 500 kbps (1 s).
     manifest = one_level_manifest(num_chunks=1, size_bits=1e6)
     trace = Trace(id="seg", samples=((0.5, 1000.0), (10.0, 500.0)))
-    session = new_session(manifest, trace)
+    session = Session(manifest, trace)
     session.step(0)
     assert session.clock_s == pytest.approx(1.5, rel=1e-12)
 
@@ -98,7 +98,7 @@ def test_download_time_integrates_across_segments():
 def test_latency_is_part_of_wall_time():
     manifest = one_level_manifest(num_chunks=2)
     cfg = SessionConfig(per_chunk_latency_s=0.25)
-    session = new_session(manifest, constant_trace(2000.0), cfg)
+    session = Session(manifest, constant_trace(2000.0), cfg)
     obs, _ = session.step(0)
     assert session.clock_s == pytest.approx(2.25)
     assert obs.download_time_s[-1] == pytest.approx(2.25)
@@ -108,7 +108,7 @@ def test_latency_is_part_of_wall_time():
 def test_buffer_cap_forces_idle():
     manifest = one_level_manifest(num_chunks=10)
     cfg = SessionConfig(buffer_capacity_s=10.0)
-    session = new_session(manifest, constant_trace(4000.0), cfg)  # 1 s per chunk
+    session = Session(manifest, constant_trace(4000.0), cfg)  # 1 s per chunk
     for _ in range(10):
         session.step(0)
         assert 0.0 <= session.buffer_s <= cfg.buffer_capacity_s
@@ -118,7 +118,7 @@ def test_buffer_cap_forces_idle():
 
 def test_step_errors():
     manifest = one_level_manifest(num_chunks=1)
-    session = new_session(manifest, constant_trace(2000.0))
+    session = Session(manifest, constant_trace(2000.0))
     with pytest.raises(ValueError):
         session.step(5)
     session.step(0)
@@ -129,7 +129,7 @@ def test_step_errors():
 def test_capacity_must_exceed_chunk():
     manifest = one_level_manifest()
     with pytest.raises(ValueError):
-        new_session(manifest, constant_trace(1000.0), SessionConfig(buffer_capacity_s=4.0))
+        Session(manifest, constant_trace(1000.0), SessionConfig(buffer_capacity_s=4.0))
 
 
 def test_run_session_constant_policy():
@@ -149,21 +149,6 @@ def test_run_session_single_chunk():
     traj = run_session(lambda obs: 0, manifest, constant_trace(2000.0))
     assert len(traj.steps) == 1
     assert traj.metrics.total_change_kbps == 0.0
-
-
-def test_run_session_hidden_provider_refreshes():
-    manifest = one_level_manifest(num_chunks=3)
-    calls = []
-
-    def provider(prev_obs):
-        calls.append(prev_obs)
-        return np.full(HIDDEN_SIZE, float(len(calls)), dtype=np.float32)
-
-    traj = run_session(lambda obs: 0, manifest, constant_trace(2000.0), hidden_provider=provider)
-    assert len(calls) == 2  # before decisions 2 and 3
-    assert np.all(traj.steps[0].hidden == 0.0)
-    assert np.all(traj.steps[1].hidden == 1.0)
-    assert np.all(traj.steps[2].hidden == 2.0)
 
 
 def random_session_inputs(rng):
