@@ -13,11 +13,11 @@ from .baselines import (
 )
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
-from .gem import GemModule, WinBuffer, collect_winning, d_loss, g_loss
+from .gem import HIDDEN_SIZE, GemModule, WinBuffer
 from .rule import MatchOutcome, judge, win_rate
 from .simulator import (
-    HIDDEN_SIZE, Observation, Session, SessionConfig, SessionMetrics, Trajectory,
-    TrajectoryStep, run_session,
+    Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
+    run_session,
 )
 from .selfplay import EpochReport, TrainConfig, evaluate, rollout, run_epoch, run_match, train
 from .workload import (
@@ -33,9 +33,9 @@ __all__ = [
     "BolaParams", "DynamicDashParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
-    "GemModule", "WinBuffer", "collect_winning", "d_loss", "g_loss",
+    "HIDDEN_SIZE", "GemModule", "WinBuffer",
     "MatchOutcome", "judge", "win_rate",
-    "HIDDEN_SIZE", "Observation", "Session", "SessionConfig", "SessionMetrics",
+    "Observation", "Session", "SessionConfig", "SessionMetrics",
     "Trajectory", "TrajectoryStep", "run_session",
     "EpochReport", "TrainConfig", "evaluate", "rollout", "run_epoch", "run_match", "train",
     "DatasetSplit", "Manifest", "SynthManifestConfig", "SynthTraceConfig", "Trace",

@@ -1,6 +1,10 @@
-"""The self-play ABR agent: a conv feature trunk over flat normalized observation
+"""The self-play ABR agent: a conv feature trunk over flat normalized state
 rows with softmax policy and value heads, trained from match outcomes with an
 entropy bonus and a win-rate-scheduled learning rate.
+
+A flat row (``AgentConfig.flat_dim`` float32 columns) is the one normalized
+state layout: throughput, download-time and bitrate histories, remaining play
+time, buffer level, next chunk sizes, then the GEM's hidden feature.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gem as gem_mod
-from .elo import Rating
+from .elo import INITIAL_RATING, Rating
+from .gem import HIDDEN_SIZE, GemModule
 from .neural import (
     DTYPE, Adam, Conv1D, Dense, Relu, Sequential, load_bundle, save_bundle, softmax,
 )
-from .simulator import HIDDEN_SIZE, Observation, SessionConfig, Trajectory
+from .simulator import Observation, SessionConfig, Trajectory
 from .workload import Manifest
 
 CONV_FILTERS = 64
@@ -78,28 +82,22 @@ class SessionScales:
         )
 
 
-def normalize(obs: Observation, config: AgentConfig, scales: SessionScales) -> Observation:
-    """Scale a physical-unit observation into the network's input range.
+def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
+              out: np.ndarray) -> np.ndarray:
+    """Write a physical-unit observation, scaled into the network's input
+    range, into the state columns of the flat row ``out`` and return it.
 
-    The hidden feature passes through unscaled.
+    Scaling is done in float64 and rounded once into the row; the GEM's
+    hidden-feature columns are left as they are.
     """
-    return Observation(
-        throughput_kbps=(obs.throughput_kbps / config.throughput_scale_kbps).astype(DTYPE),
-        download_time_s=(obs.download_time_s / config.time_scale_s).astype(DTYPE),
-        chosen_bitrate_kbps=(obs.chosen_bitrate_kbps / scales.top_bitrate_kbps).astype(DTYPE),
-        remaining_play_s=obs.remaining_play_s / scales.total_duration_s,
-        buffer_s=obs.buffer_s / scales.buffer_capacity_s,
-        next_sizes_bits=(obs.next_sizes_bits / config.size_scale_bits).astype(DTYPE),
-        hidden=np.asarray(obs.hidden, dtype=DTYPE),
-    )
-
-
-def flatten_observation(obs: Observation) -> np.ndarray:
-    """Concatenate observation fields into one float32 vector."""
-    return np.concatenate([
-        obs.throughput_kbps, obs.download_time_s, obs.chosen_bitrate_kbps,
-        [obs.remaining_play_s, obs.buffer_s], obs.next_sizes_bits, obs.hidden,
-    ], dtype=DTYPE)
+    k, n = config.history_len, config.num_levels
+    out[:k] = obs.throughput_kbps / config.throughput_scale_kbps
+    out[k:2 * k] = obs.download_time_s / config.time_scale_s
+    out[2 * k:3 * k] = obs.chosen_bitrate_kbps / scales.top_bitrate_kbps
+    out[3 * k] = obs.remaining_play_s / scales.total_duration_s
+    out[3 * k + 1] = obs.buffer_s / scales.buffer_capacity_s
+    out[3 * k + 2:3 * k + 2 + n] = obs.next_sizes_bits / config.size_scale_bits
+    return out
 
 
 def dynamic_lr(win_rate: float, base_lr: float) -> float:
@@ -156,7 +154,7 @@ class UpdateBatch:
 
 
 class FeatureTrunk:
-    """The shared feature layer, read straight off flat observation rows.
+    """The shared feature layer, read straight off flat rows.
 
     Each history segment of the row (throughput, download time, bitrate, next
     sizes, hidden) feeds a 1-channel kernel-3 valid convolution, run as a
@@ -245,24 +243,10 @@ class Agent:
         self.policy_opt = Adam(trunk_params + self.policy_head.params(), lr=config.policy_lr)
         self.value_opt = Adam(trunk_params + self.value_head.params(), lr=config.value_lr)
         gem_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        self.gem = gem_mod.GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
+        self.gem = GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
         self.rating = Rating()
 
     # ---- forward passes -------------------------------------------------
-
-    def observation_rows(self, norm_obs: Sequence[Observation]) -> np.ndarray:
-        """Stack normalized observations into flat network input rows."""
-        k, n = self.config.history_len, self.config.num_levels
-        for obs in norm_obs:
-            if ({obs.throughput_kbps.shape, obs.download_time_s.shape,
-                 obs.chosen_bitrate_kbps.shape} != {(k,)} or obs.next_sizes_bits.shape != (n,)
-                    or np.shape(obs.hidden) != (HIDDEN_SIZE,)):
-                raise ValueError("observation shapes do not match agent config")
-        return np.stack([flatten_observation(obs) for obs in norm_obs])
-
-    def observation_row(self, obs: Observation, scales: SessionScales) -> np.ndarray:
-        """The flat normalized network input row of a physical-unit observation."""
-        return flatten_observation(normalize(obs, self.config, scales))
 
     def policy_probs(self, rows: np.ndarray) -> np.ndarray:
         features, _ = self.trunk.forward(rows)
@@ -386,10 +370,13 @@ class Agent:
         return report
 
     def flatten_trajectory(self, trajectory: Trajectory, scales: SessionScales) -> np.ndarray:
-        """Per-step flat normalized rows rebuilt from the trajectory's
-        observations; equal to the ``rows`` its rollout wrote."""
-        return self.observation_rows(
-            [normalize(s.observation, self.config, scales) for s in trajectory.steps])
+        """Per-step flat rows rebuilt from the trajectory's observations: the
+        state columns equal the ``rows`` its rollout wrote, the GEM columns
+        are zero."""
+        rows = np.zeros((len(trajectory.steps), self.config.flat_dim), dtype=DTYPE)
+        for step, row in zip(trajectory.steps, rows):
+            normalize(step.observation, self.config, scales, row)
+        return rows
 
     # ---- persistence -----------------------------------------------------
 
@@ -412,9 +399,13 @@ class Agent:
     @classmethod
     def load(cls, path) -> "Agent":
         nets, extra = load_bundle(path)
-        if extra.get("kind") != "abr-arena-agent":
+        if not isinstance(extra, dict) or extra.get("kind") != "abr-arena-agent":
             raise ValueError(f"{path}: not an agent checkpoint")
-        config = AgentConfig(**extra["agent_config"])
+        try:
+            config = AgentConfig(**extra["agent_config"])
+            rating = float(extra.get("rating", INITIAL_RATING))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad checkpoint metadata: {exc}") from exc
         agent = cls(config, seed=0)
         for name, net in agent._nets().items():
             if name not in nets:
@@ -428,5 +419,5 @@ class Agent:
                 if d.shape != s.shape:
                     raise ValueError(f"{path}: shape mismatch in {name!r}")
                 d[...] = s
-        agent.rating = Rating(value=float(extra.get("rating", 1000.0)))
+        agent.rating = Rating(value=rating)
         return agent

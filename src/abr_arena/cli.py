@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -23,6 +24,32 @@ from .elo import anchor_baselines
 from .simulator import SessionConfig
 
 CONFIG_SCHEMA_VERSION = 1
+
+# Keys shared by the config file and the synth-traces / session flags; a key
+# left out keeps its dataclass default.
+SYNTH_TRACES_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "count": {"type": "integer", "minimum": 2},
+        "seed": {"type": "integer", "minimum": 0},
+        "num_states": {"type": "integer", "minimum": 1},
+        "bandwidth_min_kbps": {"type": "number", "exclusiveMinimum": 0},
+        "bandwidth_max_kbps": {"type": "number", "exclusiveMinimum": 0},
+        "mean_dwell_s": {"type": "number", "exclusiveMinimum": 0},
+        "duration_s": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+
+SESSION_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "buffer_capacity_s": {"type": "number", "exclusiveMinimum": 0},
+        "per_chunk_latency_s": {"type": "number", "minimum": 0},
+        "history_len": {"type": "integer", "minimum": 1},
+    },
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -52,19 +79,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dir": {"type": "string"},
-                "synthetic": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 2},
-                        "seed": {"type": "integer", "minimum": 0},
-                        "num_states": {"type": "integer", "minimum": 1},
-                        "bandwidth_min_kbps": {"type": "number", "exclusiveMinimum": 0},
-                        "bandwidth_max_kbps": {"type": "number", "exclusiveMinimum": 0},
-                        "mean_dwell_s": {"type": "number", "exclusiveMinimum": 0},
-                        "duration_s": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
+                "synthetic": SYNTH_TRACES_SCHEMA,
             },
             "oneOf": [{"required": ["dir"]}, {"required": ["synthetic"]}],
         },
@@ -89,15 +104,7 @@ CONFIG_SCHEMA = {
             },
             "oneOf": [{"required": ["path"]}, {"required": ["synthetic"]}],
         },
-        "session": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "buffer_capacity_s": {"type": "number", "exclusiveMinimum": 0},
-                "per_chunk_latency_s": {"type": "number", "minimum": 0},
-                "history_len": {"type": "integer", "minimum": 1},
-            },
-        },
+        "session": SESSION_SCHEMA,
         "agent": {
             "type": "object",
             "additionalProperties": False,
@@ -136,29 +143,32 @@ def _load_traces_dir(directory: str | Path) -> list[workload.Trace]:
     return [workload.load_trace(p, "canonical-json") for p in paths]
 
 
-def _session_config(doc: dict) -> SessionConfig:
-    return SessionConfig(
-        buffer_capacity_s=doc.get("buffer_capacity_s", 25.0),
-        per_chunk_latency_s=doc.get("per_chunk_latency_s", 0.0),
-        history_len=doc.get("history_len", 10),
-    )
+def _flags(args, schema: dict) -> dict:
+    """The flags given on the command line that the schema names."""
+    return {key: value for key, value in vars(args).items() if key in schema["properties"]}
+
+
+def _synth_traces(doc: dict, seed: int) -> list[workload.Trace]:
+    """``count`` traces (20 if absent) named ``trace_0000``... from a
+    synthetic-traces document; trace i uses seed ``doc["seed"] + i``, or
+    ``seed + i`` if the document gives none."""
+    doc = dict(doc)
+    count, seed = doc.pop("count", 20), doc.pop("seed", seed)
+    cfg = workload.SynthTraceConfig()
+    lo, hi = cfg.bandwidth_range_kbps
+    cfg = replace(cfg, bandwidth_range_kbps=(doc.pop("bandwidth_min_kbps", lo),
+                                             doc.pop("bandwidth_max_kbps", hi)), **doc)
+    return [workload.synth_trace(cfg, seed + i, trace_id=f"trace_{i:04d}")
+            for i in range(count)]
 
 
 def cmd_synth_traces(args) -> int:
     if args.count < 1:
         raise ValidationFailure(f"--count must be >= 1, got {args.count}")
-    cfg = workload.SynthTraceConfig(
-        num_states=args.num_states,
-        bandwidth_range_kbps=(args.bw_min_kbps, args.bw_max_kbps),
-        mean_dwell_s=args.mean_dwell_s,
-        duration_s=args.duration_s,
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        name = f"trace_{i:04d}"
-        trace = workload.synth_trace(cfg, args.seed + i, trace_id=name)
-        workload.save_trace(trace, out / f"{name}.json")
+    for trace in _synth_traces(_flags(args, SYNTH_TRACES_SCHEMA), args.seed):
+        workload.save_trace(trace, out / f"{trace.id}.json")
     print(f"wrote {args.count} traces to {out}")
     return 0
 
@@ -170,29 +180,15 @@ def cmd_convert_trace(args) -> int:
     return 0
 
 
-def _build_train_config(doc: dict, args) -> selfplay.TrainConfig:
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    epochs = args.epochs if args.epochs is not None else doc["epochs"]
-
+def _build_train_config(doc: dict) -> selfplay.TrainConfig:
+    """The training config of a validated document; every key it leaves out
+    keeps its dataclass default."""
+    seed = doc.get("seed", selfplay.TrainConfig.seed)
     traces_doc = doc["traces"]
     if "dir" in traces_doc:
         traces = _load_traces_dir(traces_doc["dir"])
     else:
-        syn = traces_doc["synthetic"]
-        trace_cfg = workload.SynthTraceConfig(
-            num_states=syn.get("num_states", 4),
-            bandwidth_range_kbps=(
-                syn.get("bandwidth_min_kbps", 350.0),
-                syn.get("bandwidth_max_kbps", 4800.0),
-            ),
-            mean_dwell_s=syn.get("mean_dwell_s", 10.0),
-            duration_s=syn.get("duration_s", 320.0),
-        )
-        base = syn.get("seed", seed)
-        traces = [
-            workload.synth_trace(trace_cfg, base + i, trace_id=f"trace_{i:04d}")
-            for i in range(syn.get("count", 20))
-        ]
+        traces = _synth_traces(traces_doc["synthetic"], seed)
     split_doc = doc.get("split", {})
     ratios = (split_doc.get("train", 0.8), split_doc.get("validation", 0.2))
     by_id = {t.id: t for t in traces}
@@ -206,45 +202,22 @@ def _build_train_config(doc: dict, args) -> selfplay.TrainConfig:
     if "path" in manifest_doc:
         manifest = workload.load_manifest(manifest_doc["path"])
     else:
-        syn = manifest_doc["synthetic"]
-        manifest = workload.synth_manifest(
-            workload.SynthManifestConfig(
-                ladder_kbps=tuple(syn.get("ladder_kbps", (300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0))),
-                num_chunks=syn.get("num_chunks", 16),
-                chunk_duration_s=syn.get("chunk_duration_s", 4.0),
-                vbr_jitter=syn.get("vbr_jitter", 0.0),
-            ),
-            syn.get("seed", seed),
-        )
+        syn = dict(manifest_doc["synthetic"])
+        manifest_seed = syn.pop("seed", seed)
+        if "ladder_kbps" in syn:
+            syn["ladder_kbps"] = tuple(syn["ladder_kbps"])
+        manifest = workload.synth_manifest(workload.SynthManifestConfig(**syn), manifest_seed)
 
-    session = _session_config(doc.get("session", {}))
-    agent_doc = doc.get("agent", {})
-    agent_cfg = AgentConfig(
-        history_len=session.history_len,
-        num_levels=manifest.num_levels,
-        discount=agent_doc.get("discount", 0.6),
-        entropy_weight=agent_doc.get("entropy_weight", 0.01),
-        policy_lr=agent_doc.get("policy_lr", 1e-4),
-        value_lr=agent_doc.get("value_lr", 1e-3),
-        td_steps=agent_doc.get("td_steps", 1),
-        reward_mode=agent_doc.get("reward_mode", "broadcast"),
-        throughput_scale_kbps=agent_doc.get("throughput_scale_kbps", 10_000.0),
-        time_scale_s=agent_doc.get("time_scale_s", 10.0),
-        size_scale_bits=agent_doc.get("size_scale_bits", 8e6),
-    )
-    return selfplay.TrainConfig(
-        train_traces=train_traces,
-        val_traces=val_traces,
-        manifests=[manifest],
-        epochs=epochs,
-        matches_per_epoch=doc.get("matches_per_epoch", 16),
-        seed=seed,
-        eval_every=doc.get("eval_every", 10),
-        checkpoint_every=doc.get("checkpoint_every", 50),
-        baselines=tuple(doc.get("baselines", list(POLICY_NAMES))),
-        session=session,
-        agent=agent_cfg,
-    )
+    session = SessionConfig(**doc.get("session", {}))
+    agent_cfg = AgentConfig(history_len=session.history_len, num_levels=manifest.num_levels,
+                            **doc.get("agent", {}))
+    options = {key: doc[key] for key in (
+        "epochs", "seed", "matches_per_epoch", "eval_every", "checkpoint_every") if key in doc}
+    if "baselines" in doc:
+        options["baselines"] = tuple(doc["baselines"])
+    return selfplay.TrainConfig(train_traces=train_traces, val_traces=val_traces,
+                                manifests=[manifest], session=session, agent=agent_cfg,
+                                **options)
 
 
 def cmd_train(args) -> int:
@@ -252,11 +225,14 @@ def cmd_train(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationFailure(f"cannot read config {args.config}: {exc}") from exc
+    if isinstance(doc, dict):
+        # --seed/--epochs override the file before validation, so they meet the schema too.
+        doc.update(_flags(args, CONFIG_SCHEMA))
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ValidationFailure(f"config schema violation: {exc.message}") from exc
-    cfg = _build_train_config(doc, args)
+    cfg = _build_train_config(doc)
     result = selfplay.train(cfg, args.out)
     print(f"trained {cfg.epochs} epochs; final Elo {result.final_rating:.2f}")
     print(f"log: {Path(args.out) / 'epochs.csv'}")
@@ -279,11 +255,8 @@ def cmd_evaluate(args) -> int:
     agent = Agent.load(args.checkpoint)
     traces = _load_traces_dir(args.traces)
     manifest = workload.load_manifest(args.manifest)
-    session = SessionConfig(
-        buffer_capacity_s=args.buffer_capacity_s,
-        per_chunk_latency_s=args.latency_s,
-        history_len=agent.config.history_len,
-    )
+    session = SessionConfig(**_flags(args, SESSION_SCHEMA),
+                            history_len=agent.config.history_len)
     baselines = {name: make_policy(name, manifest, session) for name in names}
     result = selfplay.evaluate(agent, baselines, traces, manifest, session)
     with open(args.out, "w") as fh:
@@ -302,10 +275,7 @@ def cmd_tournament(args) -> int:
         raise ValidationFailure("tournament needs at least 2 policies")
     traces = _load_traces_dir(args.traces)
     manifest = workload.load_manifest(args.manifest)
-    session = SessionConfig(
-        buffer_capacity_s=args.buffer_capacity_s,
-        per_chunk_latency_s=args.latency_s,
-    )
+    session = SessionConfig(**_flags(args, SESSION_SCHEMA))
     policies = {name: make_policy(name, manifest, session) for name in names}
     ratings = anchor_baselines(policies, traces, manifest, session)
     Path(args.out).write_text(json.dumps({"ratings": ratings}, sort_keys=True, indent=2) + "\n")
@@ -317,23 +287,26 @@ def cmd_tournament(args) -> int:
 
 
 def _add_session_flags(parser) -> None:
-    parser.add_argument("--buffer-capacity-s", type=float, default=25.0)
-    parser.add_argument("--latency-s", type=float, default=0.0)
+    parser.add_argument("--buffer-capacity-s", dest="buffer_capacity_s", type=float)
+    parser.add_argument("--latency-s", dest="per_chunk_latency_s", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="abr-arena", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # An optional flag left out is absent from the parsed namespace, so the
+    # config dataclasses' own defaults apply.
+    optional = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("synth-traces", help="generate canonical-JSON traces")
+    p = sub.add_parser("synth-traces", help="generate canonical-JSON traces", **optional)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--num-states", type=int, default=4)
-    p.add_argument("--bw-min-kbps", type=float, default=350.0)
-    p.add_argument("--bw-max-kbps", type=float, default=4800.0)
-    p.add_argument("--mean-dwell-s", type=float, default=10.0)
-    p.add_argument("--duration-s", type=float, default=320.0)
+    p.add_argument("--num-states", type=int)
+    p.add_argument("--bw-min-kbps", dest="bandwidth_min_kbps", type=float)
+    p.add_argument("--bw-max-kbps", dest="bandwidth_max_kbps", type=float)
+    p.add_argument("--mean-dwell-s", type=float)
+    p.add_argument("--duration-s", type=float)
     p.set_defaults(func=cmd_synth_traces)
 
     p = sub.add_parser("convert-trace", help="convert a trace to canonical JSON")
@@ -342,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert_trace)
 
-    p = sub.add_parser("train", help="run self-play training from a JSON config")
+    p = sub.add_parser("train", help="run self-play training from a JSON config", **optional)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint against baselines")
+    p = sub.add_parser("evaluate", help="evaluate a checkpoint against baselines", **optional)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--manifest", required=True)
@@ -358,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tournament", help="round-robin Elo over baseline policies")
+    p = sub.add_parser("tournament", help="round-robin Elo over baseline policies",
+                       **optional)
     p.add_argument("--policies", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--manifest", required=True)

@@ -19,7 +19,6 @@ VALID_SCORES = (0.0, 0.5, 1.0)
 @dataclass
 class Rating:
     value: float = INITIAL_RATING
-    k_factor: float = K_FACTOR
 
 
 def expected_score(rating_a: float, rating_b: float) -> float:
@@ -87,6 +86,5 @@ def rate_agent(
             raise KeyError(f"unknown baseline {name!r}")
         anchor = baseline_ratings[name]
         for outcome in outcome_list:
-            score, _ = match_scores(outcome)
-            rating = rating + k * (score - expected_score(rating, anchor))
+            rating = update(rating, anchor, match_scores(outcome)[0], k)[0]
     return rating

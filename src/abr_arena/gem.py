@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural import DTYPE, BatchNorm, Dense, LeakyRelu, RMSProp, Sequential
-from .simulator import HIDDEN_SIZE, Trajectory
+from .simulator import Trajectory
 
+HIDDEN_SIZE = 16
 GEM_LR = 1e-4
 GEM_BATCH = 64
 WIN_BUFFER_CAPACITY = 10_000
@@ -34,35 +35,6 @@ def build_discriminator(rng: np.random.Generator) -> Sequential:
         Dense(64, 32, rng=rng), BatchNorm(32), LeakyRelu(),
         Dense(32, 1, rng=rng),
     ])
-
-
-def d_loss(disc: Sequential, win_batch: np.ndarray, gen_batch: np.ndarray,
-           training: bool = True) -> float:
-    """Least-squares discriminator loss: real samples toward 1, generated
-    samples toward 0.
-
-    Both halves pass through the discriminator as one mixed batch, so
-    training-mode batch normalization sees winning and generated samples
-    together and their contrast survives the per-batch standardization.
-    """
-    if len(win_batch) == 0 or len(gen_batch) == 0:
-        raise ValueError("empty batch")
-    stacked = np.concatenate([
-        np.asarray(win_batch, dtype=DTYPE), np.asarray(gen_batch, dtype=DTYPE),
-    ])
-    p, _ = disc.forward(stacked, training=training)
-    p_win, p_gen = p[:len(win_batch)], p[len(win_batch):]
-    return float(0.5 * np.mean((p_win - 1.0) ** 2) + 0.5 * np.mean(p_gen ** 2))
-
-
-def g_loss(gen: Sequential, disc: Sequential, inputs: np.ndarray,
-           training: bool = True) -> float:
-    """Least-squares generator loss: push D(G(s, h)) toward 1."""
-    if len(inputs) == 0:
-        raise ValueError("empty batch")
-    fake, _ = gen.forward(np.asarray(inputs, dtype=DTYPE), training=training)
-    p, _ = disc.forward(fake, training=training)
-    return float(0.5 * np.mean((p - 1.0) ** 2))
 
 
 class WinBuffer:
@@ -95,14 +67,6 @@ class WinBuffer:
         idx = rng.integers(self._len, size=size)
         oldest = (self._next - self._len) % self.capacity
         return self._items[(oldest + idx) % self.capacity]
-
-
-def collect_winning(buffer: WinBuffer, trajectory: Trajectory, won: bool) -> None:
-    """Harvest every per-step hidden vector of a winning trajectory."""
-    if not won:
-        return
-    for step in trajectory.steps:
-        buffer.append(step.hidden)
 
 
 @dataclass(frozen=True)
@@ -140,14 +104,22 @@ class GemModule:
         return out
 
     def collect(self, trajectory: Trajectory, won: bool) -> None:
-        collect_winning(self.buffer, trajectory, won)
+        """Harvest a winning trajectory's per-step hidden features, in step
+        order, from the GEM columns of the rows its rollout wrote."""
+        if won:
+            for h in trajectory.rows[:, -HIDDEN_SIZE:]:
+                self.buffer.append(h)
 
     def disc_gradients(self, real: np.ndarray, fake: np.ndarray):
         """(L_d, discriminator gradients); the generated batch is a constant.
 
-        Real and generated samples go through as one mixed batch (see
-        :func:`d_loss`).
+        Least squares: real samples are pushed toward 1, generated ones toward
+        0. Both halves pass through the discriminator as one mixed batch, so
+        training-mode batch normalization sees winning and generated samples
+        together and their contrast survives the per-batch standardization.
         """
+        if not len(real) or not len(fake):
+            raise ValueError("empty batch")
         stacked = np.concatenate([real, fake])
         p, cache = self.disc.forward(stacked, training=True)
         p_real, p_fake = p[:len(real)], p[len(real):]
@@ -159,8 +131,11 @@ class GemModule:
         return loss, grads
 
     def gen_gradients(self, inputs: np.ndarray):
-        """(L_g, generator gradients) through the frozen discriminator."""
+        """(L_g, generator gradients) through the frozen discriminator:
+        least squares, pushing D(G(s, h)) toward 1."""
         batch = len(inputs)
+        if not batch:
+            raise ValueError("empty batch")
         fake, gen_cache = self.gen.forward(inputs, training=True)
         p, disc_cache = self.disc.forward(fake, training=True)
         loss = float(0.5 * np.mean((p - 1.0) ** 2))

@@ -1,7 +1,7 @@
 """Minimal float32 feed-forward network core with reverse-mode gradients.
 
 Covers exactly the layer set the fixed architectures need: fully-connected,
-valid 1-D convolution, batch normalization, and the usual activations, plus
+valid 1-D convolution, batch normalization, ReLU/leaky ReLU and softmax, plus
 Adam/RMSProp and a binary checkpoint format. Layers are functional: forward
 returns (output, cache) and backward consumes that cache, so inference-mode
 forwards are safe to share across threads while nobody writes parameters.
@@ -205,58 +205,11 @@ class LeakyRelu:
         return np.where(cache, dy, dy * np.asarray(self.slope, dtype=dy.dtype)), []
 
 
-class Sigmoid:
-    kind = "sigmoid"
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return []
-
-    def forward(self, x: np.ndarray, training: bool = False):
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        return y, y
-
-    def backward(self, cache, dy: np.ndarray):
-        y = cache
-        return dy * y * (1.0 - y), []
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-class Softmax:
-    kind = "softmax"
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return []
-
-    def forward(self, x: np.ndarray, training: bool = False):
-        y = softmax(x)
-        return y, y
-
-    def backward(self, cache, dy: np.ndarray):
-        y = cache
-        inner = (dy * y).sum(axis=-1, keepdims=True)
-        return y * (dy - inner), []
 
 
 LAYER_KINDS = {
@@ -265,8 +218,6 @@ LAYER_KINDS = {
     "batchnorm": lambda s, rng: BatchNorm(s["dim"], s["momentum"], s["eps"]),
     "relu": lambda s, rng: Relu(),
     "leaky_relu": lambda s, rng: LeakyRelu(s["slope"]),
-    "sigmoid": lambda s, rng: Sigmoid(),
-    "softmax": lambda s, rng: Softmax(),
 }
 
 
@@ -434,14 +385,3 @@ def load_bundle(path) -> tuple[dict[str, Sequential], dict]:
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes in checkpoint")
     return nets, header["extra"]
-
-
-def save(net: Sequential, path, extra: dict | None = None) -> None:
-    save_bundle(path, {"net": net}, extra)
-
-
-def load(path) -> Sequential:
-    nets, _ = load_bundle(path)
-    if "net" not in nets:
-        raise ValueError(f"{path}: not a single-network checkpoint")
-    return nets["net"]

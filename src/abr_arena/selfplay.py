@@ -7,20 +7,22 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import agent as agent_module
 from .agent import Agent, AgentConfig, SessionScales
-from .baselines import make_policy
+from .baselines import POLICY_NAMES, make_policy
 from .elo import K_FACTOR, anchor_baselines, rate_agent
+from .gem import HIDDEN_SIZE
 from .neural import DTYPE
 from .rule import MatchOutcome, judge, match_scores, win_rate
 from .simulator import (
-    HIDDEN_SIZE, Observation, Session, SessionConfig, SessionMetrics, Trajectory,
-    TrajectoryStep, run_session,
+    Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
+    run_session,
 )
 from .workload import Manifest, Trace
 
@@ -46,7 +48,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 10
     checkpoint_every: int = 50
-    baselines: Sequence[str] = ("constrained", "throughput", "bola", "dynamic")
+    baselines: Sequence[str] = POLICY_NAMES
     session: SessionConfig = field(default_factory=SessionConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
 
@@ -85,11 +87,12 @@ def rollout(
     """Play ``agent`` over every (trace, video) pair in lockstep.
 
     Sessions advance one chunk index at a time. At each index every active
-    session's normalized observation is written once into its flat row, one
+    session's observation is normalized once, straight into its flat row, one
     generator forward over the previous rows gives the hidden features, and
     one policy forward over the current rows picks the levels; session i
     samples with ``rngs[i]``. Finished sessions drop out, so videos may
-    differ in length. Each trajectory keeps its rows.
+    differ in length. Each trajectory keeps its rows, which are the only
+    copy of its normalized states and hidden features.
     """
     config = agent.config
     if not matches:
@@ -106,17 +109,16 @@ def rollout(
     steps: list[list[TrajectoryStep]] = [[] for _ in sessions]
     for t in range(horizon):
         active = np.flatnonzero(lengths > t)
-        for i in active:
-            rows[i, t] = agent.observation_row(observations[i], scales[i])
+        for i in active:  # via the module, so wrappers of agent.normalize see each call
+            agent_module.normalize(observations[i], config, scales[i], rows[i, t])
         if t:
             rows[active, t, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[active, t - 1])
         actions = agent.act(rows[active, t], mode,
                             None if rngs is None else [rngs[i] for i in active])
         for i, action in zip(active, actions.tolist()):
-            played = replace(observations[i], hidden=rows[i, t, -HIDDEN_SIZE:])
+            played = observations[i]
             observations[i], _ = sessions[i].step(action)
-            steps[i].append(TrajectoryStep(played, action, sessions[i].last_download_s,
-                                           played.hidden))
+            steps[i].append(TrajectoryStep(played, action, sessions[i].last_download_s))
     return [Trajectory(steps=tuple(s), metrics=session.metrics(), rows=rows[i, :len(s)])
             for i, (session, s) in enumerate(zip(sessions, steps))]
 
@@ -181,7 +183,7 @@ def run_epoch(
 
         for traj, reward in zip(trajectories, rewards):
             agent.gem.collect(traj, won=reward == 1.0)
-        # The batch's observation rows double as the generator's input pool.
+        # The batch's flat rows double as the generator's input pool.
         batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx])
         gem_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_GEM, epoch, agent_idx]))

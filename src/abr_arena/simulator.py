@@ -15,9 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .workload import Manifest, Trace, bandwidth_at
-
-HIDDEN_SIZE = 16
+from .workload import Manifest, Trace
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,7 @@ class Observation:
     """State presented to a policy before each chunk decision.
 
     History arrays hold the last ``history_len`` values, oldest first, with
-    pre-history slots zero-filled. ``hidden`` is the 16-dim GEM feature an
-    agent's rollout fills in (zeros from the session itself).
+    pre-history slots zero-filled.
     """
 
     throughput_kbps: np.ndarray
@@ -50,7 +47,6 @@ class Observation:
     remaining_play_s: float
     buffer_s: float
     next_sizes_bits: np.ndarray
-    hidden: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,6 @@ class TrajectoryStep:
     observation: Observation
     action: int
     download_time_s: float
-    hidden: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,6 @@ class Session:
             remaining_play_s=remaining,
             buffer_s=self.buffer_s,
             next_sizes_bits=next_sizes,
-            hidden=np.zeros(HIDDEN_SIZE, dtype=np.float32),
         )
 
     def _transfer_time(self, start_t: float, size_bits: float) -> float:
@@ -226,6 +220,6 @@ def run_session(
     while not done:
         action = int(policy(obs))
         next_obs, done = session.step(action)
-        steps.append(TrajectoryStep(obs, action, session.last_download_s, obs.hidden))
+        steps.append(TrajectoryStep(obs, action, session.last_download_s))
         obs = next_obs
     return Trajectory(steps=tuple(steps), metrics=session.metrics())

@@ -8,11 +8,11 @@ from gradcheck import gradient_errors
 
 from abr_arena.agent import (
     CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, SessionScales, UpdateBatch, advantages,
-    dynamic_lr, flatten_observation, normalize, td_targets,
+    dynamic_lr, normalize, td_targets,
 )
+from abr_arena.gem import HIDDEN_SIZE
 from abr_arena.neural import Conv1D, Dense, Relu, Sequential
-from abr_arena.simulator import HIDDEN_SIZE, Observation, SessionConfig
-from abr_arena.workload import SynthManifestConfig, synth_manifest
+from abr_arena.simulator import Observation, SessionMetrics, Trajectory, TrajectoryStep
 
 CFG = AgentConfig(history_len=4, num_levels=3)
 SCALES = SessionScales(top_bitrate_kbps=4300.0, buffer_capacity_s=25.0, total_duration_s=64.0)
@@ -23,23 +23,23 @@ def physical_obs(rng=None, k=4, n=3):
         return Observation(
             throughput_kbps=np.zeros(k), download_time_s=np.zeros(k),
             chosen_bitrate_kbps=np.zeros(k), remaining_play_s=0.0, buffer_s=0.0,
-            next_sizes_bits=np.zeros(n), hidden=np.zeros(HIDDEN_SIZE, dtype=np.float32),
+            next_sizes_bits=np.zeros(n),
         )
     return Observation(
         throughput_kbps=rng.uniform(0, 8000, k), download_time_s=rng.uniform(0, 12, k),
         chosen_bitrate_kbps=rng.uniform(0, 4300, k),
         remaining_play_s=float(rng.uniform(0, 64)), buffer_s=float(rng.uniform(0, 25)),
         next_sizes_bits=rng.uniform(1e5, 2e7, n),
-        hidden=rng.normal(size=HIDDEN_SIZE).astype(np.float32),
     )
 
 
-def norm_obs(rng=None):
-    return normalize(physical_obs(rng), CFG, SCALES)
-
-
-def norm_rows(rng, count=3):
-    return np.stack([flatten_observation(norm_obs(rng)) for _ in range(count)])
+def norm_rows(rng, count=3, config=CFG):
+    """Flat rows of random normalized observations with random GEM features."""
+    rows = np.zeros((count, config.flat_dim), dtype=np.float32)
+    for row in rows:
+        normalize(physical_obs(rng, config.history_len, config.num_levels), config, SCALES, row)
+        row[-HIDDEN_SIZE:] = rng.normal(size=HIDDEN_SIZE)
+    return rows
 
 
 # ---- dynamic learning rate -------------------------------------------------
@@ -105,27 +105,43 @@ def test_normalize_values():
         remaining_play_s=32.0,
         buffer_s=25.0,
         next_sizes_bits=np.array([4e6, 8e6, 1.6e7]),
-        hidden=np.full(HIDDEN_SIZE, 2.0, dtype=np.float32),
     )
-    norm = normalize(obs, CFG, SCALES)
-    assert norm.throughput_kbps[0] == pytest.approx(0.5)
-    assert norm.download_time_s[0] == pytest.approx(0.5)
-    assert norm.chosen_bitrate_kbps[0] == pytest.approx(1.0)
-    assert norm.remaining_play_s == pytest.approx(0.5)
-    assert norm.buffer_s == pytest.approx(1.0)
-    assert norm.next_sizes_bits[0] == pytest.approx(0.5)
-    assert np.all(norm.hidden == 2.0)  # hidden passes through unscaled
+    row = np.full(CFG.flat_dim, 2.0, dtype=np.float32)
+    assert normalize(obs, CFG, SCALES, row) is row
+    assert row[0] == pytest.approx(0.5)  # throughput
+    assert row[4] == pytest.approx(0.5)  # download time
+    assert row[8] == pytest.approx(1.0)  # bitrate
+    assert row[12] == pytest.approx(0.5)  # remaining play time
+    assert row[13] == pytest.approx(1.0)  # buffer
+    assert row[14] == pytest.approx(0.5)  # next sizes
+    assert np.all(row[-HIDDEN_SIZE:] == 2.0)  # the GEM columns are left as they are
 
 
 def test_normalize_zero_is_zero():
-    norm = normalize(physical_obs(), CFG, SCALES)
-    assert np.all(flatten_observation(norm) == 0.0)
+    row = np.ones(CFG.flat_dim, dtype=np.float32)
+    normalize(physical_obs(), CFG, SCALES, row)
+    assert np.all(row[:-HIDDEN_SIZE] == 0.0)
 
 
 def test_flatten_layout():
-    flat = flatten_observation(norm_obs(np.random.default_rng(0)))
-    assert flat.shape == (CFG.flat_dim,)
+    rng = np.random.default_rng(0)
+    observations = [physical_obs(rng) for _ in range(3)]
+    trajectory = Trajectory(steps=tuple(TrajectoryStep(obs, 0, 1.0) for obs in observations),
+                            metrics=SessionMetrics(0.0, 0.0, 0.0))
+    flat = Agent(CFG, seed=0).flatten_trajectory(trajectory, SCALES)
+    assert flat.shape == (3, CFG.flat_dim)
     assert flat.dtype == np.float32
+    # Columns: the three histories, the two scalars, the next sizes, the GEM feature.
+    k, n = CFG.history_len, CFG.num_levels
+    obs = observations[1]
+    expected = np.concatenate([
+        obs.throughput_kbps / CFG.throughput_scale_kbps, obs.download_time_s / CFG.time_scale_s,
+        obs.chosen_bitrate_kbps / SCALES.top_bitrate_kbps,
+        [obs.remaining_play_s / SCALES.total_duration_s, obs.buffer_s / SCALES.buffer_capacity_s],
+        obs.next_sizes_bits / CFG.size_scale_bits, np.zeros(HIDDEN_SIZE),
+    ]).astype(np.float32)
+    assert expected.shape == (3 * k + 2 + n + HIDDEN_SIZE,)
+    assert np.array_equal(flat[1], expected)
 
 
 def test_config_validation():
@@ -181,16 +197,14 @@ def test_act_sample_deterministic_given_seed():
 
 def test_act_shape_mismatch_rejected():
     agent = Agent(CFG, seed=0)
-    bad = normalize(physical_obs(np.random.default_rng(0), k=6, n=3),
-                    AgentConfig(history_len=6, num_levels=3), SCALES)
+    bad = norm_rows(np.random.default_rng(0), 1, AgentConfig(history_len=6, num_levels=3))
     with pytest.raises(ValueError):
-        agent.act(flatten_observation(bad)[None], "greedy")
+        agent.act(bad, "greedy")
 
 
 def test_policy_probs_sum_to_one():
     agent = Agent(CFG, seed=3)
-    rng = np.random.default_rng(5)
-    inputs = agent.observation_rows([norm_obs(rng) for _ in range(16)])
+    inputs = norm_rows(np.random.default_rng(5), 16)
     probs = agent.policy_probs(inputs)
     assert np.all(probs > 0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -231,7 +245,7 @@ def assert_close(actual, expected, rtol=1e-5):
 def test_trunk_matches_per_branch_layers(batch):
     agent = Agent(CFG, seed=16)
     rng = np.random.default_rng(17)
-    rows = agent.observation_rows([norm_obs(rng) for _ in range(batch)])
+    rows = norm_rows(rng, batch)
     features, cache = agent.trunk.forward(rows)
     d_features = rng.normal(size=features.shape).astype(np.float32)
     grads = agent.trunk.backward(cache, d_features)
@@ -306,8 +320,7 @@ def test_agent_gradients_match_float64_differences():
 # ---- updates ---------------------------------------------------------------
 
 def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
-    obs = [norm_obs(rng) for _ in range(size)]
-    inputs = agent.observation_rows(obs)
+    inputs = norm_rows(rng, size)
     values = agent.state_values(inputs)
     if adv_zero:
         q = values.copy()
@@ -351,9 +364,7 @@ def test_uniform_policy_entropy_value():
     out = agent.policy_head.layers[-1]
     out.weight[:] = 0.0
     out.bias[:] = 0.0
-    rng = np.random.default_rng(8)
-    obs = [normalize(physical_obs(rng, n=6), agent.config, SCALES) for _ in range(4)]
-    inputs = agent.observation_rows(obs)
+    inputs = norm_rows(np.random.default_rng(8), 4, agent.config)
     values = agent.state_values(inputs)
     batch = UpdateBatch(inputs=inputs, actions=np.zeros(4, dtype=np.int64),
                         rewards=np.ones(4), q_targets=values, win_rate=0.5)
@@ -363,9 +374,7 @@ def test_uniform_policy_entropy_value():
 
 def test_policy_gradient_direction():
     agent = Agent(CFG, seed=10)
-    rng = np.random.default_rng(9)
-    obs = norm_obs(rng)
-    inputs = agent.observation_rows([obs])
+    inputs = norm_rows(np.random.default_rng(9), 1)
     action = 1
     batch = UpdateBatch(
         inputs=inputs, actions=np.array([action]), rewards=np.ones(1),

@@ -5,7 +5,7 @@ from abr_arena.baselines import (
     BolaParams, DynamicDashParams, bola, constrained, dynamic_dash, make_policy,
     throughput_rule,
 )
-from abr_arena.simulator import HIDDEN_SIZE, Observation, SessionConfig
+from abr_arena.simulator import Observation, SessionConfig
 from abr_arena.workload import SynthManifestConfig, synth_manifest
 
 LADDER = (300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0)
@@ -21,7 +21,6 @@ def obs_with(tput=None, buffer_s=0.0, sizes=None, k=10):
         buffer_s=buffer_s,
         next_sizes_bits=np.asarray(
             sizes if sizes is not None else np.asarray(LADDER) * 4000.0, dtype=np.float64),
-        hidden=np.zeros(HIDDEN_SIZE, dtype=np.float32),
     )
 
 

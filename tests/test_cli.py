@@ -4,6 +4,7 @@ import pytest
 
 from abr_arena import cli, workload
 from abr_arena.agent import Agent, AgentConfig
+from abr_arena.neural import save_bundle
 from abr_arena.workload import SynthManifestConfig, synth_manifest
 
 
@@ -212,3 +213,50 @@ def test_tournament(tmp_path, capsys):
         "tournament", "--policies", "constrained", "--traces", str(traces_dir),
         "--manifest", str(manifest_path), "--out", str(out), capsys=capsys)
     assert code == 1
+
+
+def test_train_rejects_negative_epochs_flag(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(train_config_doc(tmp_path)))
+    code, stdout, err = run_cli("train", "--config", str(config), "--out",
+                                str(tmp_path / "r"), "--epochs", "-3", capsys=capsys)
+    assert code == 1
+    assert "trained" not in stdout
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "schema" in lines[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_synth_traces_defaults_come_from_config(tmp_path, capsys):
+    out = tmp_path / "traces"
+    code, _, _ = run_cli("synth-traces", "--count", "2", "--seed", "4", "--out", str(out),
+                         "--bw-max-kbps", "900", capsys=capsys)
+    assert code == 0
+    cfg = workload.SynthTraceConfig(bandwidth_range_kbps=(350.0, 900.0))
+    for i in range(2):
+        expected = workload.synth_trace(cfg, 4 + i, trace_id=f"trace_{i:04d}")
+        assert workload.load_trace(out / f"trace_{i:04d}.json", "canonical-json") == expected
+
+
+def write_checkpoint_with_extra(path, extra):
+    nets = Agent(AgentConfig(history_len=4, num_levels=6), seed=0)._nets()
+    save_bundle(path, nets, extra)
+
+
+@pytest.mark.parametrize("extra", [
+    {"kind": "abr-arena-agent", "agent_config": {"history_len": 4, "num_levels": 6, "bogus": 1}},
+    ["abr-arena-agent"],
+    {"kind": "abr-arena-agent", "agent_config": {"history_len": 4, "num_levels": 6},
+     "rating": [1000.0]},
+], ids=["unknown-agent-config-key", "extra-not-an-object", "rating-not-a-number"])
+def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, extra):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    ckpt = tmp_path / "agent.ckpt"
+    write_checkpoint_with_extra(ckpt, extra)
+    code, _, err = run_cli(
+        "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--out", str(tmp_path / "o.jsonl"), capsys=capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(ckpt) in lines[0]

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 from gradcheck import gradient_errors, to_float64
 
-from abr_arena.gem import GemModule, WinBuffer, collect_winning, d_loss, g_loss
-from abr_arena.simulator import HIDDEN_SIZE, SessionMetrics, Trajectory, TrajectoryStep
+from abr_arena.gem import HIDDEN_SIZE, GemModule, WinBuffer
+from abr_arena.simulator import SessionMetrics, Trajectory, TrajectoryStep
 
 STATE_DIM = 20
 
 
-def make_gem(seed=0):
-    return GemModule(STATE_DIM, rng=np.random.default_rng(seed), batch_size=16)
+def make_gem(seed=0, **kwargs):
+    return GemModule(STATE_DIM, rng=np.random.default_rng(seed), batch_size=16, **kwargs)
 
 
 def make_trajectory(num_steps, fill=1.0):
-    steps = tuple(
-        TrajectoryStep(observation=None, action=0, download_time_s=1.0,
-                       hidden=np.full(HIDDEN_SIZE, fill * (i + 1), dtype=np.float32))
-        for i in range(num_steps)
-    )
-    return Trajectory(steps=steps, metrics=SessionMetrics(1.0, 0.0, 0.0))
+    """A played trajectory whose step i has the hidden feature fill * (i + 1)."""
+    steps = tuple(TrajectoryStep(observation=None, action=0, download_time_s=1.0)
+                  for _ in range(num_steps))
+    rows = np.zeros((num_steps, STATE_DIM + HIDDEN_SIZE), dtype=np.float32)
+    rows[:, :STATE_DIM] = -1.0
+    rows[:, STATE_DIM:] = fill * np.arange(1, num_steps + 1)[:, None]
+    return Trajectory(steps=steps, metrics=SessionMetrics(1.0, 0.0, 0.0), rows=rows)
 
 
 def test_gen_hidden_deterministic_and_finite():
@@ -37,49 +38,58 @@ def test_gen_hidden_deterministic_and_finite():
         gem.hidden_for(prev_rows[:, :-4])
 
 
-class StubDisc:
-    """Scores the first ``n_win`` rows of a batch one way and the rest another."""
+def constant_disc(gem, value):
+    """Make the discriminator score every sample ``value``: its last dense
+    layer gets zero weight and a constant bias."""
+    out = gem.disc.layers[-1]
+    out.weight[:] = 0.0
+    out.bias[:] = value
+    return gem
 
-    def __init__(self, win_value, gen_value=None, n_win=8):
-        self.win_value = win_value
-        self.gen_value = win_value if gen_value is None else gen_value
-        self.n_win = n_win
+
+class HalvesDisc:
+    """Scores the first ``n_real`` rows of a batch one way and the rest another."""
+
+    def __init__(self, real_value, fake_value, n_real=8):
+        self.real_value, self.fake_value, self.n_real = real_value, fake_value, n_real
 
     def forward(self, x, training=False):
-        out = np.full((len(x), 1), self.gen_value, dtype=np.float32)
-        out[:self.n_win] = self.win_value
+        out = np.full((len(x), 1), self.fake_value, dtype=np.float32)
+        out[:self.n_real] = self.real_value
         return out, None
 
-
-class StubGen:
-    def forward(self, x, training=False):
-        return np.zeros((len(x), HIDDEN_SIZE), dtype=np.float32), None
+    def backward(self, cache, d_out):
+        return np.zeros((len(d_out), HIDDEN_SIZE), dtype=np.float32), []
 
 
 def test_d_loss_constants():
-    win = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
-    gen = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
-    assert d_loss(StubDisc(1.0, 0.0), win, gen) == pytest.approx(0.0)
-    assert d_loss(StubDisc(0.5), win, gen) == pytest.approx(0.25)
-    assert d_loss(StubDisc(0.0), win, gen) == pytest.approx(0.5)
+    real = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
+    fake = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
+    assert constant_disc(make_gem(), 0.5).disc_gradients(real, fake)[0] == pytest.approx(0.25)
+    assert constant_disc(make_gem(), 0.0).disc_gradients(real, fake)[0] == pytest.approx(0.5)
+    assert constant_disc(make_gem(), 1.0).disc_gradients(real, fake)[0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        d_loss(StubDisc(0.5), np.zeros((0, HIDDEN_SIZE)), gen)
+        make_gem().disc_gradients(real[:0], fake)
 
 
 def test_g_loss_constants():
     inputs = np.zeros((8, STATE_DIM + HIDDEN_SIZE), dtype=np.float32)
-    assert g_loss(StubGen(), StubDisc(1.0), inputs) == pytest.approx(0.0)
-    assert g_loss(StubGen(), StubDisc(0.0), inputs) == pytest.approx(0.5)
-    assert g_loss(StubGen(), StubDisc(0.5), inputs) == pytest.approx(0.125)
+    assert constant_disc(make_gem(), 1.0).gen_gradients(inputs)[0] == pytest.approx(0.0)
+    assert constant_disc(make_gem(), 0.0).gen_gradients(inputs)[0] == pytest.approx(0.5)
+    assert constant_disc(make_gem(), 0.5).gen_gradients(inputs)[0] == pytest.approx(0.125)
     with pytest.raises(ValueError):
-        g_loss(StubGen(), StubDisc(0.5), inputs[:0])
+        make_gem().gen_gradients(inputs[:0])
 
 
 def test_d_loss_mixed_halves():
-    win = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
-    gen = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
-    # D(win)=0.5, D(gen)=0 -> 0.5*0.25 + 0.5*0 = 0.125
-    assert d_loss(StubDisc(0.5, 0.0), win, gen) == pytest.approx(0.125)
+    gem = make_gem()
+    real = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
+    fake = np.zeros((8, HIDDEN_SIZE), dtype=np.float32)
+    gem.disc = HalvesDisc(1.0, 0.0)
+    assert gem.disc_gradients(real, fake)[0] == pytest.approx(0.0)
+    # D(real)=0.5, D(fake)=0 -> 0.5*0.25 + 0.5*0 = 0.125
+    gem.disc = HalvesDisc(0.5, 0.0)
+    assert gem.disc_gradients(real, fake)[0] == pytest.approx(0.125)
 
 
 def test_losses_nonnegative_and_finite():
@@ -88,18 +98,19 @@ def test_losses_nonnegative_and_finite():
     win = rng.normal(size=(32, HIDDEN_SIZE)).astype(np.float32)
     inputs = rng.normal(size=(32, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
     fake, _ = gem.gen.forward(inputs, training=True)
-    d_value = d_loss(gem.disc, win, fake)
-    g_value = g_loss(gem.gen, gem.disc, inputs)
+    d_value, _ = gem.disc_gradients(win, fake)
+    g_value, _ = gem.gen_gradients(inputs)
     assert d_value >= 0.0 and np.isfinite(d_value)
     assert g_value >= 0.0 and np.isfinite(g_value)
 
 
 def test_win_buffer_fifo():
-    buf = WinBuffer(capacity=5)
+    gem = make_gem(buffer_capacity=5)
+    buf = gem.buffer
     traj = make_trajectory(10)
-    collect_winning(buf, traj, won=False)
+    gem.collect(traj, won=False)
     assert len(buf) == 0
-    collect_winning(buf, traj, won=True)
+    gem.collect(traj, won=True)
     assert len(buf) == 5  # last five hidden vectors survive
     kept = buf.sample(np.random.default_rng(0), 64)
     assert kept.min() >= 6.0
@@ -125,9 +136,12 @@ def test_win_buffer_ring_matches_deque_after_wrapping():
 
 
 def test_collect_appends_all_steps():
-    buf = WinBuffer()
-    collect_winning(buf, make_trajectory(10), won=True)
-    assert len(buf) == 10
+    gem = make_gem()
+    traj = make_trajectory(10)
+    gem.collect(traj, won=True)
+    assert len(gem.buffer) == 10
+    # Only the GEM columns, oldest step first.
+    assert np.array_equal(gem.buffer._items[:10], traj.rows[:, -HIDDEN_SIZE:])
 
 
 def test_update_skips_on_empty_buffer():
@@ -143,7 +157,7 @@ def test_update_skips_on_empty_buffer():
 def test_update_applies_and_moments_advance():
     gem = make_gem(6)
     rng_data = np.random.default_rng(7)
-    collect_winning(gem.buffer, make_trajectory(12, fill=0.3), won=True)
+    gem.collect(make_trajectory(12, fill=0.3), won=True)
     inputs = rng_data.normal(size=(30, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
 
     p0 = [p.copy() for p in gem.gen.params() + gem.disc.params()]

@@ -12,7 +12,8 @@ from abr_arena.selfplay import (
     EPOCH_CSV_COLUMNS, TrainConfig, _rollout_rng, evaluate, rollout, run_epoch, run_match,
     train,
 )
-from abr_arena.simulator import HIDDEN_SIZE, SessionConfig
+from abr_arena.gem import HIDDEN_SIZE
+from abr_arena.simulator import SessionConfig
 from abr_arena.workload import (
     SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace,
 )
@@ -148,7 +149,9 @@ def test_rollout_rows_are_normalized_observations_and_gem_features():
     for traj, (_, manifest) in zip(trajectories, matches):
         assert traj.rows.shape == (manifest.num_chunks, AGENT_CFG.flat_dim)
         scales = SessionScales.from_session(manifest, SESSION_CFG)
-        assert np.array_equal(traj.rows, agent.flatten_trajectory(traj, scales))
+        # The state columns are the stored observations, normalized.
+        assert np.array_equal(traj.rows[:, :-HIDDEN_SIZE],
+                              agent.flatten_trajectory(traj, scales)[:, :-HIDDEN_SIZE])
         # Step t's hidden feature is the generator's output on step t-1's row.
         assert np.all(traj.rows[0, -HIDDEN_SIZE:] == 0.0)
         np.testing.assert_allclose(traj.rows[1:, -HIDDEN_SIZE:],

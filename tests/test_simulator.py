@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from abr_arena.simulator import (
-    HIDDEN_SIZE, Session, SessionConfig, run_session,
-)
+from abr_arena.simulator import Session, SessionConfig, run_session
 from abr_arena.workload import Manifest, SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace
 
 
@@ -31,7 +29,7 @@ def test_initial_state():
     assert obs.buffer_s == 0.0
     assert obs.remaining_play_s == 2 * 4.0
     assert np.array_equal(obs.next_sizes_bits, np.array([4e6, 8e6]))
-    assert obs.hidden.shape == (HIDDEN_SIZE,)
+    assert not hasattr(obs, "hidden")  # GEM features live in the agent's rows
 
 
 def test_no_stall_session():
