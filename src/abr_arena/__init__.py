@@ -6,7 +6,7 @@ actor-critic updates augmented by a GAN-generated hidden-feature memory, and
 Elo ratings against classical baselines track progress.
 """
 
-from .agent import Agent, AgentConfig, SessionScales, advantages, dynamic_lr, normalize
+from .agent import Agent, AgentConfig, SessionScales, dynamic_lr, normalize
 from .baselines import (
     BolaParams, DynamicDashParams, bola, constrained, dynamic_dash, make_policy,
     throughput_rule,
@@ -29,7 +29,7 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "AgentConfig", "SessionScales", "advantages", "dynamic_lr", "normalize",
+    "Agent", "AgentConfig", "SessionScales", "dynamic_lr", "normalize",
     "BolaParams", "DynamicDashParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",

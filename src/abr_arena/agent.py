@@ -51,10 +51,13 @@ class AgentConfig:
             raise ValueError(f"num_levels must be >= {CONV_KERNEL}, got {self.num_levels}")
         if not 0 < self.discount <= 1:
             raise ValueError(f"discount must be in (0,1], got {self.discount}")
-        if self.entropy_weight < 0:
-            raise ValueError(f"entropy_weight must be >= 0, got {self.entropy_weight}")
-        if self.policy_lr <= 0 or self.value_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (math.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
+            raise ValueError(f"entropy_weight must be finite and >= 0, got {self.entropy_weight}")
+        for name in ("policy_lr", "value_lr", "throughput_scale_kbps", "time_scale_s",
+                     "size_scale_bits"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.td_steps < 1:
             raise ValueError(f"td_steps must be >= 1, got {self.td_steps}")
         if self.reward_mode not in REWARD_MODES:
@@ -115,41 +118,36 @@ def dynamic_lr(win_rate: float, base_lr: float) -> float:
 
 
 def td_targets(rewards: np.ndarray, values: np.ndarray, discount: float,
-               td_steps: int = 1) -> np.ndarray:
-    """n-step bootstrap targets; the value beyond the terminal step is 0."""
+               td_steps: int = 1, lengths: Sequence[int] | None = None) -> np.ndarray:
+    """n-step bootstrap targets of trajectories laid end to end, ``lengths``
+    steps each (one trajectory if None); the value beyond a trajectory's
+    terminal step is 0."""
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     horizon = len(rewards)
-    if horizon == 0:
-        raise ValueError("empty trajectory")
+    lengths = np.asarray([horizon] if lengths is None else lengths, dtype=np.int64)
+    if horizon == 0 or np.any(lengths < 1) or lengths.sum() != horizon:
+        raise ValueError(f"{horizon} steps do not split into trajectories of lengths {lengths}")
+    steps = np.arange(horizon)
+    ends = np.repeat(np.cumsum(lengths), lengths)  # one past each step's terminal step
     targets = np.zeros(horizon, dtype=np.float64)
-    for t in range(horizon):
-        q = 0.0
-        for j in range(td_steps):
-            if t + j >= horizon:
-                break
-            q += (discount ** j) * rewards[t + j]
-        tail = t + td_steps
-        if tail < horizon:
-            q += (discount ** td_steps) * values[tail]
-        targets[t] = q
+    for j in range(td_steps):
+        live = steps + j < ends
+        targets[live] += (discount ** j) * rewards[steps[live] + j]
+    live = steps + td_steps < ends
+    targets[live] += (discount ** td_steps) * values[steps[live] + td_steps]
     return targets
-
-
-def advantages(rewards: np.ndarray, values: np.ndarray, discount: float,
-               td_steps: int = 1) -> np.ndarray:
-    """A_t = Q_t - V(s_t) with Q_t the n-step bootstrap target."""
-    return td_targets(rewards, values, discount, td_steps) - np.asarray(values, dtype=np.float64)
 
 
 @dataclass
 class UpdateBatch:
-    """One epoch's policy/value update data; ``inputs`` stacks every step's flat row."""
+    """One epoch's update data, trajectory after trajectory: every step's
+    flat row, action and reward, and each trajectory's step count."""
 
     inputs: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    q_targets: np.ndarray
+    lengths: np.ndarray
     win_rate: float
 
 
@@ -281,34 +279,30 @@ class Agent:
 
     # ---- learning --------------------------------------------------------
 
-    def trajectory_rewards(self, outcome_reward: float, length: int) -> np.ndarray:
-        if self.config.reward_mode == "broadcast":
-            return np.full(length, outcome_reward, dtype=np.float64)
-        rewards = np.zeros(length, dtype=np.float64)
-        rewards[-1] = outcome_reward
-        return rewards
-
     def build_update_batch(self, trajectories: Sequence[Trajectory],
                            outcome_rewards: Sequence[float],
                            win: float) -> UpdateBatch:
-        """Bootstrap and stack one epoch's trajectories over the rows their
-        rollout wrote."""
-        rows = np.concatenate([t.rows for t in trajectories])
-        values = np.split(self.state_values(rows).astype(np.float64),
-                          np.cumsum([len(t.steps) for t in trajectories])[:-1])
-        rewards = [self.trajectory_rewards(r, len(v)) for r, v in zip(outcome_rewards, values)]
-        targets = [td_targets(r, v, self.config.discount, self.config.td_steps)
-                   for r, v in zip(rewards, values)]
+        """Stack one epoch's trajectories: the rows their rollout wrote, the
+        actions, and each match's reward on every step (``broadcast``) or on
+        its last step only (``terminal``)."""
+        lengths = np.array([len(t.steps) for t in trajectories], dtype=np.int64)
+        outcomes = np.asarray(outcome_rewards, dtype=np.float64)
+        if self.config.reward_mode == "broadcast":
+            rewards = np.repeat(outcomes, lengths)
+        else:
+            rewards = np.zeros(lengths.sum(), dtype=np.float64)
+            rewards[np.cumsum(lengths) - 1] = outcomes
         actions = [s.action for t in trajectories for s in t.steps]
-        return UpdateBatch(inputs=rows, actions=np.asarray(actions, dtype=np.int64),
-                           rewards=np.concatenate(rewards), q_targets=np.concatenate(targets),
-                           win_rate=win)
+        return UpdateBatch(inputs=np.concatenate([t.rows for t in trajectories]),
+                           actions=np.asarray(actions, dtype=np.int64), rewards=rewards,
+                           lengths=lengths, win_rate=win)
 
     def gradients(self, batch: UpdateBatch):
         """Losses plus policy-side and value-side gradients.
 
-        Both gradients are taken at the same (current) parameters; the
-        advantage is a constant coefficient in the policy objective. Returns
+        Both gradients are taken at the same (current) parameters. The TD
+        targets bootstrap from this forward's values and, like the advantage
+        in the policy objective, are held constant. Returns
         (report, policy_grads, value_grads); the gradient lists are None when
         a loss came out non-finite.
         """
@@ -317,8 +311,9 @@ class Agent:
         batch_size = features.shape[0]
 
         values, value_cache = self.value_head.forward(features)
-        values = values[:, 0]
-        adv = (batch.q_targets - values.astype(np.float64)).astype(DTYPE)
+        values = values[:, 0].astype(np.float64)
+        q_targets = td_targets(batch.rewards, values, cfg.discount, cfg.td_steps, batch.lengths)
+        adv = (q_targets - values).astype(DTYPE)
         value_loss = float(np.mean(adv.astype(np.float64) ** 2))
 
         logits, policy_cache = self.policy_head.forward(features)

@@ -3,8 +3,9 @@
 Covers exactly the layer set the fixed architectures need: fully-connected,
 valid 1-D convolution, batch normalization, ReLU/leaky ReLU and softmax, plus
 Adam/RMSProp and a binary checkpoint format. Layers are functional: forward
-returns (output, cache) and backward consumes that cache, so inference-mode
-forwards are safe to share across threads while nobody writes parameters.
+returns (output, cache) and backward consumes that cache, so a layer stores
+no activations between the two; only a training-mode batch-norm forward
+writes layer state (its running statistics).
 """
 
 from __future__ import annotations

@@ -214,7 +214,7 @@ class EvalResult:
 
 
 def evaluate(
-    policy_or_agent,
+    agent: Agent,
     baselines: Mapping[str, Callable[[Observation], int]],
     traces: Sequence[Trace],
     manifest: Manifest,
@@ -225,9 +225,9 @@ def evaluate(
 ) -> EvalResult:
     """Head-to-head matches against every baseline on every trace.
 
-    The evaluated side plays each trace once (deterministically: agents play
-    greedily) for all opponents. Returns per-opponent win rates, one CDF-ready
-    record per (trace, opponent), and (when anchor ratings are supplied) the updated Elo.
+    The agent plays each trace once, greedily, for all opponents. Returns
+    per-opponent win rates, one CDF-ready record per (trace, opponent), and
+    (when anchor ratings are supplied) the updated Elo.
     """
     if not traces:
         raise ValueError("empty trace set")
@@ -236,10 +236,7 @@ def evaluate(
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
-    if isinstance(policy_or_agent, Agent):
-        my_sessions = rollout(policy_or_agent, [(trace, manifest) for trace in traces], cfg)
-    else:
-        my_sessions = [run_session(policy_or_agent, manifest, trace, cfg) for trace in traces]
+    my_sessions = rollout(agent, [(trace, manifest) for trace in traces], cfg)
     for name, opponent in baselines.items():
         outcomes: list[MatchOutcome] = []
         for trace, mine in zip(traces, my_sessions):

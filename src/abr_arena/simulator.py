@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .workload import Manifest, Trace
+from .workload import Manifest, Trace, transfer_time
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,10 @@ class SessionConfig:
     history_len: int = 10
 
     def __post_init__(self):
-        if self.buffer_capacity_s <= 0:
-            raise ValueError(f"buffer capacity must be positive, got {self.buffer_capacity_s}")
-        if self.per_chunk_latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {self.per_chunk_latency_s}")
+        if not (math.isfinite(self.buffer_capacity_s) and self.buffer_capacity_s > 0):
+            raise ValueError(f"buffer capacity must be finite and > 0, got {self.buffer_capacity_s}")
+        if not (math.isfinite(self.per_chunk_latency_s) and self.per_chunk_latency_s >= 0):
+            raise ValueError(f"latency must be finite and >= 0, got {self.per_chunk_latency_s}")
         if self.history_len < 1:
             raise ValueError(f"history_len must be >= 1, got {self.history_len}")
 
@@ -123,30 +123,6 @@ class Session:
             next_sizes_bits=next_sizes,
         )
 
-    def _transfer_time(self, start_t: float, size_bits: float) -> float:
-        """Exact time to move ``size_bits`` over the looping trace from ``start_t``."""
-        trace = self.trace
-        ends = trace._segment_ends
-        bandwidths = trace.bandwidths_kbps
-        pos = math.fmod(start_t, trace.total_duration_s)
-        idx = min(int(np.searchsorted(ends, pos, side="right")), len(ends) - 1)
-        remaining = size_bits
-        elapsed = 0.0
-        while True:
-            bps = bandwidths[idx] * 1000.0
-            seg_left = ends[idx] - pos
-            capacity = bps * seg_left
-            if capacity >= remaining:
-                return elapsed + remaining / bps
-            remaining -= capacity
-            elapsed += seg_left
-            idx += 1
-            if idx == len(ends):
-                idx = 0
-                pos = 0.0
-            else:
-                pos = ends[idx - 1]
-
     def step(self, action: int) -> tuple[Observation, bool]:
         """Download the next chunk at ladder level ``action``.
 
@@ -171,7 +147,7 @@ class Session:
 
         size = float(man.sizes[self.next_chunk, action])
         latency = self.cfg.per_chunk_latency_s
-        tau = latency + self._transfer_time(self.clock_s + latency, size)
+        tau = latency + transfer_time(self.trace, self.clock_s + latency, size)
         if self._playing:
             stall = max(0.0, tau - self.buffer_s)
             self.total_rebuffer_s += stall

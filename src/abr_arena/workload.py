@@ -40,30 +40,56 @@ class Trace:
                 raise ValueError(f"trace {self.id!r}: sample {i} has non-positive bandwidth {bw}")
 
     @cached_property
-    def durations_s(self) -> np.ndarray:
-        return np.array([d for d, _ in self.samples], dtype=np.float64)
-
-    @cached_property
     def bandwidths_kbps(self) -> np.ndarray:
         return np.array([b for _, b in self.samples], dtype=np.float64)
 
     @cached_property
     def _segment_ends(self) -> np.ndarray:
-        return np.cumsum(self.durations_s)
+        return np.cumsum([d for d, _ in self.samples], dtype=np.float64)
 
     @property
     def total_duration_s(self) -> float:
         return float(self._segment_ends[-1])
 
 
-def bandwidth_at(trace: Trace, t: float) -> float:
-    """Bandwidth (kbps) at time ``t`` seconds; times past the end wrap."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
+def _locate(trace: Trace, t: float) -> tuple[int, float]:
+    """The index of the segment holding time ``t`` of the looping trace, and
+    ``t``'s position within the loop."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     pos = math.fmod(t, trace.total_duration_s)
     idx = int(np.searchsorted(trace._segment_ends, pos, side="right"))
-    idx = min(idx, len(trace.samples) - 1)
+    return min(idx, len(trace.samples) - 1), pos
+
+
+def bandwidth_at(trace: Trace, t: float) -> float:
+    """Bandwidth (kbps) at time ``t`` seconds; times past the end wrap."""
+    idx, _ = _locate(trace, t)
     return float(trace.bandwidths_kbps[idx])
+
+
+def transfer_time(trace: Trace, start_t: float, size_bits: float) -> float:
+    """Exact time (s) to move ``size_bits`` over the looping trace from
+    ``start_t``, integrating its piecewise-constant bandwidth."""
+    idx, pos = _locate(trace, start_t)
+    ends = trace._segment_ends
+    bandwidths = trace.bandwidths_kbps
+    remaining = size_bits
+    elapsed = 0.0
+    while True:
+        bps = bandwidths[idx] * 1000.0
+        seg_left = ends[idx] - pos
+        capacity = bps * seg_left
+        if capacity >= remaining:
+            return elapsed + remaining / bps
+        remaining -= capacity
+        elapsed += seg_left
+        idx += 1
+        if idx == len(ends):
+            idx = 0
+            pos = 0.0
+        else:
+            pos = ends[idx - 1]
 
 
 def _trace_from_json(doc: dict, source: str) -> Trace:
@@ -149,10 +175,10 @@ class SynthTraceConfig:
             raise ValueError(f"num_states must be >= 1, got {self.num_states}")
         if not (0 < lo <= hi):
             raise ValueError(f"invalid bandwidth range ({lo}, {hi})")
-        if self.mean_dwell_s <= 0:
-            raise ValueError(f"mean_dwell_s must be positive, got {self.mean_dwell_s}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not (math.isfinite(self.mean_dwell_s) and self.mean_dwell_s > 0):
+            raise ValueError(f"mean_dwell_s must be finite and > 0, got {self.mean_dwell_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
 
 
 def synth_trace(cfg: SynthTraceConfig, seed, trace_id: str | None = None) -> Trace:
@@ -224,10 +250,12 @@ class Manifest:
     chunk_sizes_bits: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.chunk_duration_s <= 0:
-            raise ValueError(f"manifest {self.id!r}: non-positive chunk duration")
+        if not (math.isfinite(self.chunk_duration_s) and self.chunk_duration_s > 0):
+            raise ValueError(f"manifest {self.id!r}: non-finite or non-positive chunk duration")
         if len(self.ladder_kbps) < 2:
             raise ValueError(f"manifest {self.id!r}: ladder needs >= 2 levels")
+        if any(not (math.isfinite(b) and b > 0) for b in self.ladder_kbps):
+            raise ValueError(f"manifest {self.id!r}: ladder has a non-finite or non-positive rung")
         if any(b >= a for a, b in zip(self.ladder_kbps[1:], self.ladder_kbps)):
             raise ValueError(f"manifest {self.id!r}: ladder not strictly increasing")
         if not self.chunk_sizes_bits:

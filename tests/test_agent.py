@@ -7,7 +7,7 @@ import pytest
 from gradcheck import gradient_errors
 
 from abr_arena.agent import (
-    CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, SessionScales, UpdateBatch, advantages,
+    CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
     dynamic_lr, normalize, td_targets,
 )
 from abr_arena.gem import HIDDEN_SIZE
@@ -67,21 +67,57 @@ def test_dynamic_lr_nonnegative_and_bounds():
         dynamic_lr(1.1, 1.0)
 
 
-# ---- advantages ------------------------------------------------------------
+# ---- TD targets ------------------------------------------------------------
 
 def test_advantage_hand_example():
     # Q = r + gamma * V(s') = 1 + 0.6*0.5 = 1.3; A = 1.3 - 0.8 = 0.5.
-    adv = advantages(np.array([1.0, 1.0]), np.array([0.8, 0.5]), discount=0.6)
-    assert adv[0] == pytest.approx(0.5)
+    values = np.array([0.8, 0.5])
+    q = td_targets(np.array([1.0, 1.0]), values, discount=0.6)
+    assert q[0] == pytest.approx(1.3)
+    assert q[0] - values[0] == pytest.approx(0.5)
     # Terminal step bootstraps V = 0.
-    assert adv[1] == pytest.approx(1.0 - 0.5)
+    assert q[1] == pytest.approx(1.0)
+    assert q[1] - values[1] == pytest.approx(1.0 - 0.5)
 
 
 def test_advantage_terminal_and_fixed_point():
-    adv = advantages(np.array([0.0]), np.array([0.2]), discount=0.6)
-    assert adv[0] == pytest.approx(-0.2)
-    zero = advantages(np.zeros(5), np.zeros(5), discount=0.6)
+    # A lone terminal step bootstraps nothing: Q = r = 0, so A = -V(s).
+    values = np.array([0.2])
+    q = td_targets(np.array([0.0]), values, discount=0.6)
+    assert q[0] - values[0] == pytest.approx(-0.2)
+    zero = td_targets(np.zeros(5), np.zeros(5), discount=0.6)
     assert np.allclose(zero, 0.0)
+
+
+def loop_td_targets(rewards, values, discount, td_steps):
+    """Reference: one trajectory's n-step targets, one step at a time."""
+    targets = np.zeros(len(rewards))
+    for t in range(len(rewards)):
+        q = 0.0
+        for j in range(td_steps):
+            if t + j >= len(rewards):
+                break
+            q += (discount ** j) * rewards[t + j]
+        if t + td_steps < len(rewards):
+            q += (discount ** td_steps) * values[t + td_steps]
+        targets[t] = q
+    return targets
+
+
+def test_td_targets_over_lengths_equal_per_trajectory_loop():
+    rng = np.random.default_rng(16)
+    lengths = [3, 1, 5, 2]
+    rewards, values = rng.normal(size=11), rng.normal(size=11)
+    starts = np.cumsum(lengths)[:-1]
+    for discount, td_steps in ((0.6, 1), (0.9, 2), (0.6, 4), (1.0, 6)):
+        expected = np.concatenate([
+            loop_td_targets(r, v, discount, td_steps)
+            for r, v in zip(np.split(rewards, starts), np.split(values, starts))])
+        assert np.array_equal(td_targets(rewards, values, discount, td_steps, lengths), expected)
+    with pytest.raises(ValueError):
+        td_targets(rewards, values, 0.6, 1, [3, 0, 8])
+    with pytest.raises(ValueError):
+        td_targets(rewards, values, 0.6, 1, [3, 1])
 
 
 def test_td_targets_n_step():
@@ -286,7 +322,7 @@ def test_agent_gradients_match_float64_differences():
 
     twin = float64_twin(agent)
     rows = batch.inputs.astype(np.float64)
-    q = np.asarray(batch.q_targets, dtype=np.float64)
+    q = batch.rewards  # one-step trajectories: the TD target is the reward
     # The policy objective treats the advantage as a constant coefficient.
     values = agent.state_values(batch.inputs).astype(np.float64)
     adv = (q - values).astype(np.float32).astype(np.float64)
@@ -320,6 +356,7 @@ def test_agent_gradients_match_float64_differences():
 # ---- updates ---------------------------------------------------------------
 
 def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
+    """A batch of one-step trajectories, so each TD target is the step's reward."""
     inputs = norm_rows(rng, size)
     values = agent.state_values(inputs)
     if adv_zero:
@@ -329,8 +366,8 @@ def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
     return UpdateBatch(
         inputs=inputs,
         actions=rng.integers(0, agent.config.num_levels, size),
-        rewards=np.full(size, 0.5),
-        q_targets=q,
+        rewards=q.astype(np.float64),
+        lengths=np.ones(size, dtype=np.int64),
         win_rate=win,
     )
 
@@ -367,7 +404,8 @@ def test_uniform_policy_entropy_value():
     inputs = norm_rows(np.random.default_rng(8), 4, agent.config)
     values = agent.state_values(inputs)
     batch = UpdateBatch(inputs=inputs, actions=np.zeros(4, dtype=np.int64),
-                        rewards=np.ones(4), q_targets=values, win_rate=0.5)
+                        rewards=values.astype(np.float64), lengths=np.ones(4, dtype=np.int64),
+                        win_rate=0.5)
     report, _, _ = agent.gradients(batch)
     assert report["entropy"] == pytest.approx(math.log(6), abs=1e-5)
 
@@ -377,9 +415,9 @@ def test_policy_gradient_direction():
     inputs = norm_rows(np.random.default_rng(9), 1)
     action = 1
     batch = UpdateBatch(
-        inputs=inputs, actions=np.array([action]), rewards=np.ones(1),
-        q_targets=agent.state_values(inputs) + 1.0,  # A = +1
-        win_rate=0.5,
+        inputs=inputs, actions=np.array([action]),
+        rewards=(agent.state_values(inputs) + 1.0).astype(np.float64),  # A = +1
+        lengths=np.ones(1, dtype=np.int64), win_rate=0.5,
     )
     log_before = float(np.log(agent.policy_probs(inputs)[0, action]))
     _, policy_grads, _ = agent.gradients(batch)
@@ -392,7 +430,7 @@ def test_policy_gradient_direction():
 def test_update_skips_on_nonfinite_loss():
     agent = Agent(CFG, seed=11)
     batch = make_batch(agent, np.random.default_rng(10))
-    batch.q_targets = batch.q_targets + np.float32("nan")
+    batch.rewards = batch.rewards + np.nan
     before = snapshot(agent)
     report = agent.update(batch)
     assert math.isnan(report["value_loss"])
@@ -410,12 +448,55 @@ def test_dominant_win_rate_freezes_learning():
         assert np.array_equal(old, new)
 
 
+def played(rows, actions):
+    """A trajectory of the given flat rows and actions; observations are unused."""
+    obs = physical_obs()
+    steps = tuple(TrajectoryStep(obs, int(a), 1.0) for a in actions)
+    return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0), rows=rows)
+
+
 def test_reward_modes():
-    agent_b = Agent(CFG, seed=0)
-    assert np.all(agent_b.trajectory_rewards(1.0, 4) == 1.0)
+    rng = np.random.default_rng(17)
+    trajectories = [played(norm_rows(rng, 4), [0, 1, 2, 0]), played(norm_rows(rng, 2), [2, 2])]
+    batch_b = Agent(CFG, seed=0).build_update_batch(trajectories, [1.0, -1.0], 0.5)
+    assert batch_b.rewards.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
     agent_t = Agent(AgentConfig(history_len=4, num_levels=3, reward_mode="terminal"), seed=0)
-    rewards = agent_t.trajectory_rewards(1.0, 4)
-    assert rewards.tolist() == [0.0, 0.0, 0.0, 1.0]
+    batch_t = agent_t.build_update_batch(trajectories, [1.0, -1.0], 0.5)
+    assert batch_t.rewards.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]
+    assert batch_t.lengths.tolist() == [4, 2]
+    assert batch_t.actions.tolist() == [0, 1, 2, 0, 2, 2]
+    assert np.array_equal(batch_t.inputs, np.concatenate([t.rows for t in trajectories]))
+
+
+def test_build_update_batch_runs_no_forward(monkeypatch):
+    agent = Agent(CFG, seed=0)
+    trajectory = played(norm_rows(np.random.default_rng(18), 3), [0, 1, 2])
+
+    def forward(self, rows):
+        raise AssertionError("build_update_batch ran a network forward")
+
+    monkeypatch.setattr(FeatureTrunk, "forward", forward)
+    assert agent.build_update_batch([trajectory], [1.0], 1.0).inputs.shape == (3, CFG.flat_dim)
+
+
+@pytest.mark.parametrize("td_steps", [1, 3])
+def test_gradients_bootstrap_from_their_own_values(td_steps):
+    config = AgentConfig(history_len=4, num_levels=3, td_steps=td_steps, discount=0.9)
+    agent = Agent(config, seed=19)
+    rng = np.random.default_rng(20)
+    trajectories = [played(norm_rows(rng, n), rng.integers(0, 3, n)) for n in (5, 1, 4)]
+    batch = agent.build_update_batch(trajectories, [1.0, -1.0, 0.0], 0.25)
+    values = agent.state_values(batch.inputs).astype(np.float64)
+    q = td_targets(batch.rewards, values, 0.9, td_steps, [5, 1, 4])
+    adv = (q - values).astype(np.float32).astype(np.float64)
+    report, _, _ = agent.gradients(batch)
+    assert report["value_loss"] == float(np.mean(adv ** 2))
+    # Parameters written after the batch was built are the ones bootstrapped from.
+    agent.value_head.layers[-1].bias[:] += 0.5
+    shifted = agent.state_values(batch.inputs).astype(np.float64)
+    q = td_targets(batch.rewards, shifted, 0.9, td_steps, [5, 1, 4])
+    adv = (q - shifted).astype(np.float32).astype(np.float64)
+    assert agent.gradients(batch)[0]["value_loss"] == float(np.mean(adv ** 2))
 
 
 # ---- persistence -----------------------------------------------------------

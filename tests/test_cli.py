@@ -260,3 +260,78 @@ def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, extra):
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(ckpt) in lines[0]
+
+
+def assert_one_error_line(err, *words):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert all(word in lines[0] for word in words), lines[0]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--latency-s", "nan"), ("--latency-s", "inf"), ("--buffer-capacity-s", "nan"),
+])
+def test_tournament_rejects_non_finite_session_flags(tmp_path, capsys, flag, value):
+    traces_dir = write_traces(tmp_path, count=2)
+    out = tmp_path / "ratings.json"
+    code, _, err = run_cli(
+        "tournament", "--policies", "constrained,throughput", "--traces", str(traces_dir),
+        "--manifest", str(write_manifest(tmp_path)), "--out", str(out), flag, value,
+        capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "finite", value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--duration-s", "--mean-dwell-s"])
+def test_synth_traces_rejects_non_finite_durations(tmp_path, capsys, flag):
+    out = tmp_path / "traces"
+    code, _, err = run_cli("synth-traces", "--count", "2", "--out", str(out), flag, "inf",
+                           capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "finite", "inf")
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("session", "per_chunk_latency_s", float("nan")),
+    ("session", "buffer_capacity_s", float("inf")),
+    ("agent", "time_scale_s", float("nan")),
+    ("agent", "policy_lr", float("inf")),
+    ("agent", "entropy_weight", float("nan")),
+])
+def test_train_rejects_non_finite_config_values(tmp_path, capsys, section, key, value):
+    doc = train_config_doc(tmp_path)
+    doc.setdefault(section, {})[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))  # Python's json writes and reads NaN/Infinity
+    code, _, err = run_cli("train", "--config", str(config), "--out",
+                           str(tmp_path / "r"), capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "finite")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tournament"])
+@pytest.mark.parametrize("field", ["ladder_kbps", "chunk_duration_s"])
+def test_non_finite_manifest_is_rejected(tmp_path, capsys, command, field):
+    doc = workload.manifest_to_json(synth_manifest(SynthManifestConfig(num_chunks=4), seed=0))
+    if field == "ladder_kbps":
+        doc["ladder_kbps"][2] = float("nan")
+    else:
+        doc["chunk_duration_s"] = float("nan")
+    manifest_path = tmp_path / "video.json"
+    manifest_path.write_text(json.dumps(doc))
+    traces_dir = write_traces(tmp_path, count=2)
+    out = tmp_path / "out.json"
+    if command == "evaluate":
+        ckpt = tmp_path / "agent.ckpt"
+        Agent(AgentConfig(history_len=4, num_levels=6), seed=0).save(ckpt)
+        args = ("evaluate", "--checkpoint", str(ckpt))
+    else:
+        args = ("tournament", "--policies", "constrained,throughput")
+    code, _, err = run_cli(*args, "--traces", str(traces_dir), "--manifest",
+                           str(manifest_path), "--out", str(out), capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "manifest", "finite")
+    assert not out.exists()

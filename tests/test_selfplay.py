@@ -179,13 +179,22 @@ def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     assert len(calls) == 2 * sum(manifest.num_chunks for _, manifest in matches)
 
 
-def test_evaluate_baseline_against_itself_draws():
-    policy = make_policy("throughput", MANIFEST, SESSION_CFG)
-    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(3)]
-    result = evaluate(policy, {"throughput": policy}, traces, MANIFEST, SESSION_CFG)
-    assert result.win_rates == {"throughput": 0.5}
-    assert all(r["result"] == "draw" for r in result.records)
-    assert len(result.records) == 3
+def test_run_epoch_runs_one_update_forward_per_agent(monkeypatch):
+    matches = mixed_length_matches()
+    update_rows = sum(manifest.num_chunks for _, manifest in matches)
+    sizes = []
+    forward = agent_module.FeatureTrunk.forward
+
+    def counting_forward(self, rows):
+        sizes.append(len(rows))
+        return forward(self, rows)
+
+    monkeypatch.setattr(agent_module.FeatureTrunk, "forward", counting_forward)
+    run_epoch(Agent(AGENT_CFG, seed=25), Agent(AGENT_CFG, seed=26), matches, SESSION_CFG,
+              seed=4, epoch=1)
+    # Rollout forwards see at most one row per match; the updates see every step.
+    assert max(size for size in sizes if size != update_rows) <= len(matches)
+    assert sizes.count(update_rows) == 2
 
 
 def test_evaluate_record_count_and_rating():

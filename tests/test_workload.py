@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from abr_arena.workload import (
     Manifest, SynthManifestConfig, SynthTraceConfig, Trace, bandwidth_at,
     load_manifest, load_trace, save_manifest, save_trace, split_dataset,
-    synth_manifest, synth_trace,
+    synth_manifest, synth_trace, transfer_time,
 )
 
 
@@ -71,6 +72,21 @@ def test_bandwidth_at_lookup_and_wrap():
     assert bandwidth_at(trace, 2.0) == 2000.0
     with pytest.raises(ValueError):
         bandwidth_at(trace, -1.0)
+
+
+def test_transfer_time_integrates_across_segments_and_wraps():
+    trace = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
+    assert transfer_time(trace, 0.5, 1e6) == 1.0
+    # 1e6 bits in the last second of segment 0, then 4e6 bits over segment 1.
+    assert transfer_time(trace, 1.0, 5e6) == 3.0
+    # 2e6 bits in the last second of segment 1, then all of segment 0 after the wrap.
+    assert transfer_time(trace, 3.0, 4e6) == 3.0
+    assert transfer_time(trace, 7.0, 4e6) == 3.0
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            transfer_time(trace, t, 1e6)
+        with pytest.raises(ValueError):
+            bandwidth_at(trace, t)
 
 
 @given(
