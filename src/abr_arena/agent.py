@@ -20,8 +20,7 @@ from .gem import HIDDEN_SIZE, GemModule
 from .neural import (
     DTYPE, Adam, Conv1D, Dense, Relu, Sequential, load_bundle, save_bundle, softmax,
 )
-from .simulator import Observation, SessionConfig, Trajectory
-from .workload import Manifest
+from .simulator import Observation, Trajectory
 
 CONV_FILTERS = 64
 CONV_KERNEL = 3
@@ -70,19 +69,12 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class SessionScales:
-    """Per-session divisors the config cannot know up front."""
+    """Per-session divisors the config cannot know up front (arrays over
+    sessions for a batch of observations)."""
 
-    top_bitrate_kbps: float
+    top_bitrate_kbps: float | np.ndarray
     buffer_capacity_s: float
-    total_duration_s: float
-
-    @classmethod
-    def from_session(cls, manifest: Manifest, cfg: SessionConfig) -> "SessionScales":
-        return cls(
-            top_bitrate_kbps=float(manifest.ladder_kbps[-1]),
-            buffer_capacity_s=cfg.buffer_capacity_s,
-            total_duration_s=manifest.total_duration_s,
-        )
+    total_duration_s: float | np.ndarray
 
 
 def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
@@ -90,17 +82,37 @@ def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
     """Write a physical-unit observation, scaled into the network's input
     range, into the state columns of the flat row ``out`` and return it.
 
-    Scaling is done in float64 and rounded once into the row; the GEM's
-    hidden-feature columns are left as they are.
+    A batch of observations fills one row of ``out`` per session. Scaling is
+    done in float64 and rounded once into the rows; the GEM's hidden-feature
+    columns are left as they are.
     """
     k, n = config.history_len, config.num_levels
-    out[:k] = obs.throughput_kbps / config.throughput_scale_kbps
-    out[k:2 * k] = obs.download_time_s / config.time_scale_s
-    out[2 * k:3 * k] = obs.chosen_bitrate_kbps / scales.top_bitrate_kbps
-    out[3 * k] = obs.remaining_play_s / scales.total_duration_s
-    out[3 * k + 1] = obs.buffer_s / scales.buffer_capacity_s
-    out[3 * k + 2:3 * k + 2 + n] = obs.next_sizes_bits / config.size_scale_bits
+    out[..., :k] = obs.throughput_kbps / config.throughput_scale_kbps
+    out[..., k:2 * k] = obs.download_time_s / config.time_scale_s
+    out[..., 2 * k:3 * k] = obs.chosen_bitrate_kbps / np.expand_dims(scales.top_bitrate_kbps, -1)
+    out[..., 3 * k] = obs.remaining_play_s / scales.total_duration_s
+    out[..., 3 * k + 1] = obs.buffer_s / scales.buffer_capacity_s
+    out[..., 3 * k + 2:3 * k + 2 + n] = obs.next_sizes_bits / config.size_scale_bits
     return out
+
+
+def sample_levels(probs: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Draw row i's level with ``rngs[i]``, exactly as
+    ``rngs[i].choice(len(row), p=row)`` does: one ``random()`` per row, then
+    the number of entries of the normalized cumulative sum at or below it.
+
+    Rows must be finite, non-negative and sum to 1 within sqrt(eps), as
+    ``choice`` requires; no generator is advanced when one is not.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValueError("probabilities must be finite and non-negative")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+        raise ValueError("probabilities do not sum to 1")
+    u = np.array([rng.random() for rng in rngs])
+    cdf = np.cumsum(p, axis=1)
+    cdf = cdf / cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def dynamic_lr(win_rate: float, base_lr: float) -> float:
@@ -251,11 +263,6 @@ class Agent:
         logits, _ = self.policy_head.forward(features)
         return softmax(logits)
 
-    def state_values(self, rows: np.ndarray) -> np.ndarray:
-        features, _ = self.trunk.forward(rows)
-        values, _ = self.value_head.forward(features)
-        return values[:, 0]
-
     # ---- acting ----------------------------------------------------------
 
     def act(self, rows: np.ndarray, mode: str = "greedy",
@@ -273,8 +280,7 @@ class Agent:
                 raise ValueError("sample mode needs one random generator per row")
             p = probs.astype(np.float64)
             p /= p.sum(axis=1, keepdims=True)
-            return np.array([rng.choice(self.config.num_levels, p=row)
-                             for rng, row in zip(rngs, p)], dtype=np.int64)
+            return sample_levels(p, rngs)
         raise ValueError(f"unknown act mode {mode!r}")
 
     # ---- learning --------------------------------------------------------
@@ -364,13 +370,14 @@ class Agent:
         self.policy_opt.step(policy_grads)
         return report
 
-    def flatten_trajectory(self, trajectory: Trajectory, scales: SessionScales) -> np.ndarray:
-        """Per-step flat rows rebuilt from the trajectory's observations: the
-        state columns equal the ``rows`` its rollout wrote, the GEM columns
-        are zero."""
-        rows = np.zeros((len(trajectory.steps), self.config.flat_dim), dtype=DTYPE)
-        for step, row in zip(trajectory.steps, rows):
-            normalize(step.observation, self.config, scales, row)
+    def flatten_trajectory(self, observations: Sequence[Observation],
+                           scales: SessionScales) -> np.ndarray:
+        """Flat rows rebuilt one observation at a time from a trajectory's
+        per-step observations: the state columns equal the rows its rollout
+        wrote, the GEM columns are zero."""
+        rows = np.zeros((len(observations), self.config.flat_dim), dtype=DTYPE)
+        for obs, row in zip(observations, rows):
+            normalize(obs, self.config, scales, row)
         return rows
 
     # ---- persistence -----------------------------------------------------

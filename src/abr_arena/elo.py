@@ -47,22 +47,24 @@ def anchor_baselines(
 ) -> dict[str, float]:
     """Round-robin every unordered policy pair over every trace.
 
-    Ratings start at 1000 and are updated sequentially in pair-major,
-    trace-minor order.
+    Every policy plays each trace once, all sessions in one lockstep run;
+    the pairs are then judged and ratings, starting at 1000, are updated
+    sequentially in pair-major, trace-minor order.
     """
     names = list(policies)
     if len(names) < 2:
         raise ValueError(f"need at least 2 policies, got {len(names)}")
     if not traces:
         raise ValueError("empty trace set")
+    played = run_session([policies[name] for name in names for _ in traces],
+                         [(trace, manifest) for trace in traces] * len(names), cfg)
+    metrics = {name: [t.metrics for t in played[j * len(traces):(j + 1) * len(traces)]]
+               for j, name in enumerate(names)}
     ratings = {name: INITIAL_RATING for name in names}
     for i, name_a in enumerate(names):
         for name_b in names[i + 1:]:
-            for trace in traces:
-                t_a = run_session(policies[name_a], manifest, trace, cfg)
-                t_b = run_session(policies[name_b], manifest, trace, cfg)
-                outcome = judge(t_a.metrics, t_b.metrics)
-                score_a, _ = match_scores(outcome)
+            for metrics_a, metrics_b in zip(metrics[name_a], metrics[name_b]):
+                score_a, _ = match_scores(judge(metrics_a, metrics_b))
                 ratings[name_a], ratings[name_b] = update(
                     ratings[name_a], ratings[name_b], score_a, k
                 )

@@ -39,7 +39,7 @@ def build_discriminator(rng: np.random.Generator) -> Sequential:
 
 class WinBuffer:
     """Bounded FIFO of hidden-feature vectors from winning sessions, kept in a
-    ring array: once full, each append overwrites the oldest vector."""
+    ring array: once full, each new vector overwrites the oldest."""
 
     def __init__(self, capacity: int = WIN_BUFFER_CAPACITY):
         if capacity < 1:
@@ -47,18 +47,22 @@ class WinBuffer:
         self.capacity = capacity
         self._items = np.zeros((capacity, HIDDEN_SIZE), dtype=DTYPE)
         self._len = 0
-        self._next = 0  # the slot the next append writes
+        self._next = 0  # the slot the next vector goes to
 
     def __len__(self) -> int:
         return self._len
 
-    def append(self, h: np.ndarray) -> None:
-        h = np.asarray(h, dtype=DTYPE)
-        if h.shape != (HIDDEN_SIZE,):
-            raise ValueError(f"hidden feature must have shape ({HIDDEN_SIZE},), got {h.shape}")
-        self._items[self._next] = h
-        self._next = (self._next + 1) % self.capacity
-        self._len = min(self._len + 1, self.capacity)
+    def extend(self, block: np.ndarray) -> None:
+        """Append the rows of ``block`` in order, as one vector after another
+        would go in: one write of its last ``capacity`` rows at most."""
+        block = np.asarray(block, dtype=DTYPE)
+        if block.ndim != 2 or block.shape[1] != HIDDEN_SIZE:
+            raise ValueError(f"hidden features must have shape (n, {HIDDEN_SIZE}), got {block.shape}")
+        kept = block[-self.capacity:]
+        start = self._next + len(block) - len(kept)
+        self._items[(start + np.arange(len(kept))) % self.capacity] = kept
+        self._next = (self._next + len(block)) % self.capacity
+        self._len = min(self._len + len(block), self.capacity)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` vectors drawn with replacement; draw i is the i-th oldest."""
@@ -107,8 +111,7 @@ class GemModule:
         """Harvest a winning trajectory's per-step hidden features, in step
         order, from the GEM columns of the rows its rollout wrote."""
         if won:
-            for h in trajectory.rows[:, -HIDDEN_SIZE:]:
-                self.buffer.append(h)
+            self.buffer.extend(trajectory.rows[:, -HIDDEN_SIZE:])
 
     def disc_gradients(self, real: np.ndarray, fake: np.ndarray):
         """(L_d, discriminator gradients); the generated batch is a constant.

@@ -20,10 +20,7 @@ from .elo import K_FACTOR, anchor_baselines, rate_agent
 from .gem import HIDDEN_SIZE
 from .neural import DTYPE
 from .rule import MatchOutcome, judge, match_scores, win_rate
-from .simulator import (
-    Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
-    run_session,
-)
+from .simulator import Observation, Session, SessionConfig, SessionMetrics, Trajectory, run_session
 from .workload import Manifest, Trace
 
 # Seed-derivation tags keeping every random stream independent.
@@ -84,43 +81,34 @@ def rollout(
     mode: str = "greedy",
     rngs: Sequence[np.random.Generator | None] | None = None,
 ) -> list[Trajectory]:
-    """Play ``agent`` over every (trace, video) pair in lockstep.
+    """Play ``agent`` over every (trace, video) pair on one lockstep engine.
 
-    Sessions advance one chunk index at a time. At each index every active
-    session's observation is normalized once, straight into its flat row, one
-    generator forward over the previous rows gives the hidden features, and
-    one policy forward over the current rows picks the levels; session i
-    samples with ``rngs[i]``. Finished sessions drop out, so videos may
-    differ in length. Each trajectory keeps its rows, which are the only
-    copy of its normalized states and hidden features.
+    At each chunk index one ``normalize`` call writes every active session's
+    state columns straight from the engine's arrays, one generator forward
+    over the previous rows gives the hidden features, and one policy forward
+    picks the levels; session i samples with ``rngs[i]``. Finished sessions
+    drop out, so videos may differ in length. Each trajectory keeps its rows,
+    which are the only copy of its normalized states and hidden features.
     """
     config = agent.config
-    if not matches:
-        raise ValueError("no sessions to play")
     if cfg.history_len != config.history_len or any(
             manifest.num_levels != config.num_levels for _, manifest in matches):
         raise ValueError("session shapes do not match agent config")
-    sessions = [Session(manifest, trace, cfg) for trace, manifest in matches]
-    scales = [SessionScales.from_session(manifest, cfg) for _, manifest in matches]
-    lengths = np.array([manifest.num_chunks for _, manifest in matches])
-    horizon = int(lengths.max())
-    rows = np.zeros((len(sessions), horizon, config.flat_dim), dtype=DTYPE)
-    observations = [session.observe() for session in sessions]
-    steps: list[list[TrajectoryStep]] = [[] for _ in sessions]
-    for t in range(horizon):
-        active = np.flatnonzero(lengths > t)
-        for i in active:  # via the module, so wrappers of agent.normalize see each call
-            agent_module.normalize(observations[i], config, scales[i], rows[i, t])
+    session = Session(matches, cfg)
+    rows = np.zeros((len(matches), int(session.lengths.max()), config.flat_dim), dtype=DTYPE)
+    while not session.done:
+        t, active = session.t, session.active
+        state = np.zeros((len(active), config.flat_dim), dtype=DTYPE)
+        scales = SessionScales(session.ladder_kbps[active, -1], cfg.buffer_capacity_s,
+                               session.lengths[active] * session.chunk_s[active])
+        # Via the module, so wrappers of agent.normalize see each call.
+        agent_module.normalize(session.observe(), config, scales, state)
         if t:
-            rows[active, t, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[active, t - 1])
-        actions = agent.act(rows[active, t], mode,
-                            None if rngs is None else [rngs[i] for i in active])
-        for i, action in zip(active, actions.tolist()):
-            played = observations[i]
-            observations[i], _ = sessions[i].step(action)
-            steps[i].append(TrajectoryStep(played, action, sessions[i].last_download_s))
-    return [Trajectory(steps=tuple(s), metrics=session.metrics(), rows=rows[i, :len(s)])
-            for i, (session, s) in enumerate(zip(sessions, steps))]
+            state[:, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[active, t - 1])
+        actions = agent.act(state, mode, None if rngs is None else [rngs[i] for i in active])
+        rows[active, t] = state
+        session.step(actions)
+    return session.trajectories(rows)
 
 
 def run_match(
@@ -225,9 +213,10 @@ def evaluate(
 ) -> EvalResult:
     """Head-to-head matches against every baseline on every trace.
 
-    The agent plays each trace once, greedily, for all opponents. Returns
-    per-opponent win rates, one CDF-ready record per (trace, opponent), and
-    (when anchor ratings are supplied) the updated Elo.
+    The agent plays each trace once, greedily, for all opponents; the
+    baselines play every (opponent, trace) session in one lockstep run.
+    Returns per-opponent win rates, one CDF-ready record per (trace,
+    opponent), and (when anchor ratings are supplied) the updated Elo.
     """
     if not traces:
         raise ValueError("empty trace set")
@@ -236,11 +225,14 @@ def evaluate(
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
-    my_sessions = rollout(agent, [(trace, manifest) for trace in traces], cfg)
-    for name, opponent in baselines.items():
+    matches = [(trace, manifest) for trace in traces]
+    my_sessions = rollout(agent, matches, cfg)
+    opponents = run_session(
+        [opponent for opponent in baselines.values() for _ in traces],
+        matches * len(baselines), cfg)
+    for j, name in enumerate(baselines):
         outcomes: list[MatchOutcome] = []
-        for trace, mine in zip(traces, my_sessions):
-            theirs = run_session(opponent, manifest, trace, cfg)
+        for trace, mine, theirs in zip(traces, my_sessions, opponents[j * len(traces):]):
             outcome = judge(mine.metrics, theirs.metrics)
             outcomes.append(outcome)
             records.append({

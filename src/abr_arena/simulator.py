@@ -1,17 +1,18 @@
-"""Offline chunk-by-chunk ABR session engine.
+"""Offline chunk-by-chunk ABR session engine, stepped in lockstep.
 
 A session streams one video over one trace: each step downloads the next
 chunk at the chosen ladder level, with exact piecewise-constant integration
 of the trace bandwidth, and accounts buffer occupancy, rebuffering, and
-bitrate-change totals. The engine works in physical units; observation
-scaling for learned policies lives with the agent.
+bitrate-change totals. :class:`Session` holds many sessions as arrays and
+plays chunk index t of all unfinished ones in one lockstep ``step``. The
+engine works in physical units; observation scaling lives with the agent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,12 +34,14 @@ class SessionConfig:
             raise ValueError(f"history_len must be >= 1, got {self.history_len}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """State presented to a policy before each chunk decision.
 
     History arrays hold the last ``history_len`` values, oldest first, with
-    pre-history slots zero-filled.
+    pre-history slots zero-filled. A batch of observations has one leading
+    row per session in every field: (m, history_len) histories, (m,)
+    scalars and (m, levels) next sizes.
     """
 
     throughput_kbps: np.ndarray
@@ -58,9 +61,8 @@ class SessionMetrics:
     total_change_kbps: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
-    observation: Observation
     action: int
     download_time_s: float
 
@@ -76,126 +78,139 @@ class Trajectory:
 
 
 class Session:
-    """Mutable session state; single-owner, stepped sequentially."""
+    """One session per (trace, video) match, all stepped in lockstep.
 
-    def __init__(self, manifest: Manifest, trace: Trace, cfg: SessionConfig = SessionConfig()):
-        if cfg.buffer_capacity_s <= manifest.chunk_duration_s:
-            raise ValueError(
-                f"buffer capacity {cfg.buffer_capacity_s}s must exceed "
-                f"chunk duration {manifest.chunk_duration_s}s"
-            )
-        self.manifest = manifest
-        self.trace = trace
+    State is kept as arrays over sessions. The histories are
+    (sessions, horizon + history_len): step t writes column
+    t + history_len, so chunk index t's window is columns
+    [t, t + history_len) and nothing is ever shifted. Buffer, clock and
+    totals are vectors; ``active`` lists the sessions chunk index ``t`` plays.
+    """
+
+    def __init__(self, matches: Sequence[tuple[Trace, Manifest]],
+                 cfg: SessionConfig = SessionConfig()):
+        if not matches:
+            raise ValueError("no sessions to play")
+        self.traces = [trace for trace, _ in matches]
         self.cfg = cfg
-        k = cfg.history_len
-        self._tput_hist = np.zeros(k, dtype=np.float64)
-        self._dtime_hist = np.zeros(k, dtype=np.float64)
-        self._bitrate_hist = np.zeros(k, dtype=np.float64)
-        self.clock_s = 0.0
-        self.buffer_s = 0.0
-        self.next_chunk = 0
-        self.total_download_s = 0.0
-        self.total_idle_s = 0.0
-        self.total_rebuffer_s = 0.0
-        self.total_bitrate_kbps = 0.0
-        self.total_change_kbps = 0.0
-        self.last_download_s = 0.0
-        self._last_action: int | None = None
-        self._playing = False
+        manifests = [manifest for _, manifest in matches]
+        self.chunk_s = np.array([m.chunk_duration_s for m in manifests])
+        if cfg.buffer_capacity_s <= self.chunk_s.max():
+            raise ValueError(f"buffer capacity {cfg.buffer_capacity_s}s must exceed "
+                             f"chunk duration {self.chunk_s.max()}s")
+        if len({m.num_levels for m in manifests}) > 1:
+            raise ValueError("videos played in lockstep must have ladders of one size")
+        n, k = len(matches), cfg.history_len
+        self.lengths = np.array([m.num_chunks for m in manifests])
+        horizon = int(self.lengths.max())
+        self.ladder_kbps = np.array([m.ladder_kbps for m in manifests])
+        self._sizes = np.zeros((n, horizon, self.ladder_kbps.shape[1]))  # zero past a video's end
+        for i, m in enumerate(manifests):
+            self._sizes[i, :m.num_chunks] = m.sizes
+        self.throughput_kbps, self.download_time_s, self.bitrate_kbps = np.zeros((3, n, horizon + k))
+        self.actions = np.zeros((n, horizon), dtype=np.int64)
+        (self.buffer_s, self.clock_s, self.total_download_s, self.total_idle_s,
+         self.total_rebuffer_s, self.total_bitrate_kbps, self.total_change_kbps) = np.zeros((7, n))
+        self.t = 0
+        self.active = np.arange(n)
 
     @property
     def done(self) -> bool:
-        return self.next_chunk >= self.manifest.num_chunks
+        return not len(self.active)
 
     def observe(self) -> Observation:
-        man = self.manifest
-        if self.done:
-            next_sizes = np.zeros(man.num_levels, dtype=np.float64)
-        else:
-            next_sizes = man.sizes[self.next_chunk].copy()
-        remaining = (man.num_chunks - self.next_chunk) * man.chunk_duration_s
+        """Every active session's observation as one batch; row j belongs to
+        session ``active[j]``."""
+        act, t, k = self.active, self.t, self.cfg.history_len
         return Observation(
-            throughput_kbps=self._tput_hist.copy(),
-            download_time_s=self._dtime_hist.copy(),
-            chosen_bitrate_kbps=self._bitrate_hist.copy(),
-            remaining_play_s=remaining,
-            buffer_s=self.buffer_s,
-            next_sizes_bits=next_sizes,
-        )
+            self.throughput_kbps[act, t:t + k], self.download_time_s[act, t:t + k],
+            self.bitrate_kbps[act, t:t + k], (self.lengths[act] - t) * self.chunk_s[act],
+            self.buffer_s[act], self._sizes[act, t])
 
-    def step(self, action: int) -> tuple[Observation, bool]:
-        """Download the next chunk at ladder level ``action``.
+    def views(self) -> list[Observation]:
+        """The rows of :meth:`observe`: one plain observation per active session."""
+        batch = self.observe()
+        return list(map(Observation, batch.throughput_kbps, batch.download_time_s,
+                        batch.chosen_bitrate_kbps, batch.remaining_play_s.tolist(),
+                        batch.buffer_s.tolist(), batch.next_sizes_bits))
+
+    def step(self, actions) -> None:
+        """Download chunk index ``t`` of every active session, session
+        ``active[j]`` at ladder level ``actions[j]``.
 
         Wall time advances by the download span (stalls included) plus any
         idle wait needed so the refilled buffer fits the capacity. Rebuffer
         time accrues only after playback has started; the first chunk's
-        startup delay is excluded.
+        startup delay is excluded. Each session sees the same float64
+        operations, in the same order, as a session stepped on its own.
         """
         if self.done:
             raise RuntimeError("stepping a finished session")
-        man = self.manifest
-        n = man.num_levels
-        if not 0 <= action < n:
-            raise ValueError(f"action {action} out of range [0, {n})")
-        chunk_dur = man.chunk_duration_s
-        if self._playing:
-            overshoot = self.buffer_s + chunk_dur - self.cfg.buffer_capacity_s
-            if overshoot > 0:
-                self.buffer_s -= overshoot
-                self.clock_s += overshoot
-                self.total_idle_s += overshoot
+        act, t, k, cfg = self.active, self.t, self.cfg.history_len, self.cfg
+        actions = np.asarray(actions)
+        levels = self.ladder_kbps.shape[1]
+        if actions.shape != act.shape or np.any((actions < 0) | (actions >= levels)):
+            raise ValueError(f"actions {actions} out of range [0, {levels})")
+        chunk_s, buffer, clock = self.chunk_s[act], self.buffer_s[act], self.clock_s[act]
+        # Zero before the first chunk: an empty buffer always fits one.
+        overshoot = np.maximum(buffer + chunk_s - cfg.buffer_capacity_s, 0.0)
+        buffer -= overshoot
+        clock += overshoot
+        self.total_idle_s[act] += overshoot
 
-        size = float(man.sizes[self.next_chunk, action])
-        latency = self.cfg.per_chunk_latency_s
-        tau = latency + transfer_time(self.trace, self.clock_s + latency, size)
-        if self._playing:
-            stall = max(0.0, tau - self.buffer_s)
-            self.total_rebuffer_s += stall
-            self.buffer_s = max(0.0, self.buffer_s - tau)
-        self.clock_s += tau
-        self.total_download_s += tau
-        self.buffer_s += chunk_dur
-        self._playing = True
+        size = self._sizes[act, t, actions]
+        latency = cfg.per_chunk_latency_s
+        # The trace walk stays one scalar integration per session.
+        tau = latency + np.array([
+            transfer_time(self.traces[i], start, bits)
+            for i, start, bits in zip(act.tolist(), (clock + latency).tolist(), size.tolist())])
+        bitrate = self.ladder_kbps[act, actions]
+        if t:  # playback, and with it rebuffering, starts after the first chunk
+            self.total_rebuffer_s[act] += np.maximum(0.0, tau - buffer)
+            buffer = np.maximum(0.0, buffer - tau)
+            self.total_change_kbps[act] += np.abs(bitrate - self.bitrate_kbps[act, t + k - 1])
+        self.clock_s[act] = clock + tau
+        self.total_download_s[act] += tau
+        self.buffer_s[act] = buffer + chunk_s
+        self.total_bitrate_kbps[act] += bitrate
+        self.throughput_kbps[act, t + k] = size / tau / 1000.0
+        self.download_time_s[act, t + k] = tau
+        self.bitrate_kbps[act, t + k] = bitrate
+        self.actions[act, t] = actions
+        self.t += 1
+        self.active = act[self.lengths[act] > self.t]
 
-        bitrate = float(man.ladder_kbps[action])
-        self.total_bitrate_kbps += bitrate
-        if self._last_action is not None:
-            self.total_change_kbps += abs(bitrate - float(man.ladder_kbps[self._last_action]))
-        self._last_action = action
+    def metrics(self) -> list[SessionMetrics]:
+        return [SessionMetrics(*totals) for totals in zip(
+            self.total_bitrate_kbps.tolist(), self.total_rebuffer_s.tolist(),
+            self.total_change_kbps.tolist())]
 
-        for hist, value in (
-            (self._tput_hist, size / tau / 1000.0),
-            (self._dtime_hist, tau),
-            (self._bitrate_hist, bitrate),
-        ):
-            hist[:-1] = hist[1:]
-            hist[-1] = value
-        self.last_download_s = tau
-        self.next_chunk += 1
-        return self.observe(), self.done
-
-    def metrics(self) -> SessionMetrics:
-        return SessionMetrics(
-            total_bitrate_kbps=self.total_bitrate_kbps,
-            total_rebuffer_s=self.total_rebuffer_s,
-            total_change_kbps=self.total_change_kbps,
-        )
+    def trajectories(self, rows: np.ndarray | None = None) -> list[Trajectory]:
+        """The played sessions, with an agent's (sessions, horizon, flat_dim)
+        rows when one played them."""
+        k = self.cfg.history_len
+        played = []
+        for i, (length, metrics) in enumerate(zip(self.lengths.tolist(), self.metrics())):
+            steps = tuple(map(TrajectoryStep, self.actions[i, :length].tolist(),
+                              self.download_time_s[i, k:k + length].tolist()))
+            played.append(Trajectory(steps, metrics, None if rows is None else rows[i, :length]))
+        return played
 
 
 def run_session(
-    policy: Callable[[Observation], int],
-    manifest: Manifest,
-    trace: Trace,
+    policies: Sequence[Callable[[Observation], int]],
+    matches: Sequence[tuple[Trace, Manifest]],
     cfg: SessionConfig = SessionConfig(),
-) -> Trajectory:
-    """Play the whole video with ``policy`` and return the trajectory."""
-    session = Session(manifest, trace, cfg)
-    steps: list[TrajectoryStep] = []
-    obs = session.observe()
-    done = False
-    while not done:
-        action = int(policy(obs))
-        next_obs, done = session.step(action)
-        steps.append(TrajectoryStep(obs, action, session.last_download_s))
-        obs = next_obs
-    return Trajectory(steps=tuple(steps), metrics=session.metrics())
+) -> list[Trajectory]:
+    """Play policy i over match i, every session in lockstep, and return the
+    trajectories in match order. Each decision gets its session's
+    observation from :meth:`Session.views`."""
+    if len(policies) != len(matches):
+        raise ValueError(f"{len(policies)} policies for {len(matches)} matches")
+    if not matches:
+        return []
+    session = Session(matches, cfg)
+    while not session.done:
+        session.step([int(policies[i](obs))
+                      for i, obs in zip(session.active.tolist(), session.views())])
+    return session.trajectories()

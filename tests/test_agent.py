@@ -8,7 +8,7 @@ from gradcheck import gradient_errors
 
 from abr_arena.agent import (
     CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
-    dynamic_lr, normalize, td_targets,
+    dynamic_lr, normalize, sample_levels, td_targets,
 )
 from abr_arena.gem import HIDDEN_SIZE
 from abr_arena.neural import Conv1D, Dense, Relu, Sequential
@@ -31,6 +31,13 @@ def physical_obs(rng=None, k=4, n=3):
         remaining_play_s=float(rng.uniform(0, 64)), buffer_s=float(rng.uniform(0, 25)),
         next_sizes_bits=rng.uniform(1e5, 2e7, n),
     )
+
+
+def state_values(agent, rows):
+    """The value head's estimates for flat rows."""
+    features, _ = agent.trunk.forward(rows)
+    values, _ = agent.value_head.forward(features)
+    return values[:, 0]
 
 
 def norm_rows(rng, count=3, config=CFG):
@@ -162,9 +169,7 @@ def test_normalize_zero_is_zero():
 def test_flatten_layout():
     rng = np.random.default_rng(0)
     observations = [physical_obs(rng) for _ in range(3)]
-    trajectory = Trajectory(steps=tuple(TrajectoryStep(obs, 0, 1.0) for obs in observations),
-                            metrics=SessionMetrics(0.0, 0.0, 0.0))
-    flat = Agent(CFG, seed=0).flatten_trajectory(trajectory, SCALES)
+    flat = Agent(CFG, seed=0).flatten_trajectory(observations, SCALES)
     assert flat.shape == (3, CFG.flat_dim)
     assert flat.dtype == np.float32
     # Columns: the three histories, the two scalars, the next sizes, the GEM feature.
@@ -229,6 +234,46 @@ def test_act_sample_deterministic_given_seed():
         agent.act(rows, "sample", [np.random.default_rng(0)])  # one generator per row
     with pytest.raises(ValueError):
         agent.act(rows, "argmax")
+
+
+def random_probability_rows(rng, count, levels):
+    """Rows of mixed shape: dense, one-hot, spiky, float32-rounded, and with
+    entries near 1e-12, each summing to 1 within rounding."""
+    rows = rng.dirichlet(np.full(levels, rng.choice([0.05, 1.0, 20.0])), size=count)
+    kind = rng.integers(4, size=count)
+    rows[kind == 1] = np.eye(levels)[rng.integers(levels, size=np.sum(kind == 1))]
+    tiny = rng.random((count, levels)) < 0.5
+    rows[kind == 2] = np.where(tiny, 1e-12 * rng.random((count, levels)), rows)[kind == 2]
+    rows[kind == 3] = rows[kind == 3].astype(np.float32)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 6, 9])
+def test_sample_levels_equals_generator_choice(levels):
+    rng = np.random.default_rng(levels)
+    count = 800
+    seeds = rng.integers(2**32, size=count)
+    twins = [np.random.default_rng(s) for s in seeds]
+    mine = [np.random.default_rng(s) for s in seeds]
+    for _ in range(3):  # several draws per generator
+        rows = random_probability_rows(rng, count, levels)
+        want = [twin.choice(levels, p=row) for twin, row in zip(twins, rows)]
+        got = sample_levels(rows, mine)
+        assert got.tolist() == want
+    assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(mine, twins))
+
+
+def test_sample_levels_keeps_choice_input_checks():
+    good = np.array([[0.25, 0.25, 0.5]])
+    for bad in ([np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.2, 0.2, 0.5], [np.inf, 0.0, 0.0]):
+        bad = np.array([bad])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, p=bad[0])
+        with pytest.raises(ValueError):
+            sample_levels(np.concatenate([good, bad]), [np.random.default_rng(1), rng])
+        assert rng.bit_generator.state == state  # no draw before the checks pass
 
 
 def test_act_shape_mismatch_rejected():
@@ -324,7 +369,7 @@ def test_agent_gradients_match_float64_differences():
     rows = batch.inputs.astype(np.float64)
     q = batch.rewards  # one-step trajectories: the TD target is the reward
     # The policy objective treats the advantage as a constant coefficient.
-    values = agent.state_values(batch.inputs).astype(np.float64)
+    values = state_values(agent, batch.inputs).astype(np.float64)
     adv = (q - values).astype(np.float32).astype(np.float64)
     picked = (np.arange(len(rows)), batch.actions)
 
@@ -335,7 +380,7 @@ def test_agent_gradients_match_float64_differences():
         return float(-np.mean(adv * log_probs[picked] + CFG.entropy_weight * entropy))
 
     def value_loss():
-        return float(np.mean((q - twin.state_values(rows)) ** 2))
+        return float(np.mean((q - state_values(twin, rows)) ** 2))
 
     assert policy_loss() == pytest.approx(report["policy_loss"], rel=1e-4)
     assert value_loss() == pytest.approx(report["value_loss"], rel=1e-4)
@@ -358,7 +403,7 @@ def test_agent_gradients_match_float64_differences():
 def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
     """A batch of one-step trajectories, so each TD target is the step's reward."""
     inputs = norm_rows(rng, size)
-    values = agent.state_values(inputs)
+    values = state_values(agent, inputs)
     if adv_zero:
         q = values.copy()
     else:
@@ -402,7 +447,7 @@ def test_uniform_policy_entropy_value():
     out.weight[:] = 0.0
     out.bias[:] = 0.0
     inputs = norm_rows(np.random.default_rng(8), 4, agent.config)
-    values = agent.state_values(inputs)
+    values = state_values(agent, inputs)
     batch = UpdateBatch(inputs=inputs, actions=np.zeros(4, dtype=np.int64),
                         rewards=values.astype(np.float64), lengths=np.ones(4, dtype=np.int64),
                         win_rate=0.5)
@@ -416,7 +461,7 @@ def test_policy_gradient_direction():
     action = 1
     batch = UpdateBatch(
         inputs=inputs, actions=np.array([action]),
-        rewards=(agent.state_values(inputs) + 1.0).astype(np.float64),  # A = +1
+        rewards=(state_values(agent, inputs) + 1.0).astype(np.float64),  # A = +1
         lengths=np.ones(1, dtype=np.int64), win_rate=0.5,
     )
     log_before = float(np.log(agent.policy_probs(inputs)[0, action]))
@@ -449,9 +494,8 @@ def test_dominant_win_rate_freezes_learning():
 
 
 def played(rows, actions):
-    """A trajectory of the given flat rows and actions; observations are unused."""
-    obs = physical_obs()
-    steps = tuple(TrajectoryStep(obs, int(a), 1.0) for a in actions)
+    """A trajectory of the given flat rows and actions."""
+    steps = tuple(TrajectoryStep(int(a), 1.0) for a in actions)
     return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0), rows=rows)
 
 
@@ -486,14 +530,14 @@ def test_gradients_bootstrap_from_their_own_values(td_steps):
     rng = np.random.default_rng(20)
     trajectories = [played(norm_rows(rng, n), rng.integers(0, 3, n)) for n in (5, 1, 4)]
     batch = agent.build_update_batch(trajectories, [1.0, -1.0, 0.0], 0.25)
-    values = agent.state_values(batch.inputs).astype(np.float64)
+    values = state_values(agent, batch.inputs).astype(np.float64)
     q = td_targets(batch.rewards, values, 0.9, td_steps, [5, 1, 4])
     adv = (q - values).astype(np.float32).astype(np.float64)
     report, _, _ = agent.gradients(batch)
     assert report["value_loss"] == float(np.mean(adv ** 2))
     # Parameters written after the batch was built are the ones bootstrapped from.
     agent.value_head.layers[-1].bias[:] += 0.5
-    shifted = agent.state_values(batch.inputs).astype(np.float64)
+    shifted = state_values(agent, batch.inputs).astype(np.float64)
     q = td_targets(batch.rewards, shifted, 0.9, td_steps, [5, 1, 4])
     adv = (q - shifted).astype(np.float32).astype(np.float64)
     assert agent.gradients(batch)[0]["value_loss"] == float(np.mean(adv ** 2))

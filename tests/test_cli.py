@@ -335,3 +335,27 @@ def test_non_finite_manifest_is_rejected(tmp_path, capsys, command, field):
     assert code == 1
     assert_one_error_line(err, "manifest", "finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("capacity", ["4.0", "2.5"])
+@pytest.mark.parametrize("command", ["tournament", "evaluate"])
+def test_buffer_capacity_must_exceed_chunk_duration(tmp_path, capsys, command, capacity):
+    # The manifest's chunks last 4 s; the simulator refuses a buffer that
+    # cannot hold more than one chunk.
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    out = tmp_path / "out.json"
+    if command == "tournament":
+        args = ["--policies", "constrained,throughput"]
+    else:
+        ckpt = tmp_path / "agent.ckpt"
+        Agent(AgentConfig(history_len=10, num_levels=6), seed=0).save(ckpt)
+        args = ["--checkpoint", str(ckpt), "--baselines", "constrained,bola"]
+    capsys.readouterr()
+    code, stdout, err = run_cli(
+        command, *args, "--traces", str(traces_dir), "--manifest", str(manifest_path),
+        "--out", str(out), "--buffer-capacity-s", capacity, capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "buffer capacity", "chunk duration")
+    assert not out.exists()
+    assert stdout == ""

@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from reference_session import ReferenceSession
 
+from abr_arena.baselines import POLICY_NAMES, make_policy
 from abr_arena.elo import (
     INITIAL_RATING, anchor_baselines, expected_score, rate_agent, update,
 )
-from abr_arena.rule import MatchOutcome
+from abr_arena.rule import MatchOutcome, judge, match_scores
 from abr_arena.simulator import SessionConfig
 from abr_arena.workload import SynthManifestConfig, SynthTraceConfig, synth_manifest, synth_trace
 
@@ -63,6 +67,41 @@ def test_anchor_rating_sum_conserved():
     policies = {f"level{i}": _constant_policy(i) for i in range(3)}
     ratings = anchor_baselines(policies, traces, manifest, SessionConfig())
     assert sum(ratings.values()) == pytest.approx(INITIAL_RATING * 3, abs=1e-6)
+
+
+def test_anchor_plays_each_policy_once_per_trace():
+    """One lockstep run of every (policy, trace) session gives the ratings of
+    judging sessions played on their own, pair by pair, trace by trace."""
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=6, vbr_jitter=0.2), seed=1)
+    traces = [synth_trace(SynthTraceConfig(duration_s=40.0), seed=s) for s in range(4)]
+    cfg = SessionConfig(buffer_capacity_s=12.0)
+    decisions = Counter()
+
+    def counted(name):
+        policy = make_policy(name, manifest, cfg)
+
+        def decide(obs):
+            decisions[name] += 1
+            return policy(obs)
+        return decide
+
+    ratings = anchor_baselines({name: counted(name) for name in POLICY_NAMES}, traces,
+                               manifest, cfg)
+    assert decisions == {name: len(traces) * manifest.num_chunks for name in POLICY_NAMES}
+
+    def played_alone(name, trace):
+        policy, session = make_policy(name, manifest, cfg), ReferenceSession(manifest, trace, cfg)
+        while not session.done:
+            session.step(int(policy(session.observe())))
+        return session.metrics()
+
+    expected = {name: INITIAL_RATING for name in POLICY_NAMES}
+    for i, a in enumerate(POLICY_NAMES):
+        for b in POLICY_NAMES[i + 1:]:
+            for trace in traces:
+                score_a, _ = match_scores(judge(played_alone(a, trace), played_alone(b, trace)))
+                expected[a], expected[b] = update(expected[a], expected[b], score_a)
+    assert ratings == expected
 
 
 def test_anchor_validates_inputs():

@@ -16,8 +16,7 @@ def make_gem(seed=0, **kwargs):
 
 def make_trajectory(num_steps, fill=1.0):
     """A played trajectory whose step i has the hidden feature fill * (i + 1)."""
-    steps = tuple(TrajectoryStep(observation=None, action=0, download_time_s=1.0)
-                  for _ in range(num_steps))
+    steps = tuple(TrajectoryStep(action=0, download_time_s=1.0) for _ in range(num_steps))
     rows = np.zeros((num_steps, STATE_DIM + HIDDEN_SIZE), dtype=np.float32)
     rows[:, :STATE_DIM] = -1.0
     rows[:, STATE_DIM:] = fill * np.arange(1, num_steps + 1)[:, None]
@@ -118,16 +117,21 @@ def test_win_buffer_fifo():
         WinBuffer(0)
     with pytest.raises(ValueError):
         WinBuffer(4).sample(np.random.default_rng(0), 2)
+    with pytest.raises(ValueError):
+        WinBuffer(4).extend(np.zeros(HIDDEN_SIZE))
 
 
 def test_win_buffer_ring_matches_deque_after_wrapping():
     capacity = 7
     buf, reference = WinBuffer(capacity), deque(maxlen=capacity)
     rng = np.random.default_rng(3)
-    for count in range(1, 3 * capacity + 2):
-        h = rng.normal(size=HIDDEN_SIZE).astype(np.float32)
-        buf.append(h)
-        reference.append(h)
+    # One-row blocks, then longer ones: one that wraps past the end of the
+    # ring, one longer than the capacity, and an empty one.
+    sizes = [1] * (3 * capacity + 1) + [5, 2 * capacity + 3, 4, 0, 3]
+    for count, size in enumerate(sizes, start=1):
+        block = rng.normal(size=(size, HIDDEN_SIZE)).astype(np.float32)
+        buf.extend(block)
+        reference.extend(block)
         assert len(buf) == len(reference)
         # Index i is the i-th oldest kept item, so one seed draws the same samples.
         expected = np.stack(list(reference))[np.random.default_rng(count).integers(

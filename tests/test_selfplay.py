@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_session import ReferenceSession
 
 from abr_arena import agent as agent_module
 from abr_arena.agent import Agent, AgentConfig, SessionScales
@@ -146,12 +147,20 @@ def test_rollout_rows_are_normalized_observations_and_gem_features():
     matches = mixed_length_matches()
     rngs = [np.random.default_rng(m) for m in range(len(matches))]
     trajectories = rollout(agent, matches, SESSION_CFG, "sample", rngs)
-    for traj, (_, manifest) in zip(trajectories, matches):
+    for traj, (trace, manifest) in zip(trajectories, matches):
         assert traj.rows.shape == (manifest.num_chunks, AGENT_CFG.flat_dim)
-        scales = SessionScales.from_session(manifest, SESSION_CFG)
-        # The state columns are the stored observations, normalized.
+        scales = SessionScales(manifest.ladder_kbps[-1], SESSION_CFG.buffer_capacity_s,
+                               manifest.total_duration_s)
+        # The state columns are the observations of a scalar replay of the
+        # played actions, normalized one at a time.
+        reference = ReferenceSession(manifest, trace, SESSION_CFG)
+        observations = []
+        for step in traj.steps:
+            observations.append(reference.observe())
+            reference.step(step.action)
         assert np.array_equal(traj.rows[:, :-HIDDEN_SIZE],
-                              agent.flatten_trajectory(traj, scales)[:, :-HIDDEN_SIZE])
+                              agent.flatten_trajectory(observations, scales)[:, :-HIDDEN_SIZE])
+        assert traj.metrics == reference.metrics()
         # Step t's hidden feature is the generator's output on step t-1's row.
         assert np.all(traj.rows[0, -HIDDEN_SIZE:] == 0.0)
         np.testing.assert_allclose(traj.rows[1:, -HIDDEN_SIZE:],
@@ -166,17 +175,22 @@ def test_rollout_rows_are_normalized_observations_and_gem_features():
 
 def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     matches = mixed_length_matches()
-    calls = []
+    batches = []
     normalize = agent_module.normalize
 
-    def counting_normalize(*args):
-        calls.append(None)
-        return normalize(*args)
+    def counting_normalize(obs, config, scales, out):
+        batches.append(len(out))
+        return normalize(obs, config, scales, out)
 
     monkeypatch.setattr(agent_module, "normalize", counting_normalize)
     run_epoch(Agent(AGENT_CFG, seed=23), Agent(AGENT_CFG, seed=24), matches, SESSION_CFG,
               seed=4, epoch=1)
-    assert len(calls) == 2 * sum(manifest.num_chunks for _, manifest in matches)
+    # One call per agent and chunk index, over the sessions still playing:
+    # every step's row is normalized exactly once.
+    horizon = max(manifest.num_chunks for _, manifest in matches)
+    playing = [sum(manifest.num_chunks > t for _, manifest in matches) for t in range(horizon)]
+    assert batches == 2 * playing
+    assert sum(batches) == 2 * sum(manifest.num_chunks for _, manifest in matches)
 
 
 def test_run_epoch_runs_one_update_forward_per_agent(monkeypatch):

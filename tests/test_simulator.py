@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_session import ReferenceSession
 
 from abr_arena.simulator import Session, SessionConfig, run_session
 from abr_arena.workload import Manifest, SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace
@@ -19,10 +20,15 @@ def constant_trace(bw_kbps, duration=1000.0):
     return Trace(id=f"const{bw_kbps}", samples=((duration, bw_kbps),))
 
 
+def single(manifest, trace, cfg=SessionConfig()):
+    """A lockstep engine holding one session."""
+    return Session([(trace, manifest)], cfg)
+
+
 def test_initial_state():
     manifest = one_level_manifest()
-    session = Session(manifest, constant_trace(2000.0))
-    obs = session.observe()
+    session = single(manifest, constant_trace(2000.0))
+    [obs] = session.views()
     assert np.all(obs.throughput_kbps == 0)
     assert np.all(obs.download_time_s == 0)
     assert np.all(obs.chosen_bitrate_kbps == 0)
@@ -34,15 +40,15 @@ def test_initial_state():
 
 def test_no_stall_session():
     manifest = one_level_manifest()
-    session = Session(manifest, constant_trace(2000.0))
-    obs, done = session.step(0)
-    assert not done
-    assert session.buffer_s == 4.0
-    assert session.clock_s == 2.0
-    obs, done = session.step(0)
-    assert done
-    assert session.buffer_s == 6.0  # 4 - 2 + 4
-    metrics = session.metrics()
+    session = single(manifest, constant_trace(2000.0))
+    session.step([0])
+    assert not session.done
+    assert session.buffer_s[0] == 4.0
+    assert session.clock_s[0] == 2.0
+    session.step([0])
+    assert session.done
+    assert session.buffer_s[0] == 6.0  # 4 - 2 + 4
+    [metrics] = session.metrics()
     assert metrics.total_bitrate_kbps == 2000.0
     assert metrics.total_rebuffer_s == 0.0
     assert metrics.total_change_kbps == 0.0
@@ -50,12 +56,12 @@ def test_no_stall_session():
 
 def test_stall_session():
     manifest = one_level_manifest()
-    session = Session(manifest, constant_trace(500.0))
-    session.step(0)  # 8 s startup, excluded from rebuffer
-    assert session.total_rebuffer_s == 0.0
-    assert session.buffer_s == 4.0
-    session.step(0)  # 8 s download drains 4 s of buffer then stalls 4 s
-    metrics = session.metrics()
+    session = single(manifest, constant_trace(500.0))
+    session.step([0])  # 8 s startup, excluded from rebuffer
+    assert session.total_rebuffer_s[0] == 0.0
+    assert session.buffer_s[0] == 4.0
+    session.step([0])  # 8 s download drains 4 s of buffer then stalls 4 s
+    [metrics] = session.metrics()
     assert metrics.total_rebuffer_s == 4.0
     assert metrics.total_bitrate_kbps == 2000.0
     assert metrics.total_change_kbps == 0.0
@@ -68,19 +74,20 @@ def test_bitrate_change_accounting():
         ladder_kbps=(1000.0, 2000.0),
         chunk_sizes_bits=((4e6, 4e6), (4e6, 4e6)),
     )
-    session = Session(manifest, constant_trace(4000.0))
-    session.step(0)
-    session.step(1)
-    assert session.metrics().total_change_kbps == 1000.0
+    session = single(manifest, constant_trace(4000.0))
+    session.step([0])
+    session.step([1])
+    assert session.metrics()[0].total_change_kbps == 1000.0
 
 
 def test_throughput_history_times_download_equals_size():
     manifest = one_level_manifest(num_chunks=3)
     trace = Trace(id="vary", samples=((1.5, 800.0), (2.0, 3000.0), (1.0, 1200.0)))
-    session = Session(manifest, trace)
-    for _ in range(3):
-        obs, _ = session.step(0)
-        tput, dtime = obs.throughput_kbps[-1], obs.download_time_s[-1]
+    session = single(manifest, trace)
+    k = session.cfg.history_len
+    for t in range(3):
+        session.step([0])
+        tput, dtime = session.throughput_kbps[0, t + k], session.download_time_s[0, t + k]
         assert tput * 1000.0 * dtime == pytest.approx(4e6, rel=1e-9)
 
 
@@ -88,17 +95,18 @@ def test_download_time_integrates_across_segments():
     # 1 Mbit at 1000 kbps for 0.5 s (5e5 bits), remainder at 500 kbps (1 s).
     manifest = one_level_manifest(num_chunks=1, size_bits=1e6)
     trace = Trace(id="seg", samples=((0.5, 1000.0), (10.0, 500.0)))
-    session = Session(manifest, trace)
-    session.step(0)
-    assert session.clock_s == pytest.approx(1.5, rel=1e-12)
+    session = single(manifest, trace)
+    session.step([0])
+    assert session.clock_s[0] == pytest.approx(1.5, rel=1e-12)
 
 
 def test_latency_is_part_of_wall_time():
     manifest = one_level_manifest(num_chunks=2)
     cfg = SessionConfig(per_chunk_latency_s=0.25)
-    session = Session(manifest, constant_trace(2000.0), cfg)
-    obs, _ = session.step(0)
-    assert session.clock_s == pytest.approx(2.25)
+    session = single(manifest, constant_trace(2000.0), cfg)
+    session.step([0])
+    [obs] = session.views()
+    assert session.clock_s[0] == pytest.approx(2.25)
     assert obs.download_time_s[-1] == pytest.approx(2.25)
     assert obs.throughput_kbps[-1] == pytest.approx(4e6 / 2.25 / 1000.0)
 
@@ -106,91 +114,191 @@ def test_latency_is_part_of_wall_time():
 def test_buffer_cap_forces_idle():
     manifest = one_level_manifest(num_chunks=10)
     cfg = SessionConfig(buffer_capacity_s=10.0)
-    session = Session(manifest, constant_trace(4000.0), cfg)  # 1 s per chunk
+    session = single(manifest, constant_trace(4000.0), cfg)  # 1 s per chunk
     for _ in range(10):
-        session.step(0)
-        assert 0.0 <= session.buffer_s <= cfg.buffer_capacity_s
-    assert session.total_idle_s > 0.0
-    assert session.total_rebuffer_s == 0.0
+        session.step([0])
+        assert 0.0 <= session.buffer_s[0] <= cfg.buffer_capacity_s
+    assert session.total_idle_s[0] > 0.0
+    assert session.total_rebuffer_s[0] == 0.0
 
 
 def test_step_errors():
     manifest = one_level_manifest(num_chunks=1)
-    session = Session(manifest, constant_trace(2000.0))
-    with pytest.raises(ValueError):
-        session.step(5)
-    session.step(0)
+    session = single(manifest, constant_trace(2000.0))
+    for bad in ([5], [-1], [0, 0]):
+        with pytest.raises(ValueError):
+            session.step(bad)
+    session.step([0])
     with pytest.raises(RuntimeError):
-        session.step(0)
+        session.step([0])
+    with pytest.raises(ValueError):
+        Session([])
+    three_levels = Manifest(id="three", chunk_duration_s=4.0, ladder_kbps=(1.0, 2.0, 3.0),
+                            chunk_sizes_bits=((1.0, 2.0, 3.0),))
+    with pytest.raises(ValueError):
+        Session([(constant_trace(2000.0), manifest), (constant_trace(2000.0), three_levels)])
 
 
 def test_capacity_must_exceed_chunk():
     manifest = one_level_manifest()
-    with pytest.raises(ValueError):
-        Session(manifest, constant_trace(1000.0), SessionConfig(buffer_capacity_s=4.0))
+    for capacity in (4.0, 3.0):
+        with pytest.raises(ValueError, match="buffer capacity"):
+            single(manifest, constant_trace(1000.0), SessionConfig(buffer_capacity_s=capacity))
 
 
 def test_run_session_constant_policy():
     manifest = one_level_manifest()
     trace = constant_trace(2000.0)
-    traj = run_session(lambda obs: 0, manifest, trace)
+    [traj] = run_session([lambda obs: 0], [(trace, manifest)])
     assert len(traj.steps) == 2
     assert traj.metrics.total_bitrate_kbps == 2000.0
     assert traj.metrics.total_rebuffer_s == 0.0
-    again = run_session(lambda obs: 0, manifest, trace)
+    [again] = run_session([lambda obs: 0], [(trace, manifest)])
     assert [s.action for s in again.steps] == [s.action for s in traj.steps]
     assert again.metrics == traj.metrics
+    with pytest.raises(ValueError):
+        run_session([lambda obs: 0], [(trace, manifest)] * 2)
 
 
 def test_run_session_single_chunk():
     manifest = one_level_manifest(num_chunks=1)
-    traj = run_session(lambda obs: 0, manifest, constant_trace(2000.0))
+    [traj] = run_session([lambda obs: 0], [(constant_trace(2000.0), manifest)])
     assert len(traj.steps) == 1
     assert traj.metrics.total_change_kbps == 0.0
 
 
-def random_session_inputs(rng):
-    num_chunks = int(rng.integers(1, 25))
-    ladder = tuple(sorted(rng.uniform(200, 5000, size=int(rng.integers(2, 7)))))
+def random_video(rng, chunk_duration_s, levels):
+    ladder = tuple(sorted(rng.uniform(200, 5000, size=levels)))
     man_cfg = SynthManifestConfig(
         ladder_kbps=ladder,
-        num_chunks=num_chunks,
-        chunk_duration_s=float(rng.uniform(1.0, 6.0)),
+        num_chunks=int(rng.integers(1, 25)),
+        chunk_duration_s=chunk_duration_s,
         vbr_jitter=float(rng.uniform(0.0, 0.4)),
     )
-    manifest = synth_manifest(man_cfg, seed=int(rng.integers(2**31)))
+    return synth_manifest(man_cfg, seed=int(rng.integers(2**31)))
+
+
+def random_trace(rng):
     trace_cfg = SynthTraceConfig(
         num_states=int(rng.integers(1, 6)),
         bandwidth_range_kbps=(float(rng.uniform(100, 900)), float(rng.uniform(1000, 8000))),
         mean_dwell_s=float(rng.uniform(1.0, 20.0)),
         duration_s=float(rng.uniform(20.0, 120.0)),
     )
-    trace = synth_trace(trace_cfg, seed=int(rng.integers(2**31)))
+    return synth_trace(trace_cfg, seed=int(rng.integers(2**31)))
+
+
+def random_lockstep_inputs(rng, sessions):
+    """Matches over videos of mixed length, ladder and chunk duration (with
+    ladders of one size), and a session config whose buffer capacity exceeds
+    every chunk duration."""
+    durations = rng.uniform(1.0, 6.0, size=sessions)
+    levels = int(rng.integers(2, 7))
+    matches = [(random_trace(rng), random_video(rng, float(d), levels)) for d in durations]
     cfg = SessionConfig(
-        buffer_capacity_s=man_cfg.chunk_duration_s + float(rng.uniform(5.0, 40.0)),
+        buffer_capacity_s=float(durations.max()) + float(rng.uniform(5.0, 40.0)),
         per_chunk_latency_s=float(rng.choice([0.0, 0.05, 0.2])),
         history_len=int(rng.integers(1, 12)),
     )
-    return manifest, trace, cfg
+    return matches, cfg
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_randomized_session_invariants(seed):
     rng = np.random.default_rng(seed)
-    for _ in range(60):
-        manifest, trace, cfg = random_session_inputs(rng)
-        session = Session(manifest, trace, cfg)
-        last_rebuffer = 0.0
+    for _ in range(12):
+        matches, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 9)))
+        session = Session(matches, cfg)
+        k = cfg.history_len
+        last_rebuffer = session.total_rebuffer_s.copy()
         while not session.done:
-            action = int(rng.integers(manifest.num_levels))
-            obs, _ = session.step(action)
-            assert 0.0 <= session.buffer_s <= cfg.buffer_capacity_s + 1e-9
-            assert session.total_rebuffer_s >= last_rebuffer
-            last_rebuffer = session.total_rebuffer_s
-            size = obs.throughput_kbps[-1] * 1000.0 * obs.download_time_s[-1]
-            assert size == pytest.approx(
-                manifest.sizes[session.next_chunk - 1, action], rel=1e-9)
+            t, active = session.t, session.active
+            actions = [int(rng.integers(matches[i][1].num_levels)) for i in active]
+            session.step(actions)
+            assert np.all(session.buffer_s >= 0.0)
+            assert np.all(session.buffer_s <= cfg.buffer_capacity_s + 1e-9)
+            assert np.all(session.total_rebuffer_s >= last_rebuffer)
+            last_rebuffer = session.total_rebuffer_s.copy()
+            for i, action in zip(active, actions):
+                size = session.throughput_kbps[i, t + k] * 1000.0 * session.download_time_s[i, t + k]
+                assert size == pytest.approx(matches[i][1].sizes[t, action], rel=1e-9)
         # Wall clock closes: downloads plus idle waits.
-        assert session.clock_s == pytest.approx(
-            session.total_download_s + session.total_idle_s, rel=1e-12)
-        assert session.metrics().total_bitrate_kbps > 0
+        np.testing.assert_allclose(
+            session.clock_s, session.total_download_s + session.total_idle_s, rtol=1e-12)
+        assert all(m.total_bitrate_kbps > 0 for m in session.metrics())
+
+
+def assert_same_observation(got, want):
+    for field in ("throughput_kbps", "download_time_s", "chosen_bitrate_kbps", "next_sizes_bits"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.remaining_play_s == want.remaining_play_s
+    assert got.buffer_s == want.buffer_s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_engine_equals_scalar_reference(seed):
+    """Every session of a lockstep run reproduces the scalar reference
+    simulator bit for bit: observation windows, download times, buffer,
+    clock and idle totals after every step, and the final metrics."""
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(15):
+        matches, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 10)))
+        session = Session(matches, cfg)
+        references = [ReferenceSession(manifest, trace, cfg) for trace, manifest in matches]
+        download_times = [[] for _ in matches]
+        k = cfg.history_len
+        while not session.done:
+            t, active = session.t, session.active
+            assert active.tolist() == [i for i, ref in enumerate(references) if not ref.done]
+            batch = session.observe()
+            for j, (i, obs) in enumerate(zip(active, session.views())):
+                want = references[i].observe()
+                assert_same_observation(obs, want)
+                for field in ("throughput_kbps", "download_time_s", "chosen_bitrate_kbps",
+                              "remaining_play_s", "buffer_s", "next_sizes_bits"):
+                    assert np.array_equal(getattr(batch, field)[j], getattr(want, field)), field
+            actions = [int(rng.integers(matches[i][1].num_levels)) for i in active]
+            session.step(np.array(actions))
+            for i, action in zip(active, actions):
+                ref = references[i]
+                ref.step(action)
+                assert session.download_time_s[i, t + k] == ref.last_download_s
+                download_times[i].append(ref.last_download_s)
+                assert session.buffer_s[i] == ref.buffer_s
+                assert session.clock_s[i] == ref.clock_s
+                assert session.total_idle_s[i] == ref.total_idle_s
+                assert session.total_download_s[i] == ref.total_download_s
+                assert session.total_rebuffer_s[i] == ref.total_rebuffer_s
+        assert all(ref.done for ref in references)
+        assert session.metrics() == [ref.metrics() for ref in references]
+        for traj, ref, times in zip(session.trajectories(), references, download_times):
+            assert traj.metrics == ref.metrics()
+            assert [s.download_time_s for s in traj.steps] == times
+
+
+def test_run_session_equals_reference_runs():
+    """Plain policies on the lockstep engine see the reference simulator's
+    observations and reach its metrics."""
+    rng = np.random.default_rng(7)
+    matches, cfg = random_lockstep_inputs(rng, 6)
+
+    seen = [[] for _ in matches]
+
+    def policy_for(i):
+        # A deterministic, state-dependent policy: any drift in the observations shows.
+        def policy(obs):
+            seen[i].append(obs)
+            return int(obs.buffer_s * 7 + obs.throughput_kbps.sum() + i) % len(obs.next_sizes_bits)
+        return policy
+
+    played = run_session([policy_for(i) for i in range(len(matches))], matches, cfg)
+    for (trace, manifest), traj, observations in zip(matches, played, seen):
+        ref = ReferenceSession(manifest, trace, cfg)
+        assert len(observations) == len(traj.steps) == manifest.num_chunks
+        for step, obs in zip(traj.steps, observations):
+            # The views handed to the policy are still valid snapshots.
+            assert_same_observation(obs, ref.observe())
+            ref.step(step.action)
+            assert step.download_time_s == ref.last_download_s
+        assert ref.done and traj.metrics == ref.metrics()
+    assert run_session([], []) == []
