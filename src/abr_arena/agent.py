@@ -69,12 +69,12 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class SessionScales:
-    """Per-session divisors the config cannot know up front (arrays over
-    sessions for a batch of observations)."""
+    """Divisors the config cannot know up front: the video's top bitrate and
+    length and the session's buffer capacity."""
 
-    top_bitrate_kbps: float | np.ndarray
+    top_bitrate_kbps: float
     buffer_capacity_s: float
-    total_duration_s: float | np.ndarray
+    total_duration_s: float
 
 
 def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
@@ -89,7 +89,7 @@ def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
     k, n = config.history_len, config.num_levels
     out[..., :k] = obs.throughput_kbps / config.throughput_scale_kbps
     out[..., k:2 * k] = obs.download_time_s / config.time_scale_s
-    out[..., 2 * k:3 * k] = obs.chosen_bitrate_kbps / np.expand_dims(scales.top_bitrate_kbps, -1)
+    out[..., 2 * k:3 * k] = obs.chosen_bitrate_kbps / scales.top_bitrate_kbps
     out[..., 3 * k] = obs.remaining_play_s / scales.total_duration_s
     out[..., 3 * k + 1] = obs.buffer_s / scales.buffer_capacity_s
     out[..., 3 * k + 2:3 * k + 2 + n] = obs.next_sizes_bits / config.size_scale_bits

@@ -222,7 +222,7 @@ def _build_train_config(doc: dict) -> selfplay.TrainConfig:
     if "baselines" in doc:
         options["baselines"] = tuple(doc["baselines"])
     return selfplay.TrainConfig(train_traces=train_traces, val_traces=val_traces,
-                                manifests=[manifest], session=session, agent=agent_cfg,
+                                manifest=manifest, session=session, agent=agent_cfg,
                                 **options)
 
 

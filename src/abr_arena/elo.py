@@ -56,7 +56,7 @@ def anchor_baselines(
         raise ValueError(f"need at least 2 policies, got {len(names)}")
     if not traces:
         raise ValueError("empty trace set")
-    played = run_session(list(policies.values()), [(trace, manifest) for trace in traces], cfg)
+    played = run_session(list(policies.values()), traces, manifest, cfg)
     metrics = {name: [t.metrics for t in trajectories] for name, trajectories in zip(names, played)}
     ratings = {name: INITIAL_RATING for name in names}
     for i, name_a in enumerate(names):

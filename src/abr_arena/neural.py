@@ -351,38 +351,43 @@ def save_bundle(path, nets: dict[str, Sequential], extra: dict | None = None) ->
 
 
 def load_bundle(path) -> tuple[dict[str, Sequential], dict]:
-    """Read a checkpoint written by :func:`save_bundle`."""
+    """Read a checkpoint written by :func:`save_bundle`. A malformed file
+    raises one ValueError that names ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack("<I", blob[4:8])
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, header_len = struct.unpack("<II", blob[4:12])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
     header_end = 12 + header_len
     if len(blob) < header_end:
         raise ValueError(f"{path}: truncated checkpoint header")
-    header = json.loads(blob[12:header_end].decode("utf-8"))
-    nets: dict[str, Sequential] = {}
+    try:
+        header = json.loads(blob[12:header_end].decode("utf-8"))
+        entries = [(name, header["nets"][name]) for name in header["order"]]
+        nets = {name: sequential_from_spec(entry["spec"]) for name, entry in entries}
+        shapes = {name: [tuple(shape) for shape in entry["shapes"]] for name, entry in entries}
+        extra = header["extra"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: no key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
     offset = header_end
-    for name in header["order"]:
-        entry = header["nets"][name]
-        net = sequential_from_spec(entry["spec"])
+    for name, net in nets.items():
         arrays = _net_arrays(net)
-        if len(arrays) != len(entry["shapes"]):
+        if len(arrays) != len(shapes[name]):
             raise ValueError(f"{path}: array count mismatch for net {name!r}")
-        for arr, shape in zip(arrays, entry["shapes"]):
-            count = int(np.prod(shape)) if shape else 1
-            end = offset + 4 * count
+        for arr, shape in zip(arrays, shapes[name]):
+            if shape != arr.shape:
+                raise ValueError(f"{path}: shape mismatch for net {name!r}")
+            end = offset + 4 * arr.size
             if end > len(blob):
                 raise ValueError(f"{path}: truncated checkpoint payload")
-            data = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
-            if tuple(shape) != arr.shape:
-                raise ValueError(f"{path}: shape mismatch for net {name!r}")
-            arr[...] = data
+            arr[...] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(arr.shape)
             offset = end
-        nets[name] = net
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes in checkpoint")
-    return nets, header["extra"]
+    return nets, extra

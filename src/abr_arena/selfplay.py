@@ -1,5 +1,5 @@
-"""Self-play training loop: sample (trace, video) pairs, stream both agents
-over identical inputs, judge, and feed the win/loss signal into GEM and
+"""Self-play training loop: sample traces, stream both agents over the same
+video on identical inputs, judge, and feed the win/loss signal into GEM and
 policy/value updates. Elo against anchored baselines tracks progress.
 """
 
@@ -37,9 +37,12 @@ EPOCH_CSV_COLUMNS = (
 
 @dataclass
 class TrainConfig:
+    """One self-play run: each epoch draws ``matches_per_epoch`` training
+    traces, and every match and evaluation streams the one video ``manifest``."""
+
     train_traces: Sequence[Trace]
     val_traces: Sequence[Trace]
-    manifests: Sequence[Manifest]
+    manifest: Manifest
     epochs: int
     matches_per_epoch: int = 16
     seed: int = 0
@@ -54,8 +57,6 @@ class TrainConfig:
             raise ValueError("matches_per_epoch must be >= 1")
         if not self.train_traces:
             raise ValueError("empty training trace set")
-        if not self.manifests:
-            raise ValueError("empty manifest set")
 
 
 @dataclass
@@ -76,57 +77,55 @@ def _rollout_rng(seed: int, epoch: int, match: int, agent_idx: int) -> np.random
 
 def rollout(
     agent: Agent,
-    matches: Sequence[tuple[Trace, Manifest]],
+    traces: Sequence[Trace],
+    manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
     mode: str = "greedy",
     rngs: Sequence[np.random.Generator | None] | None = None,
 ) -> list[Trajectory]:
-    """Play ``agent`` over every (trace, video) pair on one lockstep engine.
+    """Play ``agent`` over ``manifest`` on every trace in one lockstep engine.
 
-    At each chunk index one ``normalize`` call writes every active session's
-    state columns straight from the engine's arrays, one generator forward
-    over the previous rows gives the hidden features, and one policy forward
-    picks the levels; session i samples with ``rngs[i]``. Finished sessions
-    drop out, so videos may differ in length. Each trajectory keeps its rows,
-    which are the only copy of its normalized states and hidden features.
+    At each chunk index one ``normalize`` call writes every session's state
+    columns straight from the engine's arrays, one generator forward over
+    the previous rows gives the hidden features, and one policy forward
+    picks the levels; session i samples with ``rngs[i]``. Each trajectory
+    keeps its rows, which are the only copy of its normalized states and
+    hidden features.
     """
     config = agent.config
-    if cfg.history_len != config.history_len or any(
-            manifest.num_levels != config.num_levels for _, manifest in matches):
+    if cfg.history_len != config.history_len or manifest.num_levels != config.num_levels:
         raise ValueError("session shapes do not match agent config")
-    session = Session(matches, cfg)
-    rows = np.zeros((len(matches), int(session.lengths.max()), config.flat_dim), dtype=DTYPE)
+    session = Session(traces, manifest, cfg)
+    rows = np.zeros((manifest.num_chunks, len(traces), config.flat_dim), dtype=DTYPE)
+    scales = SessionScales(manifest.ladder_kbps[-1], cfg.buffer_capacity_s,
+                           manifest.total_duration_s)
     while not session.done:
-        t, active = session.t, session.active
-        state = np.zeros((len(active), config.flat_dim), dtype=DTYPE)
-        scales = SessionScales(session.ladder_kbps[active, -1], cfg.buffer_capacity_s,
-                               session.lengths[active] * session.chunk_s[active])
+        t = session.t
         # Via the module, so wrappers of agent.normalize see each call.
-        agent_module.normalize(session.observe(), config, scales, state)
+        agent_module.normalize(session.observe(), config, scales, rows[t])
         if t:
-            state[:, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[active, t - 1])
-        actions = agent.act(state, mode, None if rngs is None else [rngs[i] for i in active])
-        rows[active, t] = state
-        session.step(actions)
+            rows[t, :, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[t - 1])
+        session.step(agent.act(rows[t], mode, rngs))
     return session.trajectories(rows)
 
 
 def run_match(
     agent0: Agent,
     agent1: Agent,
-    matches: Sequence[tuple[Trace, Manifest]],
+    traces: Sequence[Trace],
+    manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
     *,
     mode: str = "sample",
     rngs: tuple[Sequence[np.random.Generator] | None,
                 Sequence[np.random.Generator] | None] = (None, None),
 ) -> list[tuple[Trajectory, Trajectory, MatchOutcome]]:
-    """Stream both agents over the same (trace, video) pairs and judge each pair.
+    """Stream both agents over ``manifest`` on each trace and judge each pair.
 
     Each agent plays all its sessions in one lockstep rollout; session ``m``
     of agent ``a`` samples with ``rngs[a][m]``.
     """
-    played = [rollout(agent, matches, cfg, mode, agent_rngs)
+    played = [rollout(agent, traces, manifest, cfg, mode, agent_rngs)
               for agent, agent_rngs in zip((agent0, agent1), rngs)]
     return [(t0, t1, judge(t0.metrics, t1.metrics)) for t0, t1 in zip(*played)]
 
@@ -148,7 +147,8 @@ def run_epoch(
     seed: int = 0,
     epoch: int = 0,
 ) -> tuple[EpochReport, list[tuple[Trajectory, Trajectory, MatchOutcome]]]:
-    """Roll out every match, then apply GEM and policy/value updates.
+    """Roll out every (trace, video) match, then apply GEM and policy/value
+    updates. The matches must share one video (compared with ``==``).
 
     ``run_match`` plays every match at the epoch-start parameters (updates
     happen at the epoch barrier); session ``m`` of agent ``a`` samples from
@@ -156,7 +156,10 @@ def run_epoch(
     """
     if not matches:
         raise ValueError("no matches sampled")
-    results = run_match(agent0, agent1, matches, cfg, rngs=tuple(
+    traces, videos = zip(*matches)
+    if any(video != videos[0] for video in videos):
+        raise ValueError("the matches of one epoch must stream one video")
+    results = run_match(agent0, agent1, traces, videos[0], cfg, rngs=tuple(
         [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(matches))]
         for agent_idx in (0, 1)))
     played = ([t0 for t0, _, _ in results], [t1 for _, t1, _ in results])
@@ -225,9 +228,8 @@ def evaluate(
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
-    matches = [(trace, manifest) for trace in traces]
-    my_sessions = rollout(agent, matches, cfg)
-    opponents = run_session(list(baselines.values()), matches, cfg)
+    my_sessions = rollout(agent, traces, manifest, cfg)
+    opponents = run_session(list(baselines.values()), traces, manifest, cfg)
     for name, their_sessions in zip(baselines, opponents):
         outcomes: list[MatchOutcome] = []
         for trace, mine, theirs in zip(traces, my_sessions, their_sessions):
@@ -281,19 +283,18 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     final evaluation dump under ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    anchor_manifest = cfg.manifests[0]
     baseline_policies = {
-        name: make_policy(name, anchor_manifest, cfg.session) for name in cfg.baselines
+        name: make_policy(name, cfg.manifest, cfg.session) for name in cfg.baselines
     }
     baseline_ratings = anchor_baselines(
-        baseline_policies, list(cfg.val_traces), anchor_manifest, cfg.session)
+        baseline_policies, list(cfg.val_traces), cfg.manifest, cfg.session)
 
     agent0 = Agent(cfg.agent, seed=cfg.seed * 2 + 1)
     agent1 = Agent(cfg.agent, seed=cfg.seed * 2 + 2)
 
     def evaluate_a0() -> EvalResult:
         return evaluate(
-            agent0, baseline_policies, list(cfg.val_traces), anchor_manifest, cfg.session,
+            agent0, baseline_policies, list(cfg.val_traces), cfg.manifest, cfg.session,
             baseline_ratings=baseline_ratings, agent_rating=agent0.rating.value,
         )
 
@@ -307,7 +308,6 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
 
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SAMPLER]))
     traces = list(cfg.train_traces)
-    manifests = list(cfg.manifests)
     reports: list[EpochReport] = []
     checkpoints = checkpoint("ep00000")
 
@@ -327,9 +327,8 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         fh.flush()
 
         for epoch in range(1, cfg.epochs + 1):
-            picks_t = sampler.integers(len(traces), size=cfg.matches_per_epoch)
-            picks_m = sampler.integers(len(manifests), size=cfg.matches_per_epoch)
-            matches = [(traces[i], manifests[j]) for i, j in zip(picks_t, picks_m)]
+            picks = sampler.integers(len(traces), size=cfg.matches_per_epoch)
+            matches = [(traces[i], cfg.manifest) for i in picks]
             report, _ = run_epoch(
                 agent0, agent1, matches, cfg.session,
                 seed=cfg.seed, epoch=epoch,

@@ -3,9 +3,10 @@
 A session streams one video over one trace: each step downloads the next
 chunk at the chosen ladder level, with exact piecewise-constant integration
 of the trace bandwidth, and accounts buffer occupancy, rebuffering, and
-bitrate-change totals. :class:`Session` holds many sessions as arrays and
-plays chunk index t of all unfinished ones in one lockstep ``step``. The
-engine works in physical units; observation scaling lives with the agent.
+bitrate-change totals. :class:`Session` streams one video over many traces,
+holding the sessions as arrays, and plays chunk index t of all of them in
+one lockstep ``step``. The engine works in physical units; observation
+scaling lives with the agent.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Observation:
     Every field has one leading row per session: (m, history_len)
     histories holding the last ``history_len`` values, oldest first, with
     pre-history slots zero-filled; (m,) remaining play time and buffer
-    level; (m, levels) next chunk sizes.
+    level; (m, levels) next chunk sizes. Later steps leave it unchanged.
     """
 
     throughput_kbps: np.ndarray
@@ -86,58 +87,51 @@ class Trajectory:
 
 
 class Session:
-    """One session per (trace, video) match, all stepped in lockstep.
+    """One video streamed over many traces, one session per trace, all
+    stepped in lockstep.
 
     State is kept as arrays over sessions. The histories are
-    (sessions, horizon + history_len): step t writes column
+    (sessions, num_chunks + history_len): step t writes column
     t + history_len, so chunk index t's window is columns
     [t, t + history_len) and nothing is ever shifted. Buffer, clock and
-    totals are vectors; ``active`` lists the sessions chunk index ``t`` plays.
+    totals are vectors. Every session plays every chunk index.
     """
 
-    def __init__(self, matches: Sequence[tuple[Trace, Manifest]],
+    def __init__(self, traces: Sequence[Trace], manifest: Manifest,
                  cfg: SessionConfig = SessionConfig()):
-        if not matches:
+        if not traces:
             raise ValueError("no sessions to play")
-        self.traces = [trace for trace, _ in matches]
-        self.cfg = cfg
-        manifests = [manifest for _, manifest in matches]
-        self.chunk_s = np.array([m.chunk_duration_s for m in manifests])
-        if cfg.buffer_capacity_s <= self.chunk_s.max():
+        if cfg.buffer_capacity_s <= manifest.chunk_duration_s:
             raise ValueError(f"buffer capacity {cfg.buffer_capacity_s}s must exceed "
-                             f"chunk duration {self.chunk_s.max()}s")
-        if len({m.num_levels for m in manifests}) > 1:
-            raise ValueError("videos played in lockstep must have ladders of one size")
-        n, k = len(matches), cfg.history_len
-        self.lengths = np.array([m.num_chunks for m in manifests])
-        horizon = int(self.lengths.max())
-        self.ladder_kbps = np.array([m.ladder_kbps for m in manifests])
-        self._sizes = np.zeros((n, horizon, self.ladder_kbps.shape[1]))  # zero past a video's end
-        for i, m in enumerate(manifests):
-            self._sizes[i, :m.num_chunks] = m.sizes
+                             f"chunk duration {manifest.chunk_duration_s}s")
+        self.traces = list(traces)
+        self.manifest = manifest
+        self.cfg = cfg
+        self.ladder_kbps = np.array(manifest.ladder_kbps)
+        n, k, horizon = len(self.traces), cfg.history_len, manifest.num_chunks
         self.throughput_kbps, self.download_time_s, self.bitrate_kbps = np.zeros((3, n, horizon + k))
         self.actions = np.zeros((n, horizon), dtype=np.int64)
         (self.buffer_s, self.clock_s, self.total_download_s, self.total_idle_s,
          self.total_rebuffer_s, self.total_bitrate_kbps, self.total_change_kbps) = np.zeros((7, n))
         self.t = 0
-        self.active = np.arange(n)
 
     @property
     def done(self) -> bool:
-        return not len(self.active)
+        return self.t == self.manifest.num_chunks
 
     def observe(self) -> Observation:
-        """Every active session's observation as one batch; row j belongs to
-        session ``active[j]``."""
-        act, t, k = self.active, self.t, self.cfg.history_len
+        """Every session's observation as one batch, row i for session i."""
+        t, k, n, manifest = self.t, self.cfg.history_len, len(self.traces), self.manifest
+        sizes = manifest.sizes[t]
         return Observation(
-            self.throughput_kbps[act, t:t + k], self.download_time_s[act, t:t + k],
-            self.bitrate_kbps[act, t:t + k], (self.lengths[act] - t) * self.chunk_s[act],
-            self.buffer_s[act], self._sizes[act, t])
+            self.throughput_kbps[:, t:t + k], self.download_time_s[:, t:t + k],
+            self.bitrate_kbps[:, t:t + k],
+            np.full(n, (manifest.num_chunks - t) * manifest.chunk_duration_s),
+            self.buffer_s.copy(), np.broadcast_to(sizes, (n, len(sizes))))
 
     def step(self, actions) -> None:
-        """Download chunk index ``t`` of every active session, session
-        ``active[j]`` at ladder level ``actions[j]``.
+        """Download chunk index ``t`` of every session, session i at ladder
+        level ``actions[i]``.
 
         Wall time advances by the download span (stalls included) plus any
         idle wait needed so the refilled buffer fits the capacity. Rebuffer
@@ -147,39 +141,38 @@ class Session:
         """
         if self.done:
             raise RuntimeError("stepping a finished session")
-        act, t, k, cfg = self.active, self.t, self.cfg.history_len, self.cfg
+        t, k, cfg = self.t, self.cfg.history_len, self.cfg
         actions = np.asarray(actions)
-        levels = self.ladder_kbps.shape[1]
-        if actions.shape != act.shape or np.any((actions < 0) | (actions >= levels)):
+        levels = len(self.ladder_kbps)
+        if actions.shape != self.buffer_s.shape or np.any((actions < 0) | (actions >= levels)):
             raise ValueError(f"actions {actions} out of range [0, {levels})")
-        chunk_s, buffer, clock = self.chunk_s[act], self.buffer_s[act], self.clock_s[act]
+        chunk_s = self.manifest.chunk_duration_s
         # Zero before the first chunk: an empty buffer always fits one.
-        overshoot = np.maximum(buffer + chunk_s - cfg.buffer_capacity_s, 0.0)
-        buffer -= overshoot
-        clock += overshoot
-        self.total_idle_s[act] += overshoot
+        overshoot = np.maximum(self.buffer_s + chunk_s - cfg.buffer_capacity_s, 0.0)
+        buffer = self.buffer_s - overshoot
+        clock = self.clock_s + overshoot
+        self.total_idle_s += overshoot
 
-        size = self._sizes[act, t, actions]
+        size = self.manifest.sizes[t, actions]
         latency = cfg.per_chunk_latency_s
         # The trace walk stays one scalar integration per session.
         tau = latency + np.array([
-            transfer_time(self.traces[i], start, bits)
-            for i, start, bits in zip(act.tolist(), (clock + latency).tolist(), size.tolist())])
-        bitrate = self.ladder_kbps[act, actions]
+            transfer_time(trace, start, bits)
+            for trace, start, bits in zip(self.traces, (clock + latency).tolist(), size.tolist())])
+        bitrate = self.ladder_kbps[actions]
         if t:  # playback, and with it rebuffering, starts after the first chunk
-            self.total_rebuffer_s[act] += np.maximum(0.0, tau - buffer)
+            self.total_rebuffer_s += np.maximum(0.0, tau - buffer)
             buffer = np.maximum(0.0, buffer - tau)
-            self.total_change_kbps[act] += np.abs(bitrate - self.bitrate_kbps[act, t + k - 1])
-        self.clock_s[act] = clock + tau
-        self.total_download_s[act] += tau
-        self.buffer_s[act] = buffer + chunk_s
-        self.total_bitrate_kbps[act] += bitrate
-        self.throughput_kbps[act, t + k] = size / tau / 1000.0
-        self.download_time_s[act, t + k] = tau
-        self.bitrate_kbps[act, t + k] = bitrate
-        self.actions[act, t] = actions
+            self.total_change_kbps += np.abs(bitrate - self.bitrate_kbps[:, t + k - 1])
+        self.clock_s = clock + tau
+        self.total_download_s += tau
+        self.buffer_s = buffer + chunk_s
+        self.total_bitrate_kbps += bitrate
+        self.throughput_kbps[:, t + k] = size / tau / 1000.0
+        self.download_time_s[:, t + k] = tau
+        self.bitrate_kbps[:, t + k] = bitrate
+        self.actions[:, t] = actions
         self.t += 1
-        self.active = act[self.lengths[act] > self.t]
 
     def metrics(self) -> list[SessionMetrics]:
         return [SessionMetrics(*totals) for totals in zip(
@@ -187,32 +180,31 @@ class Session:
             self.total_change_kbps.tolist())]
 
     def trajectories(self, rows: np.ndarray | None = None) -> list[Trajectory]:
-        """The played sessions, with an agent's (sessions, horizon, flat_dim)
-        rows when one played them."""
-        k = self.cfg.history_len
-        played = []
-        for i, (length, metrics) in enumerate(zip(self.lengths.tolist(), self.metrics())):
-            steps = tuple(map(TrajectoryStep, self.actions[i, :length].tolist(),
-                              self.download_time_s[i, k:k + length].tolist()))
-            played.append(Trajectory(steps, metrics, None if rows is None else rows[i, :length]))
-        return played
+        """The played sessions, with an agent's (num_chunks, sessions,
+        flat_dim) rows when one played them."""
+        steps = zip(self.actions.tolist(), self.download_time_s[:, self.cfg.history_len:].tolist())
+        return [Trajectory(tuple(map(TrajectoryStep, actions, times)), metrics,
+                           None if rows is None else rows[:, i])
+                for i, ((actions, times), metrics) in enumerate(zip(steps, self.metrics()))]
 
 
 def run_session(
     policies: Sequence[Policy],
-    matches: Sequence[tuple[Trace, Manifest]],
+    traces: Sequence[Trace],
+    manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
 ) -> list[list[Trajectory]]:
-    """Play every policy over every match in one lockstep run and return
-    each policy's trajectories in match order. Sessions are policy-major, so
-    each policy's active sessions are one equal, contiguous block of
+    """Play every policy over ``manifest`` on every trace in one lockstep run
+    and return each policy's trajectories in trace order. Sessions are
+    policy-major, so each policy's sessions are one contiguous block of
     :meth:`Session.observe`'s rows, and each chunk index calls it once."""
-    if not policies or not matches:
+    if not policies or not traces:
         return [[] for _ in policies]
-    session = Session(list(matches) * len(policies), cfg)
+    block = len(traces)
+    session = Session(list(traces) * len(policies), manifest, cfg)
     while not session.done:
-        obs, block = session.observe(), len(session.active) // len(policies)
+        obs = session.observe()
         session.step(np.concatenate([policy(obs.rows(slice(p * block, (p + 1) * block)))
                                      for p, policy in enumerate(policies)]))
     played = session.trajectories()
-    return [played[p * len(matches):(p + 1) * len(matches)] for p in range(len(policies))]
+    return [played[p * block:(p + 1) * block] for p in range(len(policies))]

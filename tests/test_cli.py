@@ -1,10 +1,11 @@
 import json
+import struct
 
 import pytest
 
 from abr_arena import cli, workload
 from abr_arena.agent import Agent, AgentConfig
-from abr_arena.neural import save_bundle
+from abr_arena.neural import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, save_bundle
 from abr_arena.workload import SynthManifestConfig, synth_manifest
 
 
@@ -260,6 +261,28 @@ def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, extra):
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and str(ckpt) in lines[0]
+
+
+@pytest.mark.parametrize("header", [
+    [],
+    {"nets": {}, "extra": {}},
+    {"order": ["x"], "nets": {"x": {"spec": [{"kind": "dense", "out": 2}], "shapes": []}},
+     "extra": {}},
+    {"order": ["x"], "nets": {}, "extra": {}},
+    {"order": ["x"], "nets": {"x": {"spec": [{"kind": "bogus"}], "shapes": []}}, "extra": {}},
+], ids=["header-not-an-object", "no-order", "spec-without-in", "unknown-net", "unknown-layer-kind"])
+def test_evaluate_rejects_malformed_checkpoint_header(tmp_path, capsys, header):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    ckpt = tmp_path / "agent.ckpt"
+    header_bytes = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
+                     + header_bytes)
+    code, _, err = run_cli(
+        "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--out", str(tmp_path / "o.jsonl"), capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, str(ckpt), "malformed checkpoint header")
 
 
 def assert_one_error_line(err, *words):

@@ -232,6 +232,9 @@ def test_checkpoint_corruption_detected(tmp_path):
     truncated.write_bytes(blob[:-17])
     with pytest.raises(ValueError, match="truncated"):
         load_bundle(truncated)
+    truncated.write_bytes(blob[:10])  # magic and part of the version/length words
+    with pytest.raises(ValueError, match="truncated"):
+        load_bundle(truncated)
 
     trailing = tmp_path / "long.ckpt"
     trailing.write_bytes(blob + b"\x00\x00\x00\x00")

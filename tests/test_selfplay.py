@@ -48,7 +48,7 @@ def trajectory_signature(traj):
 def test_run_match_identical_agents_draw():
     a = Agent(AGENT_CFG, seed=5)
     b = Agent(AGENT_CFG, seed=5)
-    [(t0, t1, outcome)] = run_match(a, b, [(AMPLE, MANIFEST)], SESSION_CFG, mode="greedy")
+    [(t0, t1, outcome)] = run_match(a, b, [AMPLE], MANIFEST, SESSION_CFG, mode="greedy")
     assert outcome is MatchOutcome.DRAW
     assert trajectory_signature(t0) == trajectory_signature(t1)
 
@@ -56,7 +56,7 @@ def test_run_match_identical_agents_draw():
 def test_run_match_higher_bitrate_wins_on_ample_trace():
     low = pinned_agent(0, seed=1)
     high = pinned_agent(5, seed=2)
-    [(_, _, outcome)] = run_match(low, high, [(AMPLE, MANIFEST)], SESSION_CFG,
+    [(_, _, outcome)] = run_match(low, high, [AMPLE], MANIFEST, SESSION_CFG,
                                    mode="greedy")
     assert outcome is MatchOutcome.AGENT1
 
@@ -67,7 +67,7 @@ def test_run_match_deterministic_given_rngs():
     runs = []
     for _ in range(2):
         rngs = ([np.random.default_rng(7)], [np.random.default_rng(8)])
-        [(t0, t1, outcome)] = run_match(a, b, [(AMPLE, MANIFEST)], SESSION_CFG, rngs=rngs)
+        [(t0, t1, outcome)] = run_match(a, b, [AMPLE], MANIFEST, SESSION_CFG, rngs=rngs)
         runs.append((trajectory_signature(t0), trajectory_signature(t1), outcome))
     assert runs[0] == runs[1]
 
@@ -85,6 +85,18 @@ def test_run_epoch_report_contract():
     assert np.isfinite(report.losses0["policy_loss"])
     with pytest.raises(ValueError):
         run_epoch(a0, a1, [], SESSION_CFG)
+
+
+def test_run_epoch_rejects_mixed_videos():
+    a0 = Agent(AGENT_CFG, seed=16)
+    a1 = Agent(AGENT_CFG, seed=17)
+    with pytest.raises(ValueError, match="one video"):
+        run_epoch(a0, a1, [(AMPLE, MANIFEST), (AMPLE, LONG_MANIFEST)], SESSION_CFG)
+    # Equal manifests loaded or built separately are one video.
+    twin = synth_manifest(SynthManifestConfig(num_chunks=4), seed=0)
+    assert twin is not MANIFEST and twin == MANIFEST
+    _, results = run_epoch(a0, a1, [(AMPLE, MANIFEST), (AMPLE, twin)], SESSION_CFG)
+    assert [len(t0.steps) for t0, _, _ in results] == [MANIFEST.num_chunks] * 2
 
 
 def test_run_epoch_winner_learning_rate_freezes_policy():
@@ -113,27 +125,25 @@ def test_run_epoch_all_draws():
         -0.5 * np.log(0.5) * AGENT_CFG.policy_lr)
 
 
-def mixed_length_matches():
-    """Matches over two videos of different length, so the lockstep rollout
-    keeps stepping the long sessions after the short ones finish."""
+def several_trace_matches():
+    """Matches over one video on several traces, one of them played twice."""
     traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(3)]
-    return [(traces[0], MANIFEST), (traces[1], LONG_MANIFEST), (traces[2], MANIFEST),
-            (traces[0], LONG_MANIFEST)]
+    return [(trace, LONG_MANIFEST) for trace in traces + traces[:1]]
 
 
 def test_run_epoch_rollouts_match_one_match_runs():
-    matches = mixed_length_matches()
+    matches = several_trace_matches()
     seed, epoch = 3, 1
     a0 = Agent(AGENT_CFG, seed=20)
     a1 = Agent(AGENT_CFG, seed=21)
     # One-match runs first: run_epoch updates the parameters after its rollouts.
     separate = [
-        run_match(a0, a1, [match], SESSION_CFG,
+        run_match(a0, a1, [trace], manifest, SESSION_CFG,
                   rngs=([_rollout_rng(seed, epoch, m, 0)], [_rollout_rng(seed, epoch, m, 1)]))[0]
-        for m, match in enumerate(matches)
+        for m, (trace, manifest) in enumerate(matches)
     ]
     _, together = run_epoch(a0, a1, matches, SESSION_CFG, seed=seed, epoch=epoch)
-    assert [len(t0.steps) for t0, _, _ in together] == [4, 7, 4, 7]
+    assert [len(t0.steps) for t0, _, _ in together] == [7, 7, 7, 7]
     for (s0, s1, s_outcome), (t0, t1, t_outcome) in zip(separate, together):
         assert s_outcome is t_outcome
         for alone, batched in ((s0, t0), (s1, t1)):
@@ -144,10 +154,11 @@ def test_run_epoch_rollouts_match_one_match_runs():
 
 def test_rollout_rows_are_normalized_observations_and_gem_features():
     agent = Agent(AGENT_CFG, seed=22)
-    matches = mixed_length_matches()
+    matches = several_trace_matches()
+    traces, manifest = [trace for trace, _ in matches], LONG_MANIFEST
     rngs = [np.random.default_rng(m) for m in range(len(matches))]
-    trajectories = rollout(agent, matches, SESSION_CFG, "sample", rngs)
-    for traj, (trace, manifest) in zip(trajectories, matches):
+    trajectories = rollout(agent, traces, manifest, SESSION_CFG, "sample", rngs)
+    for traj, trace in zip(trajectories, traces):
         assert traj.rows.shape == (manifest.num_chunks, AGENT_CFG.flat_dim)
         scales = SessionScales(manifest.ladder_kbps[-1], SESSION_CFG.buffer_capacity_s,
                                manifest.total_duration_s)
@@ -166,15 +177,15 @@ def test_rollout_rows_are_normalized_observations_and_gem_features():
         np.testing.assert_allclose(traj.rows[1:, -HIDDEN_SIZE:],
                                    agent.gem.hidden_for(traj.rows[:-1]), rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError):
-        rollout(agent, matches, SESSION_CFG, "sample", None)
+        rollout(agent, traces, manifest, SESSION_CFG, "sample", None)
     with pytest.raises(ValueError):
-        rollout(agent, [], SESSION_CFG)
+        rollout(agent, [], manifest, SESSION_CFG)
     with pytest.raises(ValueError):
-        rollout(agent, matches, SessionConfig(history_len=5))
+        rollout(agent, traces, manifest, SessionConfig(history_len=5))
 
 
 def test_run_epoch_normalizes_each_observation_once(monkeypatch):
-    matches = mixed_length_matches()
+    matches = several_trace_matches()
     batches = []
     normalize = agent_module.normalize
 
@@ -185,16 +196,13 @@ def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     monkeypatch.setattr(agent_module, "normalize", counting_normalize)
     run_epoch(Agent(AGENT_CFG, seed=23), Agent(AGENT_CFG, seed=24), matches, SESSION_CFG,
               seed=4, epoch=1)
-    # One call per agent and chunk index, over the sessions still playing:
-    # every step's row is normalized exactly once.
-    horizon = max(manifest.num_chunks for _, manifest in matches)
-    playing = [sum(manifest.num_chunks > t for _, manifest in matches) for t in range(horizon)]
-    assert batches == 2 * playing
-    assert sum(batches) == 2 * sum(manifest.num_chunks for _, manifest in matches)
+    # One call per agent and chunk index, over every session: every step's
+    # row is normalized exactly once.
+    assert batches == [len(matches)] * (2 * LONG_MANIFEST.num_chunks)
 
 
 def test_run_epoch_runs_one_update_forward_per_agent(monkeypatch):
-    matches = mixed_length_matches()
+    matches = several_trace_matches()
     update_rows = sum(manifest.num_chunks for _, manifest in matches)
     sizes = []
     forward = agent_module.FeatureTrunk.forward
@@ -254,7 +262,7 @@ def small_train_config(seed=0, epochs=2):
     return TrainConfig(
         train_traces=traces[:4],
         val_traces=traces[4:],
-        manifests=[MANIFEST],
+        manifest=MANIFEST,
         epochs=epochs,
         matches_per_epoch=2,
         seed=seed,

@@ -22,7 +22,7 @@ def constant_trace(bw_kbps, duration=1000.0):
 
 def single(manifest, trace, cfg=SessionConfig()):
     """A lockstep engine holding one session."""
-    return Session([(trace, manifest)], cfg)
+    return Session([trace], manifest, cfg)
 
 
 def test_initial_state():
@@ -132,11 +132,7 @@ def test_step_errors():
     with pytest.raises(RuntimeError):
         session.step([0])
     with pytest.raises(ValueError):
-        Session([])
-    three_levels = Manifest(id="three", chunk_duration_s=4.0, ladder_kbps=(1.0, 2.0, 3.0),
-                            chunk_sizes_bits=((1.0, 2.0, 3.0),))
-    with pytest.raises(ValueError):
-        Session([(constant_trace(2000.0), manifest), (constant_trace(2000.0), three_levels)])
+        Session([], manifest)
 
 
 def test_capacity_must_exceed_chunk():
@@ -154,21 +150,21 @@ def lowest(obs):
 def test_run_session_constant_policy():
     manifest = one_level_manifest()
     trace = constant_trace(2000.0)
-    [[traj]] = run_session([lowest], [(trace, manifest)])
+    [[traj]] = run_session([lowest], [trace], manifest)
     assert len(traj.steps) == 2
     assert traj.metrics.total_bitrate_kbps == 2000.0
     assert traj.metrics.total_rebuffer_s == 0.0
-    [[again]] = run_session([lowest], [(trace, manifest)])
+    [[again]] = run_session([lowest], [trace], manifest)
     assert [s.action for s in again.steps] == [s.action for s in traj.steps]
     assert again.metrics == traj.metrics
     with pytest.raises(ValueError):  # a policy must pick one level per row
         run_session([lambda obs: np.zeros(len(obs.buffer_s) + 1, dtype=np.int64)],
-                    [(trace, manifest)] * 2)
+                    [trace] * 2, manifest)
 
 
 def test_run_session_single_chunk():
     manifest = one_level_manifest(num_chunks=1)
-    [[traj]] = run_session([lowest], [(constant_trace(2000.0), manifest)])
+    [[traj]] = run_session([lowest], [constant_trace(2000.0)], manifest)
     assert len(traj.steps) == 1
     assert traj.metrics.total_change_kbps == 0.0
 
@@ -195,39 +191,38 @@ def random_trace(rng):
 
 
 def random_lockstep_inputs(rng, sessions):
-    """Matches over videos of mixed length, ladder and chunk duration (with
-    ladders of one size), and a session config whose buffer capacity exceeds
-    every chunk duration."""
-    durations = rng.uniform(1.0, 6.0, size=sessions)
-    levels = int(rng.integers(2, 7))
-    matches = [(random_trace(rng), random_video(rng, float(d), levels)) for d in durations]
+    """Traces, one video of random length, ladder and chunk duration, and a
+    session config whose buffer capacity exceeds the chunk duration."""
+    duration = float(rng.uniform(1.0, 6.0))
+    traces = [random_trace(rng) for _ in range(sessions)]
+    manifest = random_video(rng, duration, int(rng.integers(2, 7)))
     cfg = SessionConfig(
-        buffer_capacity_s=float(durations.max()) + float(rng.uniform(5.0, 40.0)),
+        buffer_capacity_s=duration + float(rng.uniform(5.0, 40.0)),
         per_chunk_latency_s=float(rng.choice([0.0, 0.05, 0.2])),
         history_len=int(rng.integers(1, 12)),
     )
-    return matches, cfg
+    return traces, manifest, cfg
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_randomized_session_invariants(seed):
     rng = np.random.default_rng(seed)
     for _ in range(12):
-        matches, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 9)))
-        session = Session(matches, cfg)
+        traces, manifest, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 9)))
+        session = Session(traces, manifest, cfg)
         k = cfg.history_len
         last_rebuffer = session.total_rebuffer_s.copy()
         while not session.done:
-            t, active = session.t, session.active
-            actions = [int(rng.integers(matches[i][1].num_levels)) for i in active]
+            t = session.t
+            actions = rng.integers(manifest.num_levels, size=len(traces))
             session.step(actions)
             assert np.all(session.buffer_s >= 0.0)
             assert np.all(session.buffer_s <= cfg.buffer_capacity_s + 1e-9)
             assert np.all(session.total_rebuffer_s >= last_rebuffer)
             last_rebuffer = session.total_rebuffer_s.copy()
-            for i, action in zip(active, actions):
+            for i, action in enumerate(actions):
                 size = session.throughput_kbps[i, t + k] * 1000.0 * session.download_time_s[i, t + k]
-                assert size == pytest.approx(matches[i][1].sizes[t, action], rel=1e-9)
+                assert size == pytest.approx(manifest.sizes[t, action], rel=1e-9)
         # Wall clock closes: downloads plus idle waits.
         np.testing.assert_allclose(
             session.clock_s, session.total_download_s + session.total_idle_s, rtol=1e-12)
@@ -248,25 +243,24 @@ def test_lockstep_engine_equals_scalar_reference(seed):
     clock and idle totals after every step, and the final metrics."""
     rng = np.random.default_rng(100 + seed)
     for _ in range(15):
-        matches, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 10)))
-        session = Session(matches, cfg)
-        references = [ReferenceSession(manifest, trace, cfg) for trace, manifest in matches]
-        download_times = [[] for _ in matches]
+        traces, manifest, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 10)))
+        session = Session(traces, manifest, cfg)
+        references = [ReferenceSession(manifest, trace, cfg) for trace in traces]
+        download_times = [[] for _ in traces]
         k = cfg.history_len
         while not session.done:
-            t, active = session.t, session.active
-            assert active.tolist() == [i for i, ref in enumerate(references) if not ref.done]
+            t = session.t
+            assert not any(ref.done for ref in references)
             batch = session.observe()
-            for j, i in enumerate(active):
-                want = references[i].observe()
-                assert_same_observation(batch.rows(j), want)
+            for i, ref in enumerate(references):
+                want = ref.observe()
+                assert_same_observation(batch.rows(i), want)
                 for field in ("throughput_kbps", "download_time_s", "chosen_bitrate_kbps",
                               "remaining_play_s", "buffer_s", "next_sizes_bits"):
-                    assert np.array_equal(getattr(batch, field)[j], getattr(want, field)), field
-            actions = [int(rng.integers(matches[i][1].num_levels)) for i in active]
-            session.step(np.array(actions))
-            for i, action in zip(active, actions):
-                ref = references[i]
+                    assert np.array_equal(getattr(batch, field)[i], getattr(want, field)), field
+            actions = rng.integers(manifest.num_levels, size=len(traces))
+            session.step(actions)
+            for i, (ref, action) in enumerate(zip(references, actions.tolist())):
                 ref.step(action)
                 assert session.download_time_s[i, t + k] == ref.last_download_s
                 download_times[i].append(ref.last_download_s)
@@ -283,12 +277,11 @@ def test_lockstep_engine_equals_scalar_reference(seed):
 
 
 def test_run_session_equals_reference_runs():
-    """Every policy plays every match in one lockstep run: each call gets
-    its policy's block of rows, and each (policy, match) session sees the
+    """Every policy plays every trace in one lockstep run: each call gets
+    its policy's block of rows, and each (policy, trace) session sees the
     reference simulator's observations and reaches its metrics."""
     rng = np.random.default_rng(7)
-    matches, cfg = random_lockstep_inputs(rng, 6)
-    lengths = [manifest.num_chunks for _, manifest in matches]
+    traces, manifest, cfg = random_lockstep_inputs(rng, 6)
     policies = 3
     seen = [[] for _ in range(policies)]
 
@@ -301,22 +294,21 @@ def test_run_session_equals_reference_runs():
             return levels.astype(np.int64) % obs.next_sizes_bits.shape[1]
         return policy
 
-    played = run_session([policy_for(p) for p in range(policies)], matches, cfg)
+    played = run_session([policy_for(p) for p in range(policies)], traces, manifest, cfg)
     assert len(played) == policies
     for p, trajectories in enumerate(played):
-        # One call per chunk index, on the rows of the matches still playing.
-        assert len(seen[p]) == max(lengths)
-        for t, obs in enumerate(seen[p]):
-            assert len(obs.buffer_s) == sum(length > t for length in lengths)
-        for m, ((trace, manifest), traj) in enumerate(zip(matches, trajectories)):
+        # One call per chunk index, on one row per trace.
+        assert len(seen[p]) == manifest.num_chunks
+        for obs in seen[p]:
+            assert len(obs.buffer_s) == len(traces)
+        for m, (trace, traj) in enumerate(zip(traces, trajectories)):
             ref = ReferenceSession(manifest, trace, cfg)
             assert len(traj.steps) == manifest.num_chunks
             for t, step in enumerate(traj.steps):
-                row = sum(length > t for length in lengths[:m])
                 # The batches handed to the policy are still valid snapshots.
-                assert_same_observation(seen[p][t].rows(row), ref.observe())
+                assert_same_observation(seen[p][t].rows(m), ref.observe())
                 ref.step(step.action)
                 assert step.download_time_s == ref.last_download_s
             assert ref.done and traj.metrics == ref.metrics()
-    assert run_session([], matches) == []
-    assert run_session([lowest], []) == [[]]
+    assert run_session([], traces, manifest) == []
+    assert run_session([lowest], [], manifest) == [[]]
