@@ -6,7 +6,7 @@ actor-critic updates augmented by a GAN-generated hidden-feature memory, and
 Elo ratings against classical baselines track progress.
 """
 
-from .agent import Agent, AgentConfig, SessionScales, dynamic_lr, normalize
+from .agent import Agent, AgentConfig, AgentPolicy, SessionScales, dynamic_lr, normalize
 from .baselines import (
     BolaParams, DynamicDashParams, bola, constrained, dynamic_dash, make_policy,
     throughput_rule,
@@ -19,7 +19,7 @@ from .simulator import (
     Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
     run_session,
 )
-from .selfplay import EpochReport, TrainConfig, evaluate, rollout, run_epoch, run_match, train
+from .selfplay import EpochReport, TrainConfig, evaluate, run_epoch, run_match, train
 from .workload import (
     DatasetSplit, Manifest, SynthManifestConfig, SynthTraceConfig, Trace,
     bandwidth_at, load_manifest, load_trace, save_manifest, save_trace,
@@ -29,7 +29,7 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "AgentConfig", "SessionScales", "dynamic_lr", "normalize",
+    "Agent", "AgentConfig", "AgentPolicy", "SessionScales", "dynamic_lr", "normalize",
     "BolaParams", "DynamicDashParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
@@ -37,7 +37,7 @@ __all__ = [
     "MatchOutcome", "judge", "win_rate",
     "Observation", "Session", "SessionConfig", "SessionMetrics",
     "Trajectory", "TrajectoryStep", "run_session",
-    "EpochReport", "TrainConfig", "evaluate", "rollout", "run_epoch", "run_match", "train",
+    "EpochReport", "TrainConfig", "evaluate", "run_epoch", "run_match", "train",
     "DatasetSplit", "Manifest", "SynthManifestConfig", "SynthTraceConfig", "Trace",
     "bandwidth_at", "load_manifest", "load_trace", "save_manifest", "save_trace",
     "split_dataset", "synth_manifest", "synth_trace",

@@ -20,7 +20,8 @@ from .gem import HIDDEN_SIZE, GemModule
 from .neural import (
     DTYPE, Adam, Conv1D, Dense, Relu, Sequential, load_bundle, save_bundle, softmax,
 )
-from .simulator import Observation, Trajectory
+from .simulator import Observation, SessionConfig, Trajectory
+from .workload import Manifest
 
 CONV_FILTERS = 64
 CONV_KERNEL = 3
@@ -285,12 +286,14 @@ class Agent:
 
     # ---- learning --------------------------------------------------------
 
-    def build_update_batch(self, trajectories: Sequence[Trajectory],
+    def build_update_batch(self, rows: Sequence[np.ndarray],
+                           trajectories: Sequence[Trajectory],
                            outcome_rewards: Sequence[float],
                            win: float) -> UpdateBatch:
-        """Stack one epoch's trajectories: the rows their rollout wrote, the
-        actions, and each match's reward on every step (``broadcast``) or on
-        its last step only (``terminal``)."""
+        """Stack one epoch's trajectories: each one's flat rows (``rows[i]``,
+        one per step, as its :class:`AgentPolicy` wrote them), the actions,
+        and each match's reward on every step (``broadcast``) or on its last
+        step only (``terminal``)."""
         lengths = np.array([len(t.steps) for t in trajectories], dtype=np.int64)
         outcomes = np.asarray(outcome_rewards, dtype=np.float64)
         if self.config.reward_mode == "broadcast":
@@ -299,7 +302,7 @@ class Agent:
             rewards = np.zeros(lengths.sum(), dtype=np.float64)
             rewards[np.cumsum(lengths) - 1] = outcomes
         actions = [s.action for t in trajectories for s in t.steps]
-        return UpdateBatch(inputs=np.concatenate([t.rows for t in trajectories]),
+        return UpdateBatch(inputs=np.concatenate(rows),
                            actions=np.asarray(actions, dtype=np.int64), rewards=rewards,
                            lengths=lengths, win_rate=win)
 
@@ -373,8 +376,8 @@ class Agent:
     def flatten_trajectory(self, observations: Observation,
                            scales: SessionScales) -> np.ndarray:
         """Flat rows rebuilt from a trajectory's observations, one batch row
-        per step: the state columns equal the rows its rollout wrote, the GEM
-        columns are zero."""
+        per step: the state columns equal the rows an :class:`AgentPolicy`
+        wrote, the GEM columns are zero."""
         rows = np.zeros((len(observations.buffer_s), self.config.flat_dim), dtype=DTYPE)
         return normalize(observations, self.config, scales, rows)
 
@@ -421,3 +424,34 @@ class Agent:
                 d[...] = s
         agent.rating = Rating(value=rating)
         return agent
+
+
+class AgentPolicy:
+    """``agent`` as a :data:`simulator.Policy` over ``sessions`` sessions of
+    one video; session i samples with ``rngs[i]`` in sample mode.
+
+    ``rows`` (num_chunks, sessions, flat_dim) is the only copy of the
+    normalized states and hidden features: call t normalizes into ``rows[t]``
+    and, for t > 0, fills its GEM columns from the generator on ``rows[t - 1]``.
+    """
+
+    def __init__(self, agent: Agent, sessions: int, manifest: Manifest,
+                 cfg: SessionConfig = SessionConfig(), mode: str = "greedy",
+                 rngs: Sequence[np.random.Generator | None] | None = None):
+        config = agent.config
+        if cfg.history_len != config.history_len or manifest.num_levels != config.num_levels:
+            raise ValueError("session shapes do not match agent config")
+        self.agent, self.mode, self.rngs = agent, mode, rngs
+        self.rows = np.zeros((manifest.num_chunks, sessions, config.flat_dim), dtype=DTYPE)
+        self._scales = SessionScales(manifest.ladder_kbps[-1], cfg.buffer_capacity_s,
+                                     manifest.total_duration_s)
+        self._t = 0
+
+    def __call__(self, obs: Observation) -> np.ndarray:
+        t, rows = self._t, self.rows
+        # A module-global lookup, so wrappers of agent.normalize see each call.
+        normalize(obs, self.agent.config, self._scales, rows[t])
+        if t:
+            rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1])
+        self._t += 1
+        return self.agent.act(rows[t], self.mode, self.rngs)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neural import DTYPE, BatchNorm, Dense, LeakyRelu, RMSProp, Sequential
-from .simulator import Trajectory
 
 HIDDEN_SIZE = 16
 GEM_LR = 1e-4
@@ -84,15 +83,14 @@ class GemModule:
     """One agent's generator/discriminator pair plus its winning-sample buffer."""
 
     def __init__(self, input_dim: int, *, rng: np.random.Generator,
-                 buffer_capacity: int = WIN_BUFFER_CAPACITY,
-                 lr: float = GEM_LR, batch_size: int = GEM_BATCH):
+                 buffer_capacity: int = WIN_BUFFER_CAPACITY, batch_size: int = GEM_BATCH):
         self.input_dim = input_dim
         self.gen = build_generator(input_dim + HIDDEN_SIZE, rng)
         self.disc = build_discriminator(rng)
         self.buffer = WinBuffer(buffer_capacity)
         self.batch_size = batch_size
-        self.gen_opt = RMSProp(self.gen.params(), lr=lr)
-        self.disc_opt = RMSProp(self.disc.params(), lr=lr)
+        self.gen_opt = RMSProp(self.gen.params(), lr=GEM_LR)
+        self.disc_opt = RMSProp(self.disc.params(), lr=GEM_LR)
 
     def hidden_for(self, prev_rows: np.ndarray) -> np.ndarray:
         """Next hidden features (n, HIDDEN_SIZE) from the previous steps' flat
@@ -107,11 +105,12 @@ class GemModule:
         out, _ = self.gen.forward(prev_rows, training=False)
         return out
 
-    def collect(self, trajectory: Trajectory, won: bool) -> None:
-        """Harvest a winning trajectory's per-step hidden features, in step
-        order, from the GEM columns of the rows its rollout wrote."""
+    def collect(self, rows: np.ndarray, won: bool) -> None:
+        """Harvest a winning session's per-step hidden features, in step
+        order, from the GEM columns of its flat rows (one per step, as the
+        agent's ``AgentPolicy`` wrote them)."""
         if won:
-            self.buffer.extend(trajectory.rows[:, -HIDDEN_SIZE:])
+            self.buffer.extend(rows[:, -HIDDEN_SIZE:])
 
     def disc_gradients(self, real: np.ndarray, fake: np.ndarray):
         """(L_d, discriminator gradients); the generated batch is a constant.

@@ -13,14 +13,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import agent as agent_module
-from .agent import Agent, AgentConfig, SessionScales
+from .agent import Agent, AgentConfig, AgentPolicy
 from .baselines import POLICY_NAMES, make_policy
 from .elo import K_FACTOR, anchor_baselines, rate_agent
-from .gem import HIDDEN_SIZE
-from .neural import DTYPE
 from .rule import MatchOutcome, judge, match_scores, win_rate
-from .simulator import Policy, Session, SessionConfig, SessionMetrics, Trajectory, run_session
+from .simulator import Policy, SessionConfig, SessionMetrics, Trajectory, run_session
 from .workload import Manifest, Trace
 
 # Seed-derivation tags keeping every random stream independent.
@@ -53,10 +50,16 @@ class TrainConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self):
-        if self.matches_per_epoch < 1:
-            raise ValueError("matches_per_epoch must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("matches_per_epoch", "eval_every", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.train_traces:
             raise ValueError("empty training trace set")
+        if len(set(self.baselines)) < 2 or not set(self.baselines) <= set(POLICY_NAMES):
+            raise ValueError(f"baselines must name at least 2 distinct policies of "
+                             f"{', '.join(POLICY_NAMES)}; got {list(self.baselines)}")
 
 
 @dataclass
@@ -75,58 +78,20 @@ def _rollout_rng(seed: int, epoch: int, match: int, agent_idx: int) -> np.random
     return np.random.default_rng(np.random.SeedSequence([seed, _TAG_ROLLOUT, epoch, match, agent_idx]))
 
 
-def rollout(
-    agent: Agent,
-    traces: Sequence[Trace],
-    manifest: Manifest,
-    cfg: SessionConfig = SessionConfig(),
-    mode: str = "greedy",
-    rngs: Sequence[np.random.Generator | None] | None = None,
-) -> list[Trajectory]:
-    """Play ``agent`` over ``manifest`` on every trace in one lockstep engine.
-
-    At each chunk index one ``normalize`` call writes every session's state
-    columns straight from the engine's arrays, one generator forward over
-    the previous rows gives the hidden features, and one policy forward
-    picks the levels; session i samples with ``rngs[i]``. Each trajectory
-    keeps its rows, which are the only copy of its normalized states and
-    hidden features.
-    """
-    config = agent.config
-    if cfg.history_len != config.history_len or manifest.num_levels != config.num_levels:
-        raise ValueError("session shapes do not match agent config")
-    session = Session(traces, manifest, cfg)
-    rows = np.zeros((manifest.num_chunks, len(traces), config.flat_dim), dtype=DTYPE)
-    scales = SessionScales(manifest.ladder_kbps[-1], cfg.buffer_capacity_s,
-                           manifest.total_duration_s)
-    while not session.done:
-        t = session.t
-        # Via the module, so wrappers of agent.normalize see each call.
-        agent_module.normalize(session.observe(), config, scales, rows[t])
-        if t:
-            rows[t, :, -HIDDEN_SIZE:] = agent.gem.hidden_for(rows[t - 1])
-        session.step(agent.act(rows[t], mode, rngs))
-    return session.trajectories(rows)
-
-
 def run_match(
-    agent0: Agent,
-    agent1: Agent,
+    player0: Policy,
+    player1: Policy,
     traces: Sequence[Trace],
     manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
-    *,
-    mode: str = "sample",
-    rngs: tuple[Sequence[np.random.Generator] | None,
-                Sequence[np.random.Generator] | None] = (None, None),
 ) -> list[tuple[Trajectory, Trajectory, MatchOutcome]]:
-    """Stream both agents over ``manifest`` on each trace and judge each pair.
+    """Stream both players over ``manifest`` on each trace in one
+    ``run_session`` call and judge each pair of sessions.
 
-    Each agent plays all its sessions in one lockstep rollout; session ``m``
-    of agent ``a`` samples with ``rngs[a][m]``.
+    A player is any policy: an :class:`AgentPolicy` keeps its own rows, act
+    mode and generators, a baseline needs nothing. No traces play no match.
     """
-    played = [rollout(agent, traces, manifest, cfg, mode, agent_rngs)
-              for agent, agent_rngs in zip((agent0, agent1), rngs)]
+    played = run_session([player0, player1], traces, manifest, cfg)
     return [(t0, t1, judge(t0.metrics, t1.metrics)) for t0, t1 in zip(*played)]
 
 
@@ -147,35 +112,36 @@ def run_epoch(
     seed: int = 0,
     epoch: int = 0,
 ) -> tuple[EpochReport, list[tuple[Trajectory, Trajectory, MatchOutcome]]]:
-    """Roll out every (trace, video) match, then apply GEM and policy/value
+    """Play every (trace, video) match, then apply GEM and policy/value
     updates. The matches must share one video (compared with ``==``).
 
-    ``run_match`` plays every match at the epoch-start parameters (updates
-    happen at the epoch barrier); session ``m`` of agent ``a`` samples from
-    its own ``_rollout_rng(seed, epoch, m, a)``.
+    One ``run_match`` call plays both agents, each as a sampling
+    :class:`AgentPolicy`, over every match at the epoch-start parameters
+    (updates happen at the epoch barrier); session ``m`` of agent ``a``
+    samples from its own ``_rollout_rng(seed, epoch, m, a)``. Each agent's
+    rows then feed its GEM buffer and its update batch.
     """
     if not matches:
         raise ValueError("no matches sampled")
     traces, videos = zip(*matches)
     if any(video != videos[0] for video in videos):
         raise ValueError("the matches of one epoch must stream one video")
-    results = run_match(agent0, agent1, traces, videos[0], cfg, rngs=tuple(
-        [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(matches))]
-        for agent_idx in (0, 1)))
-    played = ([t0 for t0, _, _ in results], [t1 for _, t1, _ in results])
-
-    outcomes = [outcome for _, _, outcome in results]
-    w0, w1 = win_rate(outcomes)
-    wins = (w0, w1)
+    agents = (agent0, agent1)
+    players = [AgentPolicy(agent, len(traces), videos[0], cfg, "sample",
+                           [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(traces))])
+               for agent_idx, agent in enumerate(agents)]
+    results = run_match(*players, traces, videos[0], cfg)
+    *played, outcomes = zip(*results)
+    wins = win_rate(outcomes)
 
     losses: list[dict[str, float]] = []
-    for agent_idx, (agent, trajectories) in enumerate(zip((agent0, agent1), played)):
+    for agent_idx, (agent, player, trajectories) in enumerate(zip(agents, players, played)):
         rewards = [match_scores(outcome)[agent_idx] for outcome in outcomes]
-
-        for traj, reward in zip(trajectories, rewards):
-            agent.gem.collect(traj, won=reward == 1.0)
+        rows = [player.rows[:, m] for m in range(len(trajectories))]
+        for session_rows, reward in zip(rows, rewards):
+            agent.gem.collect(session_rows, won=reward == 1.0)
         # The batch's flat rows double as the generator's input pool.
-        batch = agent.build_update_batch(trajectories, rewards, wins[agent_idx])
+        batch = agent.build_update_batch(rows, trajectories, rewards, wins[agent_idx])
         gem_rng = np.random.default_rng(
             np.random.SeedSequence([seed, _TAG_GEM, epoch, agent_idx]))
         gem_report = agent.gem.update(batch.inputs, gem_rng)
@@ -186,8 +152,8 @@ def run_epoch(
 
     report = EpochReport(
         epoch=epoch,
-        w0=w0,
-        w1=w1,
+        w0=wins[0],
+        w1=wins[1],
         elo_a0=agent0.rating.value,
         losses0=losses[0],
         losses1=losses[1],
@@ -216,8 +182,9 @@ def evaluate(
 ) -> EvalResult:
     """Head-to-head matches against every baseline on every trace.
 
-    The agent plays each trace once, greedily, for all opponents; one
-    ``run_session`` call plays every baseline on every trace.
+    One ``run_session`` call plays the agent, as a greedy
+    :class:`AgentPolicy`, and every baseline on every trace; the agent's
+    one session per trace is judged against each opponent's.
     Returns per-opponent win rates, one CDF-ready record per (trace,
     opponent), and (when anchor ratings are supplied) the updated Elo.
     """
@@ -228,8 +195,9 @@ def evaluate(
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
-    my_sessions = rollout(agent, traces, manifest, cfg)
-    opponents = run_session(list(baselines.values()), traces, manifest, cfg)
+    my_sessions, *opponents = run_session(
+        [AgentPolicy(agent, len(traces), manifest, cfg), *baselines.values()],
+        traces, manifest, cfg)
     for name, their_sessions in zip(baselines, opponents):
         outcomes: list[MatchOutcome] = []
         for trace, mine, theirs in zip(traces, my_sessions, their_sessions):

@@ -57,7 +57,8 @@ class Observation:
         return Observation(*(getattr(self, name)[index] for name in self.__slots__))
 
 
-# A policy maps a batch of observations to one ladder level per row.
+# A policy maps a batch of observations to one ladder level per row, called
+# once per chunk index in order, so it may keep state (``agent.AgentPolicy``).
 Policy = Callable[[Observation], np.ndarray]
 
 
@@ -73,17 +74,15 @@ class SessionMetrics:
 @dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     action: int
-    download_time_s: float
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A played session. ``rows`` holds the agent's flat network input, one
-    row per step, when an agent played it (None for a plain policy)."""
+    """A played session: each step's level and the totals. An agent's flat
+    rows stay with its ``AgentPolicy``."""
 
     steps: tuple[TrajectoryStep, ...]
     metrics: SessionMetrics
-    rows: np.ndarray | None = None
 
 
 class Session:
@@ -179,13 +178,10 @@ class Session:
             self.total_bitrate_kbps.tolist(), self.total_rebuffer_s.tolist(),
             self.total_change_kbps.tolist())]
 
-    def trajectories(self, rows: np.ndarray | None = None) -> list[Trajectory]:
-        """The played sessions, with an agent's (num_chunks, sessions,
-        flat_dim) rows when one played them."""
-        steps = zip(self.actions.tolist(), self.download_time_s[:, self.cfg.history_len:].tolist())
-        return [Trajectory(tuple(map(TrajectoryStep, actions, times)), metrics,
-                           None if rows is None else rows[:, i])
-                for i, ((actions, times), metrics) in enumerate(zip(steps, self.metrics()))]
+    def trajectories(self) -> list[Trajectory]:
+        """The played sessions, in session order."""
+        return [Trajectory(tuple(map(TrajectoryStep, actions)), metrics)
+                for actions, metrics in zip(self.actions.tolist(), self.metrics())]
 
 
 def run_session(
@@ -194,10 +190,10 @@ def run_session(
     manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
 ) -> list[list[Trajectory]]:
-    """Play every policy over ``manifest`` on every trace in one lockstep run
-    and return each policy's trajectories in trace order. Sessions are
-    policy-major, so each policy's sessions are one contiguous block of
-    :meth:`Session.observe`'s rows, and each chunk index calls it once."""
+    """Play every policy, agent or baseline, over ``manifest`` on every trace
+    in one lockstep run and return each policy's trajectories in trace order.
+    Sessions are policy-major: each chunk index calls every policy once, in
+    list order, with its contiguous block of :meth:`Session.observe`'s rows."""
     if not policies or not traces:
         return [[] for _ in policies]
     block = len(traces)

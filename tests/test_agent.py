@@ -494,34 +494,36 @@ def test_dominant_win_rate_freezes_learning():
         assert np.array_equal(old, new)
 
 
-def played(rows, actions):
-    """A trajectory of the given flat rows and actions."""
-    steps = tuple(TrajectoryStep(int(a), 1.0) for a in actions)
-    return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0), rows=rows)
+def played(actions):
+    """A trajectory of the given actions."""
+    steps = tuple(TrajectoryStep(int(a)) for a in actions)
+    return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0))
 
 
 def test_reward_modes():
     rng = np.random.default_rng(17)
-    trajectories = [played(norm_rows(rng, 4), [0, 1, 2, 0]), played(norm_rows(rng, 2), [2, 2])]
-    batch_b = Agent(CFG, seed=0).build_update_batch(trajectories, [1.0, -1.0], 0.5)
+    rows = [norm_rows(rng, 4), norm_rows(rng, 2)]
+    trajectories = [played([0, 1, 2, 0]), played([2, 2])]
+    batch_b = Agent(CFG, seed=0).build_update_batch(rows, trajectories, [1.0, -1.0], 0.5)
     assert batch_b.rewards.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
     agent_t = Agent(AgentConfig(history_len=4, num_levels=3, reward_mode="terminal"), seed=0)
-    batch_t = agent_t.build_update_batch(trajectories, [1.0, -1.0], 0.5)
+    batch_t = agent_t.build_update_batch(rows, trajectories, [1.0, -1.0], 0.5)
     assert batch_t.rewards.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]
     assert batch_t.lengths.tolist() == [4, 2]
     assert batch_t.actions.tolist() == [0, 1, 2, 0, 2, 2]
-    assert np.array_equal(batch_t.inputs, np.concatenate([t.rows for t in trajectories]))
+    assert np.array_equal(batch_t.inputs, np.concatenate(rows))
 
 
 def test_build_update_batch_runs_no_forward(monkeypatch):
     agent = Agent(CFG, seed=0)
-    trajectory = played(norm_rows(np.random.default_rng(18), 3), [0, 1, 2])
+    rows = norm_rows(np.random.default_rng(18), 3)
 
     def forward(self, rows):
         raise AssertionError("build_update_batch ran a network forward")
 
     monkeypatch.setattr(FeatureTrunk, "forward", forward)
-    assert agent.build_update_batch([trajectory], [1.0], 1.0).inputs.shape == (3, CFG.flat_dim)
+    batch = agent.build_update_batch([rows], [played([0, 1, 2])], [1.0], 1.0)
+    assert batch.inputs.shape == (3, CFG.flat_dim)
 
 
 @pytest.mark.parametrize("td_steps", [1, 3])
@@ -529,8 +531,9 @@ def test_gradients_bootstrap_from_their_own_values(td_steps):
     config = AgentConfig(history_len=4, num_levels=3, td_steps=td_steps, discount=0.9)
     agent = Agent(config, seed=19)
     rng = np.random.default_rng(20)
-    trajectories = [played(norm_rows(rng, n), rng.integers(0, 3, n)) for n in (5, 1, 4)]
-    batch = agent.build_update_batch(trajectories, [1.0, -1.0, 0.0], 0.25)
+    rows, trajectories = zip(*[(norm_rows(rng, n), played(rng.integers(0, 3, n)))
+                               for n in (5, 1, 4)])
+    batch = agent.build_update_batch(rows, trajectories, [1.0, -1.0, 0.0], 0.25)
     values = state_values(agent, batch.inputs).astype(np.float64)
     q = td_targets(batch.rewards, values, 0.9, td_steps, [5, 1, 4])
     adv = (q - values).astype(np.float32).astype(np.float64)

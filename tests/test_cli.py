@@ -228,6 +228,19 @@ def test_train_rejects_negative_epochs_flag(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_train_rejects_duplicate_baselines(tmp_path, capsys):
+    doc = train_config_doc(tmp_path)
+    doc["baselines"] = ["bola", "bola"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, stdout, err = run_cli("train", "--config", str(config), "--out",
+                                str(tmp_path / "r"), capsys=capsys)
+    assert code == 1
+    assert "trained" not in stdout
+    assert_one_error_line(err, "baselines", "distinct")
+    assert not (tmp_path / "r").exists()
+
+
 def test_synth_traces_defaults_come_from_config(tmp_path, capsys):
     out = tmp_path / "traces"
     code, _, _ = run_cli("synth-traces", "--count", "2", "--seed", "4", "--out", str(out),

@@ -5,7 +5,6 @@ import pytest
 from gradcheck import gradient_errors, to_float64
 
 from abr_arena.gem import HIDDEN_SIZE, GemModule, WinBuffer
-from abr_arena.simulator import SessionMetrics, Trajectory, TrajectoryStep
 
 STATE_DIM = 20
 
@@ -14,13 +13,13 @@ def make_gem(seed=0, **kwargs):
     return GemModule(STATE_DIM, rng=np.random.default_rng(seed), batch_size=16, **kwargs)
 
 
-def make_trajectory(num_steps, fill=1.0):
-    """A played trajectory whose step i has the hidden feature fill * (i + 1)."""
-    steps = tuple(TrajectoryStep(action=0, download_time_s=1.0) for _ in range(num_steps))
+def session_rows(num_steps, fill=1.0):
+    """A played session's flat rows, whose step i has the hidden feature
+    fill * (i + 1)."""
     rows = np.zeros((num_steps, STATE_DIM + HIDDEN_SIZE), dtype=np.float32)
     rows[:, :STATE_DIM] = -1.0
     rows[:, STATE_DIM:] = fill * np.arange(1, num_steps + 1)[:, None]
-    return Trajectory(steps=steps, metrics=SessionMetrics(1.0, 0.0, 0.0), rows=rows)
+    return rows
 
 
 def test_gen_hidden_deterministic_and_finite():
@@ -106,10 +105,10 @@ def test_losses_nonnegative_and_finite():
 def test_win_buffer_fifo():
     gem = make_gem(buffer_capacity=5)
     buf = gem.buffer
-    traj = make_trajectory(10)
-    gem.collect(traj, won=False)
+    rows = session_rows(10)
+    gem.collect(rows, won=False)
     assert len(buf) == 0
-    gem.collect(traj, won=True)
+    gem.collect(rows, won=True)
     assert len(buf) == 5  # last five hidden vectors survive
     kept = buf.sample(np.random.default_rng(0), 64)
     assert kept.min() >= 6.0
@@ -141,11 +140,11 @@ def test_win_buffer_ring_matches_deque_after_wrapping():
 
 def test_collect_appends_all_steps():
     gem = make_gem()
-    traj = make_trajectory(10)
-    gem.collect(traj, won=True)
+    rows = session_rows(10)
+    gem.collect(rows, won=True)
     assert len(gem.buffer) == 10
     # Only the GEM columns, oldest step first.
-    assert np.array_equal(gem.buffer._items[:10], traj.rows[:, -HIDDEN_SIZE:])
+    assert np.array_equal(gem.buffer._items[:10], rows[:, -HIDDEN_SIZE:])
 
 
 def test_update_skips_on_empty_buffer():
@@ -161,7 +160,7 @@ def test_update_skips_on_empty_buffer():
 def test_update_applies_and_moments_advance():
     gem = make_gem(6)
     rng_data = np.random.default_rng(7)
-    gem.collect(make_trajectory(12, fill=0.3), won=True)
+    gem.collect(session_rows(12, fill=0.3), won=True)
     inputs = rng_data.normal(size=(30, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
 
     p0 = [p.copy() for p in gem.gen.params() + gem.disc.params()]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 from reference_session import ReferenceSession, as_batch
 
 from abr_arena import agent as agent_module
-from abr_arena.agent import Agent, AgentConfig, SessionScales
+from abr_arena import simulator
+from abr_arena.agent import Agent, AgentConfig, AgentPolicy, SessionScales
 from abr_arena.baselines import make_policy
-from abr_arena.rule import MatchOutcome
+from abr_arena.rule import MatchOutcome, judge
 from abr_arena.selfplay import (
-    EPOCH_CSV_COLUMNS, TrainConfig, _rollout_rng, evaluate, rollout, run_epoch, run_match,
-    train,
+    EPOCH_CSV_COLUMNS, TrainConfig, _rollout_rng, evaluate, run_epoch, run_match, train,
 )
 from abr_arena.gem import HIDDEN_SIZE
-from abr_arena.simulator import SessionConfig
+from abr_arena.simulator import SessionConfig, run_session
 from abr_arena.workload import (
     SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace,
 )
@@ -38,17 +39,18 @@ def pinned_agent(level, seed=0):
 
 
 def trajectory_signature(traj):
-    return (
-        tuple(s.action for s in traj.steps),
-        tuple(round(s.download_time_s, 12) for s in traj.steps),
-        traj.metrics,
-    )
+    return tuple(s.action for s in traj.steps), traj.metrics
+
+
+def player(agent, traces, manifest=MANIFEST, mode="greedy", rngs=None):
+    return AgentPolicy(agent, len(traces), manifest, SESSION_CFG, mode, rngs)
 
 
 def test_run_match_identical_agents_draw():
     a = Agent(AGENT_CFG, seed=5)
     b = Agent(AGENT_CFG, seed=5)
-    [(t0, t1, outcome)] = run_match(a, b, [AMPLE], MANIFEST, SESSION_CFG, mode="greedy")
+    [(t0, t1, outcome)] = run_match(player(a, [AMPLE]), player(b, [AMPLE]), [AMPLE],
+                                    MANIFEST, SESSION_CFG)
     assert outcome is MatchOutcome.DRAW
     assert trajectory_signature(t0) == trajectory_signature(t1)
 
@@ -56,8 +58,8 @@ def test_run_match_identical_agents_draw():
 def test_run_match_higher_bitrate_wins_on_ample_trace():
     low = pinned_agent(0, seed=1)
     high = pinned_agent(5, seed=2)
-    [(_, _, outcome)] = run_match(low, high, [AMPLE], MANIFEST, SESSION_CFG,
-                                   mode="greedy")
+    [(_, _, outcome)] = run_match(player(low, [AMPLE]), player(high, [AMPLE]), [AMPLE],
+                                  MANIFEST, SESSION_CFG)
     assert outcome is MatchOutcome.AGENT1
 
 
@@ -66,10 +68,51 @@ def test_run_match_deterministic_given_rngs():
     b = Agent(AGENT_CFG, seed=4)
     runs = []
     for _ in range(2):
-        rngs = ([np.random.default_rng(7)], [np.random.default_rng(8)])
-        [(t0, t1, outcome)] = run_match(a, b, [AMPLE], MANIFEST, SESSION_CFG, rngs=rngs)
+        [(t0, t1, outcome)] = run_match(
+            player(a, [AMPLE], mode="sample", rngs=[np.random.default_rng(7)]),
+            player(b, [AMPLE], mode="sample", rngs=[np.random.default_rng(8)]),
+            [AMPLE], MANIFEST, SESSION_CFG)
         runs.append((trajectory_signature(t0), trajectory_signature(t1), outcome))
     assert runs[0] == runs[1]
+
+
+def test_run_match_of_baselines_judges_their_run_session_blocks():
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(4)]
+    policies = [make_policy(name, LONG_MANIFEST, SESSION_CFG) for name in ("bola", "throughput")]
+    results = run_match(*policies, traces, LONG_MANIFEST, SESSION_CFG)
+    blocks = run_session(policies, traces, LONG_MANIFEST, SESSION_CFG)
+    assert results == [(t0, t1, judge(t0.metrics, t1.metrics)) for t0, t1 in zip(*blocks)]
+    assert run_match(*policies, [], LONG_MANIFEST, SESSION_CFG) == []
+
+
+def count_sessions(monkeypatch):
+    """Patch simulator.Session to count the engines built."""
+    built = []
+
+    class CountingSession(simulator.Session):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(len(self.traces))
+
+    monkeypatch.setattr(simulator, "Session", CountingSession)
+    return built
+
+
+def test_matches_epochs_and_evaluations_build_one_session(monkeypatch):
+    traces = [trace for trace, _ in several_trace_matches()]
+    a0, a1 = Agent(AGENT_CFG, seed=40), Agent(AGENT_CFG, seed=41)
+    built = count_sessions(monkeypatch)
+    run_match(player(a0, traces, LONG_MANIFEST), player(a1, traces, LONG_MANIFEST), traces,
+              LONG_MANIFEST, SESSION_CFG)
+    assert built == [2 * len(traces)]
+    built.clear()
+    run_epoch(a0, a1, several_trace_matches(), SESSION_CFG, seed=5, epoch=1)
+    assert built == [2 * len(traces)]
+    built.clear()
+    baselines = {name: make_policy(name, LONG_MANIFEST, SESSION_CFG)
+                 for name in ("constrained", "throughput", "bola")}
+    evaluate(a0, baselines, traces, LONG_MANIFEST, SESSION_CFG)
+    assert built == [(1 + len(baselines)) * len(traces)]
 
 
 def test_run_epoch_report_contract():
@@ -131,35 +174,49 @@ def several_trace_matches():
     return [(trace, LONG_MANIFEST) for trace in traces + traces[:1]]
 
 
-def test_run_epoch_rollouts_match_one_match_runs():
+def test_run_epoch_rollouts_match_one_match_runs(monkeypatch):
     matches = several_trace_matches()
     seed, epoch = 3, 1
     a0 = Agent(AGENT_CFG, seed=20)
     a1 = Agent(AGENT_CFG, seed=21)
     # One-match runs first: run_epoch updates the parameters after its rollouts.
-    separate = [
-        run_match(a0, a1, [trace], manifest, SESSION_CFG,
-                  rngs=([_rollout_rng(seed, epoch, m, 0)], [_rollout_rng(seed, epoch, m, 1)]))[0]
-        for m, (trace, manifest) in enumerate(matches)
-    ]
+    separate = []
+    for m, (trace, manifest) in enumerate(matches):
+        players = [player(agent, [trace], manifest, "sample", [_rollout_rng(seed, epoch, m, a)])
+                   for a, agent in enumerate((a0, a1))]
+        [result] = run_match(*players, [trace], manifest, SESSION_CFG)
+        separate.append((result, [p.rows[:, 0] for p in players]))
+    # The rows run_epoch's rollouts wrote, as each agent's update batch gets them.
+    batch_rows = []
+    build = Agent.build_update_batch
+
+    def recording_build(self, rows, *args):
+        batch_rows.append(rows)
+        return build(self, rows, *args)
+
+    monkeypatch.setattr(Agent, "build_update_batch", recording_build)
     _, together = run_epoch(a0, a1, matches, SESSION_CFG, seed=seed, epoch=epoch)
     assert [len(t0.steps) for t0, _, _ in together] == [7, 7, 7, 7]
-    for (s0, s1, s_outcome), (t0, t1, t_outcome) in zip(separate, together):
+    for m, (((s0, s1, s_outcome), alone_rows), (t0, t1, t_outcome)) in enumerate(
+            zip(separate, together)):
         assert s_outcome is t_outcome
         for alone, batched in ((s0, t0), (s1, t1)):
             assert trajectory_signature(alone) == trajectory_signature(batched)
+        for a in (0, 1):
             # Batched float32 forwards may round the hidden features differently.
-            np.testing.assert_allclose(batched.rows, alone.rows, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(batch_rows[a][m], alone_rows[a], rtol=1e-5, atol=1e-6)
 
 
-def test_rollout_rows_are_normalized_observations_and_gem_features():
+def test_agent_policy_rows_are_normalized_observations_and_gem_features():
     agent = Agent(AGENT_CFG, seed=22)
     matches = several_trace_matches()
     traces, manifest = [trace for trace, _ in matches], LONG_MANIFEST
     rngs = [np.random.default_rng(m) for m in range(len(matches))]
-    trajectories = rollout(agent, traces, manifest, SESSION_CFG, "sample", rngs)
-    for traj, trace in zip(trajectories, traces):
-        assert traj.rows.shape == (manifest.num_chunks, AGENT_CFG.flat_dim)
+    policy = player(agent, traces, manifest, "sample", rngs)
+    [trajectories] = run_session([policy], traces, manifest, SESSION_CFG)
+    assert policy.rows.shape == (manifest.num_chunks, len(traces), AGENT_CFG.flat_dim)
+    for m, (traj, trace) in enumerate(zip(trajectories, traces)):
+        rows = policy.rows[:, m]
         scales = SessionScales(manifest.ladder_kbps[-1], SESSION_CFG.buffer_capacity_s,
                                manifest.total_duration_s)
         # The state columns are the normalized observations of a scalar
@@ -170,18 +227,21 @@ def test_rollout_rows_are_normalized_observations_and_gem_features():
             observations.append(reference.observe())
             reference.step(step.action)
         flat = agent.flatten_trajectory(as_batch(observations), scales)
-        assert np.array_equal(traj.rows[:, :-HIDDEN_SIZE], flat[:, :-HIDDEN_SIZE])
+        assert np.array_equal(rows[:, :-HIDDEN_SIZE], flat[:, :-HIDDEN_SIZE])
         assert traj.metrics == reference.metrics()
         # Step t's hidden feature is the generator's output on step t-1's row.
-        assert np.all(traj.rows[0, -HIDDEN_SIZE:] == 0.0)
-        np.testing.assert_allclose(traj.rows[1:, -HIDDEN_SIZE:],
-                                   agent.gem.hidden_for(traj.rows[:-1]), rtol=1e-5, atol=1e-6)
+        assert np.all(rows[0, -HIDDEN_SIZE:] == 0.0)
+        np.testing.assert_allclose(rows[1:, -HIDDEN_SIZE:],
+                                   agent.gem.hidden_for(rows[:-1]), rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError):
-        rollout(agent, traces, manifest, SESSION_CFG, "sample", None)
+        run_session([player(agent, traces, manifest, "sample", None)], traces, manifest,
+                    SESSION_CFG)
     with pytest.raises(ValueError):
-        rollout(agent, [], manifest, SESSION_CFG)
+        AgentPolicy(agent, len(traces), manifest, SessionConfig(history_len=5))
     with pytest.raises(ValueError):
-        rollout(agent, traces, manifest, SessionConfig(history_len=5))
+        AgentPolicy(agent, len(traces), synth_manifest(
+            SynthManifestConfig(num_chunks=7, ladder_kbps=(300.0, 750.0, 1200.0)), seed=1),
+            SESSION_CFG)
 
 
 def test_run_epoch_normalizes_each_observation_once(monkeypatch):
@@ -272,6 +332,20 @@ def small_train_config(seed=0, epochs=2):
         session=SESSION_CFG,
         agent=AGENT_CFG,
     )
+
+
+@pytest.mark.parametrize("change,word", [
+    ({"epochs": -2}, "epochs"),
+    ({"eval_every": 0}, "eval_every"),
+    ({"checkpoint_every": 0}, "checkpoint_every"),
+    ({"matches_per_epoch": 0}, "matches_per_epoch"),
+    ({"baselines": ("bola", "bola")}, "baselines"),
+    ({"baselines": ("bola",)}, "baselines"),
+    ({"baselines": ("bola", "pensieve")}, "baselines"),
+])
+def test_train_config_rejects_settings_that_fail_later(change, word):
+    with pytest.raises(ValueError, match=word):
+        dataclasses.replace(small_train_config(), **change)
 
 
 def test_train_writes_log_checkpoints_and_eval(tmp_path):

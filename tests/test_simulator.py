@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from reference_session import ReferenceSession
 
+from abr_arena import simulator
 from abr_arena.simulator import Session, SessionConfig, run_session
 from abr_arena.workload import Manifest, SynthManifestConfig, SynthTraceConfig, Trace, synth_manifest, synth_trace
 
@@ -271,12 +272,13 @@ def test_lockstep_engine_equals_scalar_reference(seed):
                 assert session.total_rebuffer_s[i] == ref.total_rebuffer_s
         assert all(ref.done for ref in references)
         assert session.metrics() == [ref.metrics() for ref in references]
-        for traj, ref, times in zip(session.trajectories(), references, download_times):
+        for i, (traj, ref, times) in enumerate(zip(session.trajectories(), references,
+                                                   download_times)):
             assert traj.metrics == ref.metrics()
-            assert [s.download_time_s for s in traj.steps] == times
+            assert session.download_time_s[i, k:].tolist() == times
 
 
-def test_run_session_equals_reference_runs():
+def test_run_session_equals_reference_runs(monkeypatch):
     """Every policy plays every trace in one lockstep run: each call gets
     its policy's block of rows, and each (policy, trace) session sees the
     reference simulator's observations and reaches its metrics."""
@@ -284,6 +286,14 @@ def test_run_session_equals_reference_runs():
     traces, manifest, cfg = random_lockstep_inputs(rng, 6)
     policies = 3
     seen = [[] for _ in range(policies)]
+    sessions = []
+
+    class RecordingSession(Session):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sessions.append(self)
+
+    monkeypatch.setattr(simulator, "Session", RecordingSession)
 
     def policy_for(p):
         # A deterministic, state-dependent policy: any drift in the observations
@@ -296,6 +306,7 @@ def test_run_session_equals_reference_runs():
 
     played = run_session([policy_for(p) for p in range(policies)], traces, manifest, cfg)
     assert len(played) == policies
+    [session] = sessions
     for p, trajectories in enumerate(played):
         # One call per chunk index, on one row per trace.
         assert len(seen[p]) == manifest.num_chunks
@@ -308,7 +319,8 @@ def test_run_session_equals_reference_runs():
                 # The batches handed to the policy are still valid snapshots.
                 assert_same_observation(seen[p][t].rows(m), ref.observe())
                 ref.step(step.action)
-                assert step.download_time_s == ref.last_download_s
+                row = p * len(traces) + m
+                assert session.download_time_s[row, cfg.history_len + t] == ref.last_download_s
             assert ref.done and traj.metrics == ref.metrics()
     assert run_session([], traces, manifest) == []
     assert run_session([lowest], [], manifest) == [[]]
