@@ -22,7 +22,7 @@ from .simulator import (
 from .selfplay import EpochReport, TrainConfig, evaluate, run_epoch, run_match, train
 from .workload import (
     DatasetSplit, Manifest, SynthManifestConfig, SynthTraceConfig, Trace,
-    bandwidth_at, load_manifest, load_trace, save_manifest, save_trace,
+    load_manifest, load_trace, save_manifest, save_trace,
     split_dataset, synth_manifest, synth_trace,
 )
 
@@ -39,6 +39,6 @@ __all__ = [
     "Trajectory", "TrajectoryStep", "run_session",
     "EpochReport", "TrainConfig", "evaluate", "run_epoch", "run_match", "train",
     "DatasetSplit", "Manifest", "SynthManifestConfig", "SynthTraceConfig", "Trace",
-    "bandwidth_at", "load_manifest", "load_trace", "save_manifest", "save_trace",
+    "load_manifest", "load_trace", "save_manifest", "save_trace",
     "split_dataset", "synth_manifest", "synth_trace",
 ]

@@ -249,10 +249,12 @@ def _parse_baselines(spec: str) -> list[str]:
     names = [n.strip() for n in spec.split(",") if n.strip()]
     if not names:
         raise ValidationFailure("no baseline names given")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in POLICY_NAMES:
             raise ValidationFailure(
                 f"unknown baseline {name!r}; valid names: {', '.join(POLICY_NAMES)}")
+        if name in names[:i]:
+            raise ValidationFailure(f"baseline {name!r} is named twice")
     return names
 
 

@@ -5,7 +5,8 @@ chunk at the chosen ladder level, with exact piecewise-constant integration
 of the trace bandwidth, and accounts buffer occupancy, rebuffering, and
 bitrate-change totals. :class:`Session` streams one video over many traces,
 holding the sessions as arrays, and plays chunk index t of all of them in
-one lockstep ``step``. The engine works in physical units; observation
+one lockstep ``step``, whose downloads one :class:`~.workload.TraceTable`
+walk integrates together. The engine works in physical units; observation
 scaling lives with the agent.
 """
 
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .workload import Manifest, Trace, transfer_time
+from .workload import Manifest, Trace, TraceTable
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ class Session:
         self.manifest = manifest
         self.cfg = cfg
         self.ladder_kbps = np.array(manifest.ladder_kbps)
+        self.trace_table = TraceTable(self.traces)
         n, k, horizon = len(self.traces), cfg.history_len, manifest.num_chunks
         self.throughput_kbps, self.download_time_s, self.bitrate_kbps = np.zeros((3, n, horizon + k))
         self.actions = np.zeros((n, horizon), dtype=np.int64)
@@ -135,8 +137,9 @@ class Session:
         Wall time advances by the download span (stalls included) plus any
         idle wait needed so the refilled buffer fits the capacity. Rebuffer
         time accrues only after playback has started; the first chunk's
-        startup delay is excluded. Each session sees the same float64
-        operations, in the same order, as a session stepped on its own.
+        startup delay is excluded. One :class:`~.workload.TraceTable` walk
+        integrates every session's download; each session sees the same
+        float64 operations, in the same order, as a session stepped on its own.
         """
         if self.done:
             raise RuntimeError("stepping a finished session")
@@ -154,10 +157,7 @@ class Session:
 
         size = self.manifest.sizes[t, actions]
         latency = cfg.per_chunk_latency_s
-        # The trace walk stays one scalar integration per session.
-        tau = latency + np.array([
-            transfer_time(trace, start, bits)
-            for trace, start, bits in zip(self.traces, (clock + latency).tolist(), size.tolist())])
+        tau = latency + self.trace_table.transfer_times(clock + latency, size)
         bitrate = self.ladder_kbps[actions]
         if t:  # playback, and with it rebuffering, starts after the first chunk
             self.total_rebuffer_s += np.maximum(0.0, tau - buffer)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -52,44 +53,64 @@ class Trace:
         return float(self._segment_ends[-1])
 
 
-def _locate(trace: Trace, t: float) -> tuple[int, float]:
-    """The index of the segment holding time ``t`` of the looping trace, and
-    ``t``'s position within the loop."""
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    pos = math.fmod(t, trace.total_duration_s)
-    idx = int(np.searchsorted(trace._segment_ends, pos, side="right"))
-    return min(idx, len(trace.samples) - 1), pos
+_WINDOW = 16  # segments that one pass of the trace walk integrates
 
 
-def bandwidth_at(trace: Trace, t: float) -> float:
-    """Bandwidth (kbps) at time ``t`` seconds; times past the end wrap."""
-    idx, _ = _locate(trace, t)
-    return float(trace.bandwidths_kbps[idx])
+class TraceTable:
+    """The segments of many looping traces end to end, row i's from index
+    ``first[i]``: each segment's start and end in the loop, and its bit/s."""
 
+    def __init__(self, traces: Sequence[Trace]):
+        self.segments = np.array([len(trace.samples) for trace in traces])
+        self.first = np.cumsum(self.segments) - self.segments
+        self.ends = np.concatenate([trace._segment_ends for trace in traces])
+        self.starts = np.concatenate([[0.0], self.ends[:-1]])
+        self.starts[self.first] = 0.0
+        self.bps = np.concatenate([trace.bandwidths_kbps for trace in traces]) * 1000.0
+        self.total_s = self.ends[self.first + self.segments - 1]
+        # Complex numbers order lexicographically, so one searchsorted over
+        # (row, segment end) pairs finds every row's segment at once.
+        self._rows = np.arange(len(traces), dtype=complex)
+        self._keys = np.repeat(self._rows, self.segments)
+        self._keys.imag = self.ends
 
-def transfer_time(trace: Trace, start_t: float, size_bits: float) -> float:
-    """Exact time (s) to move ``size_bits`` over the looping trace from
-    ``start_t``, integrating its piecewise-constant bandwidth."""
-    idx, pos = _locate(trace, start_t)
-    ends = trace._segment_ends
-    bandwidths = trace.bandwidths_kbps
-    remaining = size_bits
-    elapsed = 0.0
-    while True:
-        bps = bandwidths[idx] * 1000.0
-        seg_left = ends[idx] - pos
-        capacity = bps * seg_left
-        if capacity >= remaining:
-            return elapsed + remaining / bps
-        remaining -= capacity
-        elapsed += seg_left
-        idx += 1
-        if idx == len(ends):
-            idx = 0
-            pos = 0.0
-        else:
-            pos = ends[idx - 1]
+    def transfer_times(self, start_s: np.ndarray, size_bits: np.ndarray) -> np.ndarray:
+        """Exact time (s) to move ``size_bits[i]`` over looping trace i from
+        ``start_s[i]``, integrating its piecewise-constant bandwidth.
+
+        Each download sees the float64 operations of a walk that takes one
+        segment at a time, in the same order. Each pass integrates the next
+        ``_WINDOW`` segments of every unfinished download.
+        """
+        if not (0 <= start_s.min() and start_s.max() < math.inf):
+            raise ValueError(f"start times must be finite and >= 0, got {start_s}")
+        pos = np.fmod(start_s, self.total_s)
+        query = self._rows.copy()
+        query.imag = pos
+        rows, first, count = np.arange(len(pos)), self.first, self.segments
+        seg = np.searchsorted(self._keys, query, side="right") - first
+        remaining, elapsed, tau = size_bits, np.zeros(len(pos)), np.empty(len(pos))
+        while True:
+            flat = first[:, None] + (seg[:, None] + np.arange(_WINDOW)) % count[:, None]
+            seg_left = self.ends[flat] - self.starts[flat]
+            seg_left[:, 0] = self.ends[flat[:, 0]] - pos  # the pass starts at pos
+            capacity = self.bps[flat] * seg_left
+            # Column w holds the bits left and the time spent on entering
+            # segment w, accumulated in sequence as the walk does. A download
+            # ends in the first segment that fits it; a later pass redoes the rest.
+            remaining = np.subtract.accumulate(
+                np.concatenate((remaining[:, None], capacity), axis=1), axis=1)
+            elapsed = np.add.accumulate(np.concatenate((elapsed[:, None], seg_left), axis=1), axis=1)
+            fits = capacity >= remaining[:, :-1]
+            last = np.arange(len(rows)), fits.argmax(axis=1)
+            tau[rows] = elapsed[last] + remaining[last] / self.bps[flat[last]]
+            go = ~fits[last]
+            if not go.any():
+                return tau
+            rows, first, count = rows[go], first[go], count[go]
+            seg = (seg[go] + _WINDOW) % count
+            pos = self.starts[first + seg]
+            remaining, elapsed = remaining[go, -1], elapsed[go, -1]
 
 
 def _trace_from_json(doc: dict, source: str) -> Trace:

@@ -1,14 +1,43 @@
 """Scalar reference simulator: one session stepped on its own, in plain
-Python floats. The lockstep engine in ``abr_arena.simulator`` must reproduce
-its arithmetic exactly; ``tests/test_simulator.py`` compares the two with ``==``.
+Python floats, over a trace walked one segment at a time. The lockstep engine
+in ``abr_arena.simulator`` and its ``TraceTable`` walk must reproduce this
+arithmetic exactly; the tests compare the two with ``==``.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
 
 from abr_arena.simulator import Observation, SessionConfig, SessionMetrics
-from abr_arena.workload import Manifest, Trace, transfer_time
+from abr_arena.workload import Manifest, Trace
+
+
+def transfer_time(trace: Trace, start_t: float, size_bits: float) -> float:
+    """Exact time (s) to move ``size_bits`` over the looping trace from
+    ``start_t``, integrating its piecewise-constant bandwidth."""
+    if not 0 <= start_t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {start_t}")
+    ends = np.cumsum([d for d, _ in trace.samples])
+    bandwidths = [b for _, b in trace.samples]
+    pos = math.fmod(start_t, float(ends[-1]))
+    idx = min(int(np.searchsorted(ends, pos, side="right")), len(ends) - 1)
+    remaining = size_bits
+    elapsed = 0.0
+    while True:
+        bps = bandwidths[idx] * 1000.0
+        seg_left = ends[idx] - pos
+        capacity = bps * seg_left
+        if capacity >= remaining:
+            return elapsed + remaining / bps
+        remaining -= capacity
+        elapsed += seg_left
+        idx += 1
+        if idx == len(ends):
+            idx = 0
+            pos = 0.0
+        else:
+            pos = ends[idx - 1]
 
 
 def as_batch(observations) -> Observation:

@@ -216,6 +216,36 @@ def test_tournament(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("policies", ["bola,bola", "bola,throughput,bola"])
+def test_tournament_rejects_repeated_policy(tmp_path, capsys, policies):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    out = tmp_path / "ratings.json"
+    code, stdout, err = run_cli(
+        "tournament", "--policies", policies, "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--out", str(out), capsys=capsys)
+    assert code == 1
+    assert "elo" not in stdout
+    assert_one_error_line(err, "'bola'", "twice")
+    assert not out.exists()
+
+
+def test_evaluate_rejects_repeated_baseline(tmp_path, capsys):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    ckpt = tmp_path / "agent.ckpt"
+    Agent(AgentConfig(history_len=4, num_levels=6), seed=0).save(ckpt)
+    out = tmp_path / "eval.jsonl"
+    code, stdout, err = run_cli(
+        "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--baselines", "constrained,bola,constrained",
+        "--out", str(out), capsys=capsys)
+    assert code == 1
+    assert "win_rate" not in stdout
+    assert_one_error_line(err, "'constrained'", "twice")
+    assert not out.exists()
+
+
 def test_train_rejects_negative_epochs_flag(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(train_config_doc(tmp_path)))

@@ -237,45 +237,64 @@ def assert_same_observation(got, want):
     assert got.buffer_s == want.buffer_s
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_lockstep_engine_equals_scalar_reference(seed):
+def assert_lockstep_equals_reference(rng, traces, manifest, cfg):
     """Every session of a lockstep run reproduces the scalar reference
     simulator bit for bit: observation windows, download times, buffer,
     clock and idle totals after every step, and the final metrics."""
+    session = Session(traces, manifest, cfg)
+    references = [ReferenceSession(manifest, trace, cfg) for trace in traces]
+    download_times = [[] for _ in traces]
+    k = cfg.history_len
+    while not session.done:
+        t = session.t
+        assert not any(ref.done for ref in references)
+        batch = session.observe()
+        for i, ref in enumerate(references):
+            want = ref.observe()
+            assert_same_observation(batch.rows(i), want)
+            for field in ("throughput_kbps", "download_time_s", "chosen_bitrate_kbps",
+                          "remaining_play_s", "buffer_s", "next_sizes_bits"):
+                assert np.array_equal(getattr(batch, field)[i], getattr(want, field)), field
+        actions = rng.integers(manifest.num_levels, size=len(traces))
+        session.step(actions)
+        for i, (ref, action) in enumerate(zip(references, actions.tolist())):
+            ref.step(action)
+            assert session.download_time_s[i, t + k] == ref.last_download_s
+            download_times[i].append(ref.last_download_s)
+            assert session.buffer_s[i] == ref.buffer_s
+            assert session.clock_s[i] == ref.clock_s
+            assert session.total_idle_s[i] == ref.total_idle_s
+            assert session.total_download_s[i] == ref.total_download_s
+            assert session.total_rebuffer_s[i] == ref.total_rebuffer_s
+    assert all(ref.done for ref in references)
+    assert session.metrics() == [ref.metrics() for ref in references]
+    for i, (traj, ref, times) in enumerate(zip(session.trajectories(), references,
+                                               download_times)):
+        assert traj.metrics == ref.metrics()
+        assert session.download_time_s[i, k:].tolist() == times
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_engine_equals_scalar_reference(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(15):
         traces, manifest, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 10)))
-        session = Session(traces, manifest, cfg)
-        references = [ReferenceSession(manifest, trace, cfg) for trace in traces]
-        download_times = [[] for _ in traces]
-        k = cfg.history_len
-        while not session.done:
-            t = session.t
-            assert not any(ref.done for ref in references)
-            batch = session.observe()
-            for i, ref in enumerate(references):
-                want = ref.observe()
-                assert_same_observation(batch.rows(i), want)
-                for field in ("throughput_kbps", "download_time_s", "chosen_bitrate_kbps",
-                              "remaining_play_s", "buffer_s", "next_sizes_bits"):
-                    assert np.array_equal(getattr(batch, field)[i], getattr(want, field)), field
-            actions = rng.integers(manifest.num_levels, size=len(traces))
-            session.step(actions)
-            for i, (ref, action) in enumerate(zip(references, actions.tolist())):
-                ref.step(action)
-                assert session.download_time_s[i, t + k] == ref.last_download_s
-                download_times[i].append(ref.last_download_s)
-                assert session.buffer_s[i] == ref.buffer_s
-                assert session.clock_s[i] == ref.clock_s
-                assert session.total_idle_s[i] == ref.total_idle_s
-                assert session.total_download_s[i] == ref.total_download_s
-                assert session.total_rebuffer_s[i] == ref.total_rebuffer_s
-        assert all(ref.done for ref in references)
-        assert session.metrics() == [ref.metrics() for ref in references]
-        for i, (traj, ref, times) in enumerate(zip(session.trajectories(), references,
-                                                   download_times)):
-            assert traj.metrics == ref.metrics()
-            assert session.download_time_s[i, k:].tolist() == times
+        assert_lockstep_equals_reference(rng, traces, manifest, cfg)
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.3])
+def test_lockstep_engine_equals_scalar_reference_across_many_segments(latency):
+    """Downloads that cross many segments and wrap the trace: 1 s-dwell
+    traces like real throughput logs, and a 1.5 s trace shorter than one
+    chunk's download."""
+    rng = np.random.default_rng(200)
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=12, vbr_jitter=0.2), seed=3)
+    traces = [synth_trace(SynthTraceConfig(mean_dwell_s=1.0, duration_s=float(duration)), seed=i)
+              for i, duration in enumerate(rng.uniform(20.0, 90.0, size=6))]
+    traces.append(Trace(id="short", samples=((0.25, 900.0), (1.0, 3000.0), (0.25, 400.0))))
+    cfg = SessionConfig(per_chunk_latency_s=latency)
+    for _ in range(3):
+        assert_lockstep_equals_reference(rng, traces, manifest, cfg)
 
 
 def test_run_session_equals_reference_runs(monkeypatch):

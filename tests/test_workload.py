@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_session import transfer_time
 
 from abr_arena.workload import (
-    Manifest, SynthManifestConfig, SynthTraceConfig, Trace, bandwidth_at,
+    Manifest, SynthManifestConfig, SynthTraceConfig, Trace, TraceTable,
     load_manifest, load_trace, save_manifest, save_trace, split_dataset,
-    synth_manifest, synth_trace, transfer_time,
+    synth_manifest, synth_trace,
 )
 
 
@@ -63,30 +64,24 @@ def test_canonical_json_round_trip(tmp_path):
     assert load_trace(path, "canonical-json") == trace
 
 
-def test_bandwidth_at_lookup_and_wrap():
-    trace = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
-    assert bandwidth_at(trace, 0.5) == 1000.0
-    assert bandwidth_at(trace, 3.0) == 2000.0
-    assert bandwidth_at(trace, 4.5) == 1000.0  # wraps to t=0.5
-    assert bandwidth_at(trace, 0.0) == 1000.0
-    assert bandwidth_at(trace, 2.0) == 2000.0
-    with pytest.raises(ValueError):
-        bandwidth_at(trace, -1.0)
+def walk(trace, start_s, size_bits):
+    """The table walk on a batch of one download."""
+    return TraceTable([trace]).transfer_times(np.array([start_s]), np.array([size_bits]))[0]
 
 
 def test_transfer_time_integrates_across_segments_and_wraps():
     trace = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
-    assert transfer_time(trace, 0.5, 1e6) == 1.0
+    assert walk(trace, 0.5, 1e6) == 1.0
     # 1e6 bits in the last second of segment 0, then 4e6 bits over segment 1.
-    assert transfer_time(trace, 1.0, 5e6) == 3.0
+    assert walk(trace, 1.0, 5e6) == 3.0
     # 2e6 bits in the last second of segment 1, then all of segment 0 after the wrap.
-    assert transfer_time(trace, 3.0, 4e6) == 3.0
-    assert transfer_time(trace, 7.0, 4e6) == 3.0
+    assert walk(trace, 3.0, 4e6) == 3.0
+    assert walk(trace, 7.0, 4e6) == 3.0
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            transfer_time(trace, t, 1e6)
+            walk(trace, t, 1e6)
         with pytest.raises(ValueError):
-            bandwidth_at(trace, t)
+            transfer_time(trace, t, 1e6)
 
 
 @given(
@@ -105,7 +100,36 @@ def test_bandwidth_wrap_property(durations, frac, laps):
     ends = np.cumsum([d for d, _ in samples])
     if np.min(np.abs(ends - t)) < 1e-6 or min(t, total - t) < 1e-6:
         return
-    assert bandwidth_at(trace, t) == bandwidth_at(trace, t + laps * total)
+    # A download far shorter than the gap to the next boundary takes
+    # size / bandwidth of the segment holding t, on every lap.
+    size = 1e-3
+    bps = samples[int(np.searchsorted(ends, t, side="right"))][1] * 1000.0
+    assert walk(trace, t, size) == walk(trace, t + laps * total, size) == size / bps
+
+
+@st.composite
+def downloads(draw):
+    """One download: a trace of 1-40 segments down to 1e-3 s long, a start
+    anywhere in its first 50 loops or on a segment end, and a size of up to
+    four loops' worth of bits."""
+    samples = draw(st.lists(st.tuples(st.floats(1e-3, 30.0), st.floats(50.0, 1e4)),
+                            min_size=1, max_size=40))
+    trace = Trace(id="h", samples=tuple(samples))
+    ends = np.cumsum([d for d, _ in samples])
+    start = draw(st.one_of(
+        st.floats(0.0, 50.0).map(lambda laps: laps * trace.total_duration_s),
+        st.sampled_from(ends.tolist())))
+    loop_bits = sum(d * b * 1000.0 for d, b in samples)
+    size = draw(st.floats(1e-6, 4.0).map(lambda loops: loops * loop_bits))
+    return trace, start, size
+
+
+@given(st.lists(downloads(), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_trace_table_equals_scalar_walk(batch):
+    traces, starts, sizes = zip(*batch)
+    got = TraceTable(traces).transfer_times(np.array(starts), np.array(sizes))
+    assert got.tolist() == [transfer_time(*download) for download in batch]
 
 
 def test_synth_trace_degenerate_and_determinism():
