@@ -9,17 +9,20 @@ time, buffer level, next chunk sizes, then the GEM's hidden feature.
 
 from __future__ import annotations
 
+import io
+import json
 import math
+import os
+import zipfile
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .elo import INITIAL_RATING, Rating
+from .elo import Rating
 from .gem import HIDDEN_SIZE, GemModule
-from .neural import (
-    DTYPE, Adam, Conv1D, Dense, Relu, Sequential, load_bundle, save_bundle, softmax,
-)
+from .neural import DTYPE, Adam, Conv1D, Dense, Relu, Sequential, softmax
 from .simulator import Observation, SessionConfig, Trajectory
 from .workload import Manifest
 
@@ -28,6 +31,8 @@ CONV_KERNEL = 3
 HEAD_WIDTH = 64
 
 REWARD_MODES = ("broadcast", "terminal")
+
+META_KIND = "abr-arena-agent"
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,6 @@ class FeatureTrunk:
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in (*self.convs.values(), self.scalars) for p in layer.params()]
-
-    def nets(self) -> dict[str, Sequential]:
-        """The per-branch networks the checkpoint format stores."""
-        nets = {f"branch_{name}": Sequential([conv, Relu()]) for name, conv in self.convs.items()}
-        nets["scalars"] = Sequential([self.scalars, Relu()])
-        return nets
 
     def forward(self, rows: np.ndarray):
         """Features of ``rows`` (batch, flat_dim), in the parameters' dtype."""
@@ -383,47 +382,84 @@ class Agent:
 
     # ---- persistence -----------------------------------------------------
 
-    def _nets(self) -> dict[str, Sequential]:
-        nets = self.trunk.nets()
-        nets["policy_head"] = self.policy_head
-        nets["value_head"] = self.value_head
-        nets["gem_generator"] = self.gem.gen
-        nets["gem_discriminator"] = self.gem.disc
-        return nets
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The live parameter and batch-norm statistic arrays, by checkpoint
+        name ``<net>.<layer>.<attribute>``: a trunk layer is its branch name or
+        ``scalars``, a head or GEM network layer its index."""
+        layers = {f"trunk.{name}": conv for name, conv in self.trunk.convs.items()}
+        layers["trunk.scalars"] = self.trunk.scalars
+        nets = {"policy_head": self.policy_head, "value_head": self.value_head,
+                "gem_generator": self.gem.gen, "gem_discriminator": self.gem.disc}
+        for net_name, net in nets.items():
+            layers.update((f"{net_name}.{i}", layer) for i, layer in enumerate(net.layers))
+        return {f"{prefix}.{attr}": value for prefix, layer in layers.items()
+                for attr, value in vars(layer).items() if isinstance(value, np.ndarray)}
 
     def save(self, path) -> None:
-        extra = {
-            "kind": "abr-arena-agent",
-            "agent_config": asdict(self.config),
-            "rating": self.rating.value,
-        }
-        save_bundle(path, self._nets(), extra)
+        """Write one ``.npz`` file: every array of :meth:`arrays` plus a
+        ``meta`` entry, a JSON object of ``kind``, ``agent_config`` and
+        ``rating``. A temporary file in the same directory replaces ``path``
+        only once it is fully written."""
+        meta = json.dumps({"kind": META_KIND, "agent_config": asdict(self.config),
+                           "rating": self.rating.value}, sort_keys=True)
+        tmp = Path(f"{path}.{os.getpid()}.tmp")
+        try:
+            # A file handle, not a path: given a path, np.savez appends ".npz".
+            with open(tmp, "wb") as fh:
+                np.savez(fh, allow_pickle=False, meta=np.array(meta), **self.arrays())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "Agent":
-        nets, extra = load_bundle(path)
-        if not isinstance(extra, dict) or extra.get("kind") != "abr-arena-agent":
+        """Read a checkpoint written by :meth:`save` into a fresh
+        ``Agent(agent_config)``. The stored names must be exactly that
+        agent's :meth:`arrays`, each with its shape and dtype. A malformed
+        file raises one ValueError that names ``path``."""
+        stored = _read_npz(path)
+        try:
+            meta = json.loads(stored.pop("meta").item())
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: no JSON meta entry in checkpoint: {exc}") from exc
+        if not isinstance(meta, dict) or meta.get("kind") != META_KIND:
             raise ValueError(f"{path}: not an agent checkpoint")
         try:
-            config = AgentConfig(**extra["agent_config"])
-            rating = float(extra.get("rating", INITIAL_RATING))
+            config, rating = AgentConfig(**meta["agent_config"]), float(meta["rating"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint metadata: {exc}") from exc
-        agent = cls(config, seed=0)
-        for name, net in agent._nets().items():
-            if name not in nets:
-                raise ValueError(f"{path}: checkpoint missing network {name!r}")
-            loaded = nets[name]
-            dst = net.params() + net.state_arrays()
-            src = loaded.params() + loaded.state_arrays()
-            if len(dst) != len(src):
-                raise ValueError(f"{path}: architecture mismatch in {name!r}")
-            for d, s in zip(dst, src):
-                if d.shape != s.shape:
-                    raise ValueError(f"{path}: shape mismatch in {name!r}")
-                d[...] = s
+        agent = cls(config)
         agent.rating = Rating(value=rating)
+        arrays = agent.arrays()
+        if stored.keys() != arrays.keys():
+            raise ValueError(f"{path}: missing arrays {sorted(arrays.keys() - stored)}, "
+                             f"unexpected arrays {sorted(stored.keys() - arrays)}")
+        for name, dst in arrays.items():
+            src = stored[name]
+            if src.shape != dst.shape or src.dtype != dst.dtype:
+                raise ValueError(f"{path}: {name} is {src.dtype} {src.shape}, "
+                                 f"expected {dst.dtype} {dst.shape}")
+            dst[...] = src
         return agent
+
+
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """The arrays of the ``.npz`` file ``path``, which must end where its zip
+    ends; its bytes are freed on return. Damage raises one ValueError naming it."""
+    blob = Path(path).read_bytes()
+    if not blob.startswith(b"PK\x03\x04"):
+        raise ValueError(f"{path}: not an agent checkpoint")
+    # np.savez writes no zip comment: the 22-byte end record closes the file.
+    end = blob.rfind(b"PK\x05\x06") + 22
+    if end < 22 or end > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint")
+    if end < len(blob):
+        raise ValueError(f"{path}: {len(blob) - end} trailing bytes in checkpoint")
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint: {exc}") from exc
 
 
 class AgentPolicy:

@@ -2,27 +2,20 @@
 
 Covers exactly the layer set the fixed architectures need: fully-connected,
 valid 1-D convolution, batch normalization, ReLU/leaky ReLU and softmax, plus
-Adam/RMSProp and a binary checkpoint format. Layers are functional: forward
-returns (output, cache) and backward consumes that cache, so a layer stores
-no activations between the two; only a training-mode batch-norm forward
-writes layer state (its running statistics).
+Adam/RMSProp. Layers are functional: forward returns (output, cache) and
+backward consumes that cache, so a layer stores no activations between the
+two; only a training-mode batch-norm forward writes layer state (its running
+statistics). Checkpoints name a layer's ndarray attributes (``Agent.arrays``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
-
-CHECKPOINT_MAGIC = b"TYTS"
-CHECKPOINT_VERSION = 1
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -33,25 +26,16 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class Dense:
     """y = x @ W + b for x shaped (batch, n_in)."""
 
-    kind = "dense"
-
     def __init__(self, n_in: int, n_out: int, *, rng: np.random.Generator | None = None):
         self.n_in, self.n_out = n_in, n_out
         if rng is None:
             self.weight = np.zeros((n_in, n_out), dtype=DTYPE)
-            self.bias = np.zeros(n_out, dtype=DTYPE)
         else:
             self.weight = _uniform_init(rng, (n_in, n_out), n_in)
-            self.bias = np.zeros(n_out, dtype=DTYPE)
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "in": self.n_in, "out": self.n_out}
+        self.bias = np.zeros(n_out, dtype=DTYPE)
 
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return []
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.shape[-1] != self.n_in:
@@ -68,8 +52,6 @@ class Dense:
 class Conv1D:
     """Valid 1-D convolution, stride 1, x shaped (batch, channels, length)."""
 
-    kind = "conv1d"
-
     def __init__(self, in_channels: int, filters: int, kernel: int, *,
                  rng: np.random.Generator | None = None):
         self.in_channels, self.filters, self.kernel = in_channels, filters, kernel
@@ -80,15 +62,8 @@ class Conv1D:
             self.weight = _uniform_init(rng, shape, in_channels * kernel)
         self.bias = np.zeros(filters, dtype=DTYPE)
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "filters": self.filters, "kernel": self.kernel}
-
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return []
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -118,8 +93,6 @@ class BatchNorm:
     running estimates; inference mode uses the running estimates only.
     """
 
-    kind = "batchnorm"
-
     def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
         self.dim, self.momentum, self.eps = dim, momentum, eps
         self.gamma = np.ones(dim, dtype=DTYPE)
@@ -127,15 +100,8 @@ class BatchNorm:
         self.running_mean = np.zeros(dim, dtype=DTYPE)
         self.running_var = np.ones(dim, dtype=DTYPE)
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim,
-                "momentum": self.momentum, "eps": self.eps}
-
     def params(self) -> list[np.ndarray]:
         return [self.gamma, self.beta]
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [self.running_mean, self.running_var]
 
     def forward(self, x: np.ndarray, training: bool = False):
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -165,15 +131,7 @@ class BatchNorm:
 
 
 class Relu:
-    kind = "relu"
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
     def params(self) -> list[np.ndarray]:
-        return []
-
-    def state_arrays(self) -> list[np.ndarray]:
         return []
 
     def forward(self, x: np.ndarray, training: bool = False):
@@ -184,18 +142,10 @@ class Relu:
 
 
 class LeakyRelu:
-    kind = "leaky_relu"
-
     def __init__(self, slope: float = 0.2):
         self.slope = slope
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "slope": self.slope}
-
     def params(self) -> list[np.ndarray]:
-        return []
-
-    def state_arrays(self) -> list[np.ndarray]:
         return []
 
     def forward(self, x: np.ndarray, training: bool = False):
@@ -213,36 +163,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-LAYER_KINDS = {
-    "dense": lambda s, rng: Dense(s["in"], s["out"], rng=rng),
-    "conv1d": lambda s, rng: Conv1D(s["in_channels"], s["filters"], s["kernel"], rng=rng),
-    "batchnorm": lambda s, rng: BatchNorm(s["dim"], s["momentum"], s["eps"]),
-    "relu": lambda s, rng: Relu(),
-    "leaky_relu": lambda s, rng: LeakyRelu(s["slope"]),
-}
-
-
-def layer_from_spec(spec: dict, rng: np.random.Generator | None = None):
-    kind = spec.get("kind")
-    if kind not in LAYER_KINDS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    return LAYER_KINDS[kind](spec, rng)
-
-
 class Sequential:
     """A chain of layers sharing the functional forward/backward contract."""
 
     def __init__(self, layers: Sequence):
         self.layers = list(layers)
 
-    def spec(self) -> list[dict]:
-        return [layer.spec() for layer in self.layers]
-
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [s for layer in self.layers for s in layer.state_arrays()]
 
     def forward(self, x: np.ndarray, training: bool = False):
         caches = []
@@ -261,10 +189,6 @@ class Sequential:
             dy, layer_grads = layer.backward(cache, dy)
             grads = layer_grads + grads
         return dy, grads
-
-
-def sequential_from_spec(specs: Sequence[dict], rng: np.random.Generator | None = None) -> Sequential:
-    return Sequential([layer_from_spec(s, rng) for s in specs])
 
 
 class Adam:
@@ -311,83 +235,3 @@ class RMSProp:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             v[:] = self.decay * v + (1.0 - self.decay) * (g * g)
             p -= self.lr * g / np.sqrt(v + self.eps)
-
-
-def _net_arrays(net: Sequential) -> list[np.ndarray]:
-    return net.params() + net.state_arrays()
-
-
-def save_bundle(path, nets: dict[str, Sequential], extra: dict | None = None) -> None:
-    """Write one or more networks to a single checkpoint file.
-
-    Layout: magic, u32 version, u32 header length, JSON header (layer specs,
-    array shapes, extra metadata), then every array as flat little-endian
-    float32 in header order. Round-trips are bit-exact. A temporary file in
-    the same directory replaces ``path`` only once it is fully written.
-    """
-    header = {
-        "order": list(nets),
-        "nets": {
-            name: {
-                "spec": net.spec(),
-                "shapes": [list(a.shape) for a in _net_arrays(net)],
-            }
-            for name, net in nets.items()
-        },
-        "extra": extra or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for net in nets.values():
-                for arr in _net_arrays(net):
-                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_bundle(path) -> tuple[dict[str, Sequential], dict]:
-    """Read a checkpoint written by :func:`save_bundle`. A malformed file
-    raises one ValueError that names ``path``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header_end = 12 + header_len
-    if len(blob) < header_end:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob[12:header_end].decode("utf-8"))
-        entries = [(name, header["nets"][name]) for name in header["order"]]
-        nets = {name: sequential_from_spec(entry["spec"]) for name, entry in entries}
-        shapes = {name: [tuple(shape) for shape in entry["shapes"]] for name, entry in entries}
-        extra = header["extra"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: no key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
-    offset = header_end
-    for name, net in nets.items():
-        arrays = _net_arrays(net)
-        if len(arrays) != len(shapes[name]):
-            raise ValueError(f"{path}: array count mismatch for net {name!r}")
-        for arr, shape in zip(arrays, shapes[name]):
-            if shape != arr.shape:
-                raise ValueError(f"{path}: shape mismatch for net {name!r}")
-            end = offset + 4 * arr.size
-            if end > len(blob):
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            arr[...] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(arr.shape)
-            offset = end
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes in checkpoint")
-    return nets, extra

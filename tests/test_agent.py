@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,13 @@ from abr_arena.agent import (
 )
 from abr_arena.gem import HIDDEN_SIZE
 from abr_arena.neural import Conv1D, Dense, Relu, Sequential
-from abr_arena.simulator import Observation, SessionMetrics, Trajectory, TrajectoryStep
+from abr_arena.selfplay import run_epoch
+from abr_arena.simulator import (
+    Observation, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
+)
+from abr_arena.workload import (
+    SynthManifestConfig, SynthTraceConfig, synth_manifest, synth_trace,
+)
 
 CFG = AgentConfig(history_len=4, num_levels=3)
 SCALES = SessionScales(top_bitrate_kbps=4300.0, buffer_capacity_s=25.0, total_duration_s=64.0)
@@ -350,13 +357,14 @@ def test_trunk_matches_per_branch_layers(batch):
 
 
 def float64_twin(agent):
-    """A deep copy of ``agent`` with every network array widened to float64."""
+    """A deep copy of ``agent`` with every trunk and head array widened to
+    float64."""
     twin = copy.deepcopy(agent)
-    for net in twin._nets().values():
-        for layer in net.layers:
-            for name, value in vars(layer).items():
-                if isinstance(value, np.ndarray):
-                    setattr(layer, name, value.astype(np.float64))
+    for layer in (*twin.trunk.convs.values(), twin.trunk.scalars,
+                  *twin.policy_head.layers, *twin.value_head.layers):
+        for name, value in vars(layer).items():
+            if isinstance(value, np.ndarray):
+                setattr(layer, name, value.astype(np.float64))
     return twin
 
 
@@ -549,26 +557,56 @@ def test_gradients_bootstrap_from_their_own_values(td_steps):
 
 # ---- persistence -----------------------------------------------------------
 
+TOY_CFG = AgentConfig(history_len=4, num_levels=6)
+
+
 def test_checkpoint_reproduces_decisions(tmp_path):
-    agent = Agent(CFG, seed=13)
-    batch = make_batch(agent, np.random.default_rng(12))
-    agent.update(batch)  # move off the raw initialization
-    path = tmp_path / "agent.ckpt"
-    agent.rating.value = 1042.5
-    agent.save(path)
-    loaded = Agent.load(path)
-    assert loaded.rating.value == 1042.5
-    assert loaded.config == agent.config
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        rows = norm_rows(rng)
+    agents = (Agent(TOY_CFG, seed=13), Agent(TOY_CFG, seed=14))
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=4), seed=0)
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(4)]
+    run_epoch(*agents, [(trace, manifest) for trace in traces],
+              SessionConfig(buffer_capacity_s=25.0, history_len=4), seed=3)
+    fresh = Agent(TOY_CFG, seed=13).arrays()
+    # One self-play epoch: Adam has moved the weights, and a GEM update has
+    # moved its generator's batch-norm running statistics off their initial values.
+    assert not np.array_equal(agents[0].arrays()["policy_head.2.weight"],
+                              fresh["policy_head.2.weight"])
+    assert any(np.any(agent.arrays()["gem_generator.1.running_mean"] != 0) for agent in agents)
+    rows = norm_rows(np.random.default_rng(13), 50, TOY_CFG)
+    for i, agent in enumerate(agents):
+        agent.rating.value = 1042.5 + i
+        path = tmp_path / f"agent{i}.ckpt"
+        agent.save(path)
+        loaded = Agent.load(path)
+        assert loaded.rating.value == 1042.5 + i
+        assert loaded.config == agent.config
+        saved, restored = agent.arrays(), loaded.arrays()
+        assert list(restored) == list(saved)
+        for name, array in saved.items():
+            assert restored[name].dtype == array.dtype
+            assert restored[name].tobytes() == array.tobytes(), name
         assert np.array_equal(agent.act(rows, "greedy"), loaded.act(rows, "greedy"))
+        assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
 
 
-# SHA-256 of the default agent's seed-0 checkpoint. It pins the parameter
-# init order, the network names, the layer specs and the array order of
-# checkpoint format version 1.
-DEFAULT_AGENT_SHA256 = "a46a83408a6d54e41e9dcd6e6da845715a1dfc4e202a82a2cd644c1b3d1a5889"
+def test_failed_save_keeps_existing_checkpoint(tmp_path):
+    agent = Agent(CFG, seed=12)
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    before = path.read_bytes()
+    # The last array cannot be stored without pickling, so the write fails
+    # after the meta entry and the earlier arrays.
+    agent.gem.disc.layers[-1].bias = np.array(["not a number"], dtype=object)
+    with pytest.raises(ValueError):
+        agent.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["agent.ckpt"]
+
+
+# SHA-256 of the default agent's seed-0 checkpoint, written with numpy 2.4.6.
+# It pins the parameter init order, the array names and the .npz layout
+# (member order, headers and meta entry).
+DEFAULT_AGENT_SHA256 = "9c408c187f8b48a00f12d7044b2c1fe098f2fef904243ba5861a6fcfb179056c"
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
@@ -578,8 +616,8 @@ def test_checkpoint_bytes_pinned(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):
-    from abr_arena.neural import Sequential, Dense, save_bundle
     path = tmp_path / "other.ckpt"
-    save_bundle(path, {"net": Sequential([Dense(2, 2)])}, extra={"kind": "something"})
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps({"kind": "something"})), **Agent(CFG).arrays())
     with pytest.raises(ValueError, match="not an agent checkpoint"):
         Agent.load(path)

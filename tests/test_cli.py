@@ -1,11 +1,12 @@
+import dataclasses
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from abr_arena import cli, workload
 from abr_arena.agent import Agent, AgentConfig
-from abr_arena.neural import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, save_bundle
 from abr_arena.workload import SynthManifestConfig, synth_manifest
 
 
@@ -112,7 +113,14 @@ def test_train_end_to_end_and_flag_override(tmp_path, capsys):
     lines = (out / "epochs.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header, anchor row, one epoch
     assert (out / "eval.jsonl").exists()
-    assert (out / "agent0_final.ckpt").exists()
+    # The checkpoint train wrote is what evaluate reads.
+    code, stdout, _ = run_cli(
+        "evaluate", "--checkpoint", str(out / "agent0_final.ckpt"),
+        "--traces", str(tmp_path / "traces"), "--manifest", str(tmp_path / "video.json"),
+        "--baselines", "constrained", "--out", str(tmp_path / "eval.jsonl"), capsys=capsys)
+    assert code == 0
+    assert "constrained" in stdout
+    assert len((tmp_path / "eval.jsonl").read_text().splitlines()) == 5
 
 
 def test_train_epochs_zero_logs_anchor_only(tmp_path, capsys):
@@ -282,50 +290,78 @@ def test_synth_traces_defaults_come_from_config(tmp_path, capsys):
         assert workload.load_trace(out / f"trace_{i:04d}.json", "canonical-json") == expected
 
 
-def write_checkpoint_with_extra(path, extra):
-    nets = Agent(AgentConfig(history_len=4, num_levels=6), seed=0)._nets()
-    save_bundle(path, nets, extra)
+def checkpoint_entries():
+    """A small agent's checkpoint entries: the decoded meta object and the
+    named arrays."""
+    agent = Agent(AgentConfig(history_len=4, num_levels=6), seed=0)
+    meta = {"kind": "abr-arena-agent", "agent_config": dataclasses.asdict(agent.config),
+            "rating": 1000.0}
+    return {"meta": meta, **agent.arrays()}
 
 
-@pytest.mark.parametrize("extra", [
-    {"kind": "abr-arena-agent", "agent_config": {"history_len": 4, "num_levels": 6, "bogus": 1}},
-    ["abr-arena-agent"],
-    {"kind": "abr-arena-agent", "agent_config": {"history_len": 4, "num_levels": 6},
-     "rating": [1000.0]},
-], ids=["unknown-agent-config-key", "extra-not-an-object", "rating-not-a-number"])
-def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, extra):
+def flip_array_byte(blob):
+    data = checkpoint_entries()["trunk.throughput.weight"].tobytes()
+    at = blob.index(data) + len(data) // 2
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+def assert_evaluate_refuses(tmp_path, capsys, ckpt, *words):
     traces_dir = write_traces(tmp_path, count=2)
     manifest_path = write_manifest(tmp_path)
-    ckpt = tmp_path / "agent.ckpt"
-    write_checkpoint_with_extra(ckpt, extra)
     code, _, err = run_cli(
         "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
         "--manifest", str(manifest_path), "--out", str(tmp_path / "o.jsonl"), capsys=capsys)
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and str(ckpt) in lines[0]
+    assert_one_error_line(err, str(ckpt), *words)
 
 
-@pytest.mark.parametrize("header", [
-    [],
-    {"nets": {}, "extra": {}},
-    {"order": ["x"], "nets": {"x": {"spec": [{"kind": "dense", "out": 2}], "shapes": []}},
-     "extra": {}},
-    {"order": ["x"], "nets": {}, "extra": {}},
-    {"order": ["x"], "nets": {"x": {"spec": [{"kind": "bogus"}], "shapes": []}}, "extra": {}},
-], ids=["header-not-an-object", "no-order", "spec-without-in", "unknown-net", "unknown-layer-kind"])
-def test_evaluate_rejects_malformed_checkpoint_header(tmp_path, capsys, header):
-    traces_dir = write_traces(tmp_path, count=2)
-    manifest_path = write_manifest(tmp_path)
+def refuses_edited_entries(tmp_path, capsys, edit, words):
+    """Save the small agent's entries after ``edit``, then run evaluate on them."""
+    entries = checkpoint_entries()
+    edit(entries)
+    if "meta" in entries:
+        entries["meta"] = np.array(json.dumps(entries["meta"]))
     ckpt = tmp_path / "agent.ckpt"
-    header_bytes = json.dumps(header).encode("utf-8")
-    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
-                     + header_bytes)
-    code, _, err = run_cli(
-        "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
-        "--manifest", str(manifest_path), "--out", str(tmp_path / "o.jsonl"), capsys=capsys)
-    assert code == 1
-    assert_one_error_line(err, str(ckpt), "malformed checkpoint header")
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **entries)
+    assert_evaluate_refuses(tmp_path, capsys, ckpt, *words)
+
+
+@pytest.mark.parametrize("edit,words", [
+    (lambda e: e.pop("meta"), ["meta"]),
+    (lambda e: e.update(meta=["abr-arena-agent"]), ["not an agent checkpoint"]),
+    (lambda e: e["meta"]["agent_config"].update(bogus=1), ["metadata", "bogus"]),
+    (lambda e: e["meta"].update(rating=[1000.0]), ["metadata"]),
+], ids=["no-meta", "meta-not-an-object", "unknown-agent-config-key", "rating-not-a-number"])
+def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, edit, words):
+    refuses_edited_entries(tmp_path, capsys, edit, words)
+
+
+@pytest.mark.parametrize("edit,words", [
+    (lambda e: e.pop("policy_head.2.bias"), ["missing arrays ['policy_head.2.bias']"]),
+    (lambda e: e.update({"policy_head.3.bias": np.zeros(6, np.float32)}),
+     ["unexpected arrays ['policy_head.3.bias']"]),
+    (lambda e: e.update({"policy_head.2.bias": np.zeros(7, np.float32)}),
+     ["policy_head.2.bias", "(7,)"]),
+    (lambda e: e.update({"policy_head.2.bias": np.zeros(6)}), ["policy_head.2.bias", "float64"]),
+    (lambda e: e.update({"policy_head.2.bias": np.zeros(6, object)}), ["pickle"]),
+], ids=["missing-array", "extra-array", "wrong-shape", "wrong-dtype", "object-array"])
+def test_evaluate_rejects_mismatched_checkpoint_arrays(tmp_path, capsys, edit, words):
+    refuses_edited_entries(tmp_path, capsys, edit, words)
+
+
+@pytest.mark.parametrize("damage,words", [
+    (lambda blob: b"not a checkpoint\n", ["not an agent checkpoint"]),
+    (lambda blob: b"TYTS" + struct.pack("<II", 1, 2) + b"{}", ["not an agent checkpoint"]),
+    (lambda blob: blob[:-17], ["truncated"]),
+    (lambda blob: blob + b"\x00" * 4, ["4 trailing bytes"]),
+    (flip_array_byte, ["CRC", "trunk.throughput.weight"]),
+], ids=["not-a-zip", "format-1-file", "truncated", "trailing-bytes", "flipped-array-byte"])
+def test_evaluate_rejects_damaged_checkpoint_file(tmp_path, capsys, damage, words):
+    ckpt = tmp_path / "agent.ckpt"
+    Agent(AgentConfig(history_len=4, num_levels=6), seed=0).save(ckpt)
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    assert_evaluate_refuses(tmp_path, capsys, ckpt, *words)
 
 
 def assert_one_error_line(err, *words):
