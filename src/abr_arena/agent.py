@@ -136,36 +136,28 @@ def dynamic_lr(win_rate: float, base_lr: float) -> float:
 
 
 def td_targets(rewards: np.ndarray, values: np.ndarray, discount: float,
-               td_steps: int = 1, lengths: Sequence[int] | None = None) -> np.ndarray:
-    """n-step bootstrap targets of trajectories laid end to end, ``lengths``
-    steps each (one trajectory if None); the value beyond a trajectory's
-    terminal step is 0."""
+               td_steps: int = 1) -> np.ndarray:
+    """n-step bootstrap targets along the last axis, one session per row (a
+    1-D array is one session); the value beyond a session's last step is 0."""
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    horizon = len(rewards)
-    lengths = np.asarray([horizon] if lengths is None else lengths, dtype=np.int64)
-    if horizon == 0 or np.any(lengths < 1) or lengths.sum() != horizon:
-        raise ValueError(f"{horizon} steps do not split into trajectories of lengths {lengths}")
-    steps = np.arange(horizon)
-    ends = np.repeat(np.cumsum(lengths), lengths)  # one past each step's terminal step
-    targets = np.zeros(horizon, dtype=np.float64)
-    for j in range(td_steps):
-        live = steps + j < ends
-        targets[live] += (discount ** j) * rewards[steps[live] + j]
-    live = steps + td_steps < ends
-    targets[live] += (discount ** td_steps) * values[steps[live] + td_steps]
+    horizon = rewards.shape[-1]
+    targets = np.zeros(rewards.shape, dtype=np.float64)
+    for j in range(min(td_steps, horizon)):
+        targets[..., :horizon - j] += (discount ** j) * rewards[..., j:]
+    if td_steps < horizon:
+        targets[..., :horizon - td_steps] += (discount ** td_steps) * values[..., td_steps:]
     return targets
 
 
 @dataclass
 class UpdateBatch:
-    """One epoch's update data, trajectory after trajectory: every step's
-    flat row, action and reward, and each trajectory's step count."""
+    """One epoch's update data: every step's flat row and action, session
+    after session, and the (sessions, chunks) rewards."""
 
     inputs: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    lengths: np.ndarray
     win_rate: float
 
 
@@ -285,25 +277,21 @@ class Agent:
 
     # ---- learning --------------------------------------------------------
 
-    def build_update_batch(self, rows: Sequence[np.ndarray],
-                           trajectories: Sequence[Trajectory],
-                           outcome_rewards: Sequence[float],
-                           win: float) -> UpdateBatch:
-        """Stack one epoch's trajectories: each one's flat rows (``rows[i]``,
-        one per step, as its :class:`AgentPolicy` wrote them), the actions,
-        and each match's reward on every step (``broadcast``) or on its last
-        step only (``terminal``)."""
-        lengths = np.array([len(t.steps) for t in trajectories], dtype=np.int64)
+    def build_update_batch(self, rows: np.ndarray, trajectories: Sequence[Trajectory],
+                           outcome_rewards: Sequence[float], win: float) -> UpdateBatch:
+        """One epoch's batch from the (sessions, chunks, flat_dim) block of
+        flat rows its :class:`AgentPolicy` wrote, the played trajectories, and
+        each session's match reward on every step (``broadcast``) or on its
+        last step only (``terminal``)."""
         outcomes = np.asarray(outcome_rewards, dtype=np.float64)
+        rewards = np.zeros(rows.shape[:2], dtype=np.float64)
         if self.config.reward_mode == "broadcast":
-            rewards = np.repeat(outcomes, lengths)
+            rewards[:] = outcomes[:, None]
         else:
-            rewards = np.zeros(lengths.sum(), dtype=np.float64)
-            rewards[np.cumsum(lengths) - 1] = outcomes
-        actions = [s.action for t in trajectories for s in t.steps]
-        return UpdateBatch(inputs=np.concatenate(rows),
-                           actions=np.asarray(actions, dtype=np.int64), rewards=rewards,
-                           lengths=lengths, win_rate=win)
+            rewards[:, -1] = outcomes
+        actions = np.array([[s.action for s in t.steps] for t in trajectories], dtype=np.int64)
+        return UpdateBatch(inputs=rows.reshape(-1, rows.shape[-1]), actions=actions.ravel(),
+                           rewards=rewards, win_rate=win)
 
     def gradients(self, batch: UpdateBatch):
         """Losses plus policy-side and value-side gradients.
@@ -320,7 +308,8 @@ class Agent:
 
         values, value_cache = self.value_head.forward(features)
         values = values[:, 0].astype(np.float64)
-        q_targets = td_targets(batch.rewards, values, cfg.discount, cfg.td_steps, batch.lengths)
+        q_targets = td_targets(batch.rewards, values.reshape(batch.rewards.shape),
+                               cfg.discount, cfg.td_steps).ravel()
         adv = (q_targets - values).astype(DTYPE)
         value_loss = float(np.mean(adv.astype(np.float64) ** 2))
 

@@ -171,6 +171,8 @@ def _synth_traces(doc: dict, seed: int) -> list[workload.Trace]:
 def cmd_synth_traces(args) -> int:
     if args.count < 1:
         raise ValidationFailure(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ValidationFailure(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for trace in _synth_traces(_flags(args, SYNTH_TRACES_SCHEMA), args.seed):

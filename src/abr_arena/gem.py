@@ -105,12 +105,12 @@ class GemModule:
         out, _ = self.gen.forward(prev_rows, training=False)
         return out
 
-    def collect(self, rows: np.ndarray, won: bool) -> None:
-        """Harvest a winning session's per-step hidden features, in step
-        order, from the GEM columns of its flat rows (one per step, as the
-        agent's ``AgentPolicy`` wrote them)."""
-        if won:
-            self.buffer.extend(rows[:, -HIDDEN_SIZE:])
+    def collect(self, rows: np.ndarray) -> None:
+        """Harvest the winning sessions' hidden features from the GEM columns
+        of their (sessions, chunks, flat_dim) block of flat rows, as the
+        agent's ``AgentPolicy`` wrote them: session after session, each in
+        step order, in one buffer write."""
+        self.buffer.extend(rows[..., -HIDDEN_SIZE:].reshape(-1, HIDDEN_SIZE))
 
     def disc_gradients(self, real: np.ndarray, fake: np.ndarray):
         """(L_d, discriminator gradients); the generated batch is a constant.

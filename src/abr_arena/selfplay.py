@@ -119,7 +119,8 @@ def run_epoch(
     :class:`AgentPolicy`, over every match at the epoch-start parameters
     (updates happen at the epoch barrier); session ``m`` of agent ``a``
     samples from its own ``_rollout_rng(seed, epoch, m, a)``. Each agent's
-    rows then feed its GEM buffer and its update batch.
+    (sessions, chunks) block of rows then feeds its GEM buffer, the winning
+    sessions' part, and its update batch.
     """
     if not matches:
         raise ValueError("no matches sampled")
@@ -136,10 +137,9 @@ def run_epoch(
 
     losses: list[dict[str, float]] = []
     for agent_idx, (agent, player, trajectories) in enumerate(zip(agents, players, played)):
-        rewards = [match_scores(outcome)[agent_idx] for outcome in outcomes]
-        rows = [player.rows[:, m] for m in range(len(trajectories))]
-        for session_rows, reward in zip(rows, rewards):
-            agent.gem.collect(session_rows, won=reward == 1.0)
+        rewards = np.array([match_scores(outcome)[agent_idx] for outcome in outcomes])
+        rows = player.rows.swapaxes(0, 1)
+        agent.gem.collect(rows[rewards == 1.0])
         # The batch's flat rows double as the generator's input pool.
         batch = agent.build_update_batch(rows, trajectories, rewards, wins[agent_idx])
         gem_rng = np.random.default_rng(
@@ -227,7 +227,6 @@ class TrainResult:
     reports: list[EpochReport]
     baseline_ratings: dict[str, float]
     final_rating: float
-    checkpoints: list[Path]
 
 
 def _csv_row(report: EpochReport) -> list:
@@ -266,18 +265,14 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
             baseline_ratings=baseline_ratings, agent_rating=agent0.rating.value,
         )
 
-    def checkpoint(tag: str) -> list[Path]:
-        paths = []
+    def checkpoint(tag: str) -> None:
         for idx, agent in enumerate((agent0, agent1)):
-            path = out_dir / f"agent{idx}_{tag}.ckpt"
-            agent.save(path)
-            paths.append(path)
-        return paths
+            agent.save(out_dir / f"agent{idx}_{tag}.ckpt")
 
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SAMPLER]))
     traces = list(cfg.train_traces)
     reports: list[EpochReport] = []
-    checkpoints = checkpoint("ep00000")
+    checkpoint("ep00000")
 
     with open(out_dir / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -308,17 +303,16 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
             fh.flush()
             reports.append(report)
             if epoch % cfg.checkpoint_every == 0:
-                checkpoints = checkpoint(f"ep{epoch:05d}")
+                checkpoint(f"ep{epoch:05d}")
 
     final_eval = evaluate_a0()
     agent0.rating.value = final_eval.rating
     with open(out_dir / "eval.jsonl", "w") as fh:
         for record in final_eval.records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    checkpoints = checkpoint("final")
+    checkpoint("final")
     return TrainResult(
         reports=reports,
         baseline_ratings=baseline_ratings,
         final_rating=agent0.rating.value,
-        checkpoints=checkpoints,
     )

@@ -80,7 +80,9 @@ class TrajectoryStep:
 @dataclass(frozen=True)
 class Trajectory:
     """A played session: each step's level and the totals. An agent's flat
-    rows stay with its ``AgentPolicy``."""
+    rows stay with its ``AgentPolicy``. The levels stay ``TrajectoryStep``
+    objects rather than one array only because the benchmark's ``selfplay``
+    check reads ``steps[i].action``; the update batch stacks them once."""
 
     steps: tuple[TrajectoryStep, ...]
     metrics: SessionMetrics

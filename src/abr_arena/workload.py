@@ -121,6 +121,8 @@ def _trace_from_json(doc: dict, source: str) -> Trace:
         return Trace(id=str(doc["id"]), samples=samples)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{source}: malformed canonical trace JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def _trace_from_two_column(text: str, source: str) -> Trace:
@@ -319,6 +321,8 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed manifest JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def manifest_to_json(manifest: Manifest) -> dict:

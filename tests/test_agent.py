@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from gradcheck import gradient_errors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_session import as_batch
 
 from abr_arena.agent import (
@@ -119,20 +121,19 @@ def loop_td_targets(rewards, values, discount, td_steps):
     return targets
 
 
-def test_td_targets_over_lengths_equal_per_trajectory_loop():
-    rng = np.random.default_rng(16)
-    lengths = [3, 1, 5, 2]
-    rewards, values = rng.normal(size=11), rng.normal(size=11)
-    starts = np.cumsum(lengths)[:-1]
-    for discount, td_steps in ((0.6, 1), (0.9, 2), (0.6, 4), (1.0, 6)):
-        expected = np.concatenate([
-            loop_td_targets(r, v, discount, td_steps)
-            for r, v in zip(np.split(rewards, starts), np.split(values, starts))])
-        assert np.array_equal(td_targets(rewards, values, discount, td_steps, lengths), expected)
-    with pytest.raises(ValueError):
-        td_targets(rewards, values, 0.6, 1, [3, 0, 8])
-    with pytest.raises(ValueError):
-        td_targets(rewards, values, 0.6, 1, [3, 1])
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 12)),
+    td_steps=st.integers(1, 15),
+    discount=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_td_targets_rows_equal_per_session_loop(shape, td_steps, discount, seed):
+    rng = np.random.default_rng(seed)
+    rewards, values = rng.normal(size=shape), rng.normal(size=shape)
+    expected = np.stack([loop_td_targets(r, v, discount, td_steps)
+                         for r, v in zip(rewards, values)])
+    assert np.array_equal(td_targets(rewards, values, discount, td_steps), expected)
 
 
 def test_td_targets_n_step():
@@ -142,8 +143,6 @@ def test_td_targets_n_step():
     assert q2[0] == pytest.approx(1.0 + 0.5 * 1.0 + 0.25 * 0.1)
     assert q2[1] == pytest.approx(1.0 + 0.5 * 1.0)  # horizon truncates
     assert q2[2] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        td_targets(np.array([]), np.array([]), 0.6)
 
 
 # ---- normalization ---------------------------------------------------------
@@ -376,7 +375,7 @@ def test_agent_gradients_match_float64_differences():
 
     twin = float64_twin(agent)
     rows = batch.inputs.astype(np.float64)
-    q = batch.rewards  # one-step trajectories: the TD target is the reward
+    q = batch.rewards[:, 0]  # one-step sessions: the TD target is the reward
     # The policy objective treats the advantage as a constant coefficient.
     values = state_values(agent, batch.inputs).astype(np.float64)
     adv = (q - values).astype(np.float32).astype(np.float64)
@@ -410,7 +409,7 @@ def test_agent_gradients_match_float64_differences():
 # ---- updates ---------------------------------------------------------------
 
 def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
-    """A batch of one-step trajectories, so each TD target is the step's reward."""
+    """A batch of one-step sessions, so each TD target is the step's reward."""
     inputs = norm_rows(rng, size)
     values = state_values(agent, inputs)
     if adv_zero:
@@ -420,8 +419,7 @@ def make_batch(agent, rng, size=12, win=0.25, adv_zero=False):
     return UpdateBatch(
         inputs=inputs,
         actions=rng.integers(0, agent.config.num_levels, size),
-        rewards=q.astype(np.float64),
-        lengths=np.ones(size, dtype=np.int64),
+        rewards=q.astype(np.float64)[:, None],
         win_rate=win,
     )
 
@@ -458,8 +456,7 @@ def test_uniform_policy_entropy_value():
     inputs = norm_rows(np.random.default_rng(8), 4, agent.config)
     values = state_values(agent, inputs)
     batch = UpdateBatch(inputs=inputs, actions=np.zeros(4, dtype=np.int64),
-                        rewards=values.astype(np.float64), lengths=np.ones(4, dtype=np.int64),
-                        win_rate=0.5)
+                        rewards=values.astype(np.float64)[:, None], win_rate=0.5)
     report, _, _ = agent.gradients(batch)
     assert report["entropy"] == pytest.approx(math.log(6), abs=1e-5)
 
@@ -470,8 +467,8 @@ def test_policy_gradient_direction():
     action = 1
     batch = UpdateBatch(
         inputs=inputs, actions=np.array([action]),
-        rewards=(state_values(agent, inputs) + 1.0).astype(np.float64),  # A = +1
-        lengths=np.ones(1, dtype=np.int64), win_rate=0.5,
+        rewards=(state_values(agent, inputs) + 1.0).astype(np.float64)[:, None],  # A = +1
+        win_rate=0.5,
     )
     log_before = float(np.log(agent.policy_probs(inputs)[0, action]))
     _, policy_grads, _ = agent.gradients(batch)
@@ -508,29 +505,33 @@ def played(actions):
     return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0))
 
 
+def session_block(rng, sessions, chunks):
+    """A (sessions, chunks, flat_dim) block of flat rows."""
+    return norm_rows(rng, sessions * chunks).reshape(sessions, chunks, CFG.flat_dim)
+
+
 def test_reward_modes():
     rng = np.random.default_rng(17)
-    rows = [norm_rows(rng, 4), norm_rows(rng, 2)]
-    trajectories = [played([0, 1, 2, 0]), played([2, 2])]
+    rows = session_block(rng, 2, 3)
+    trajectories = [played([0, 1, 2]), played([2, 2, 1])]
     batch_b = Agent(CFG, seed=0).build_update_batch(rows, trajectories, [1.0, -1.0], 0.5)
-    assert batch_b.rewards.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
+    assert batch_b.rewards.tolist() == [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]
     agent_t = Agent(AgentConfig(history_len=4, num_levels=3, reward_mode="terminal"), seed=0)
     batch_t = agent_t.build_update_batch(rows, trajectories, [1.0, -1.0], 0.5)
-    assert batch_t.rewards.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]
-    assert batch_t.lengths.tolist() == [4, 2]
-    assert batch_t.actions.tolist() == [0, 1, 2, 0, 2, 2]
-    assert np.array_equal(batch_t.inputs, np.concatenate(rows))
+    assert batch_t.rewards.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    assert batch_t.actions.tolist() == [0, 1, 2, 2, 2, 1]
+    assert np.array_equal(batch_t.inputs, np.concatenate(list(rows)))
 
 
 def test_build_update_batch_runs_no_forward(monkeypatch):
     agent = Agent(CFG, seed=0)
-    rows = norm_rows(np.random.default_rng(18), 3)
+    rows = session_block(np.random.default_rng(18), 1, 3)
 
     def forward(self, rows):
         raise AssertionError("build_update_batch ran a network forward")
 
     monkeypatch.setattr(FeatureTrunk, "forward", forward)
-    batch = agent.build_update_batch([rows], [played([0, 1, 2])], [1.0], 1.0)
+    batch = agent.build_update_batch(rows, [played([0, 1, 2])], [1.0], 1.0)
     assert batch.inputs.shape == (3, CFG.flat_dim)
 
 
@@ -539,18 +540,18 @@ def test_gradients_bootstrap_from_their_own_values(td_steps):
     config = AgentConfig(history_len=4, num_levels=3, td_steps=td_steps, discount=0.9)
     agent = Agent(config, seed=19)
     rng = np.random.default_rng(20)
-    rows, trajectories = zip(*[(norm_rows(rng, n), played(rng.integers(0, 3, n)))
-                               for n in (5, 1, 4)])
+    rows = session_block(rng, 3, 5)
+    trajectories = [played(rng.integers(0, 3, 5)) for _ in range(3)]
     batch = agent.build_update_batch(rows, trajectories, [1.0, -1.0, 0.0], 0.25)
     values = state_values(agent, batch.inputs).astype(np.float64)
-    q = td_targets(batch.rewards, values, 0.9, td_steps, [5, 1, 4])
+    q = td_targets(batch.rewards, values.reshape(3, 5), 0.9, td_steps).ravel()
     adv = (q - values).astype(np.float32).astype(np.float64)
     report, _, _ = agent.gradients(batch)
     assert report["value_loss"] == float(np.mean(adv ** 2))
     # Parameters written after the batch was built are the ones bootstrapped from.
     agent.value_head.layers[-1].bias[:] += 0.5
     shifted = state_values(agent, batch.inputs).astype(np.float64)
-    q = td_targets(batch.rewards, shifted, 0.9, td_steps, [5, 1, 4])
+    q = td_targets(batch.rewards, shifted.reshape(3, 5), 0.9, td_steps).ravel()
     adv = (q - shifted).astype(np.float32).astype(np.float64)
     assert agent.gradients(batch)[0]["value_loss"] == float(np.mean(adv ** 2))
 

@@ -395,6 +395,43 @@ def test_synth_traces_rejects_non_finite_durations(tmp_path, capsys, flag):
     assert not list(out.glob("*.json"))
 
 
+def test_synth_traces_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "traces"
+    code, _, err = run_cli("synth-traces", "--count", "2", "--seed", "-5", "--out", str(out),
+                           capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "--seed", "-5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target,keys,value,word", [
+    ("trace", ("samples", 0, "duration_s"), "x", "float"),
+    ("trace", ("samples", 0, "bandwidth_kbps"), -5.0, "bandwidth"),
+    ("manifest", ("ladder_kbps", 1), "x", "float"),
+    ("manifest", ("chunk_sizes_bits", 0, 0), "x", "float"),
+])
+def test_malformed_trace_or_manifest_names_its_file(tmp_path, capsys, target, keys, value,
+                                                    word):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)
+    path = traces_dir / "trace_0001.json" if target == "trace" else manifest_path
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "ratings.json"
+    capsys.readouterr()
+    code, stdout, err = run_cli(
+        "tournament", "--policies", "constrained,throughput", "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--out", str(out), capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, str(path), word)
+    assert not out.exists()
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("session", "per_chunk_latency_s", float("nan")),
     ("session", "buffer_capacity_s", float("inf")),

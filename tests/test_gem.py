@@ -106,9 +106,9 @@ def test_win_buffer_fifo():
     gem = make_gem(buffer_capacity=5)
     buf = gem.buffer
     rows = session_rows(10)
-    gem.collect(rows, won=False)
+    gem.collect(rows[None, :0])
     assert len(buf) == 0
-    gem.collect(rows, won=True)
+    gem.collect(rows[None])
     assert len(buf) == 5  # last five hidden vectors survive
     kept = buf.sample(np.random.default_rng(0), 64)
     assert kept.min() >= 6.0
@@ -141,10 +141,26 @@ def test_win_buffer_ring_matches_deque_after_wrapping():
 def test_collect_appends_all_steps():
     gem = make_gem()
     rows = session_rows(10)
-    gem.collect(rows, won=True)
+    gem.collect(rows[None])
     assert len(gem.buffer) == 10
     # Only the GEM columns, oldest step first.
     assert np.array_equal(gem.buffer._items[:10], rows[:, -HIDDEN_SIZE:])
+
+
+def test_collect_of_a_block_equals_per_session_extends():
+    # Two winning sessions of 5 steps fill a capacity-7 buffer past its end
+    # on top of 4 earlier vectors.
+    earlier = np.random.default_rng(5).normal(size=(4, HIDDEN_SIZE)).astype(np.float32)
+    winners = np.stack([session_rows(5, fill=0.5), session_rows(5, fill=2.0)])
+    gem, reference = make_gem(buffer_capacity=7), WinBuffer(7)
+    gem.buffer.extend(earlier)
+    reference.extend(earlier)
+    gem.collect(winners)
+    for session in winners:
+        reference.extend(session[:, -HIDDEN_SIZE:])
+    assert len(gem.buffer) == len(reference) == 7
+    assert gem.buffer._next == reference._next
+    assert np.array_equal(gem.buffer._items, reference._items)
 
 
 def test_update_skips_on_empty_buffer():
@@ -160,7 +176,7 @@ def test_update_skips_on_empty_buffer():
 def test_update_applies_and_moments_advance():
     gem = make_gem(6)
     rng_data = np.random.default_rng(7)
-    gem.collect(session_rows(12, fill=0.3), won=True)
+    gem.collect(session_rows(12, fill=0.3)[None])
     inputs = rng_data.normal(size=(30, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
 
     p0 = [p.copy() for p in gem.gen.params() + gem.disc.params()]
