@@ -170,6 +170,12 @@ class FeatureTrunk:
     ReLU outputs fill one feature row: branches in that order, each
     filter-major (filter f, position l at f * width + l), scalar units last.
     The parameters stay in the Conv1D/Dense layers the checkpoint names.
+
+    The backward takes each head as (d_h, W), its first dense layer's output
+    gradient and weight, and forms d_h @ W.T one branch span at a time. For a
+    branch over row segment x (width + 2 columns), one band matmul
+    H = x.T @ d_pre, viewed as (width + 2, filters, width), holds every tap:
+    grad_w[f, 0, j] is the trace of H[j:j + width, f, :].
     """
 
     def __init__(self, config: AgentConfig, rng: np.random.Generator):
@@ -183,7 +189,7 @@ class FeatureTrunk:
             conv = self.convs[name] = Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng)
             hi = lo + length - CONV_KERNEL + 1
             taps.append(start + np.arange(CONV_KERNEL)[:, None] + np.arange(hi - lo))
-            self._branches.append((conv, lo, hi))
+            self._branches.append((conv, slice(start, start + length), lo, hi))
             lo = hi
         self._taps = np.concatenate(taps, axis=1)
         self.scalars = Dense(2, CONV_FILTERS, rng=rng)
@@ -201,7 +207,7 @@ class FeatureTrunk:
             raise ValueError(f"rows must be (batch, {self.flat_dim}), got {rows.shape}")
         windows = rows[:, self._taps]
         features = np.empty((len(rows), self.dim), dtype=rows.dtype)
-        for conv, lo, hi in self._branches:
+        for conv, _, lo, hi in self._branches:
             # (filters, kernel) @ (batch, kernel, width): filter-major output.
             pre = conv.weight.reshape(CONV_FILTERS, CONV_KERNEL) @ windows[:, :, lo:hi]
             out = features[:, CONV_FILTERS * lo:CONV_FILTERS * hi]
@@ -213,21 +219,29 @@ class FeatureTrunk:
             raise FloatingPointError("non-finite network output")
         return features, (rows, features)
 
-    def backward(self, cache, d_features: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients, in :meth:`params` order; no input gradient."""
+    def backward(self, cache, heads) -> list[list[np.ndarray]]:
+        """Parameter gradients in :meth:`params` order, one list per
+        (d_h, W) pair of ``heads``; no input gradient."""
         rows, features = cache
-        windows = rows[:, self._taps]
-        grads: list[np.ndarray] = []
-        for conv, lo, hi in self._branches:
+        grads: list[list[np.ndarray]] = [[] for _ in heads]
+        for conv, segment, lo, hi in self._branches:
             span = slice(CONV_FILTERS * lo, CONV_FILTERS * hi)
-            d_pre = d_features[:, span] * (features[:, span] > 0)
-            # One matmul over all (row, position) pairs: (filters, batch * width).
-            d_pre = d_pre.reshape(-1, CONV_FILTERS, hi - lo).transpose(1, 0, 2)
-            d_pre = d_pre.reshape(CONV_FILTERS, -1)
-            patches = windows[:, :, lo:hi].transpose(0, 2, 1).reshape(-1, CONV_KERNEL)
-            grads += [(d_pre @ patches).reshape(conv.weight.shape), d_pre.sum(axis=1)]
-        d_pre = d_features[:, -CONV_FILTERS:] * (features[:, -CONV_FILTERS:] > 0)
-        return grads + [rows[:, self._scalar_cols].T @ d_pre, d_pre.sum(axis=0)]
+            mask = features[:, span] > 0
+            x = rows[:, segment]
+            for out, (d_h, weight) in zip(grads, heads):
+                d_pre = d_h @ weight[span].T
+                d_pre *= mask
+                band = (x.T @ d_pre).reshape(-1, CONV_FILTERS, hi - lo)
+                taps = [np.trace(band[j:j + hi - lo], axis1=0, axis2=2)
+                        for j in range(CONV_KERNEL)]
+                out += [np.stack(taps, axis=1).reshape(conv.weight.shape),
+                        d_pre.sum(axis=0).reshape(CONV_FILTERS, -1).sum(axis=1)]
+        mask = features[:, -CONV_FILTERS:] > 0
+        x = rows[:, self._scalar_cols]
+        for out, (d_h, weight) in zip(grads, heads):
+            d_pre = (d_h @ weight[-CONV_FILTERS:].T) * mask
+            out += [x.T @ d_pre, d_pre.sum(axis=0)]
+        return grads
 
 
 class Agent:
@@ -305,15 +319,20 @@ class Agent:
         cfg = self.config
         features, trunk_cache = self.trunk.forward(batch.inputs)
         batch_size = features.shape[0]
+        # Both heads' first dense layers run as one matmul, forward and backward.
+        heads = (self.policy_head, self.value_head)
+        firsts = [head.layers[0] for head in heads]
+        tails = [Sequential(head.layers[1:]) for head in heads]
+        hidden = np.hsplit(features @ np.concatenate([layer.weight for layer in firsts], axis=1), 2)
+        (logits, policy_cache), (values, value_cache) = [
+            tail.forward(h + first.bias) for tail, first, h in zip(tails, firsts, hidden)]
 
-        values, value_cache = self.value_head.forward(features)
         values = values[:, 0].astype(np.float64)
         q_targets = td_targets(batch.rewards, values.reshape(batch.rewards.shape),
                                cfg.discount, cfg.td_steps).ravel()
         adv = (q_targets - values).astype(DTYPE)
         value_loss = float(np.mean(adv.astype(np.float64) ** 2))
 
-        logits, policy_cache = self.policy_head.forward(features)
         probs = softmax(logits)
         log_probs = np.log(np.maximum(probs, 1e-12))
         entropy = -(probs * log_probs).sum(axis=1)
@@ -328,11 +347,6 @@ class Agent:
         if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
             return report, None, None
 
-        # d(value_loss)/d(v) for the squared bootstrap error.
-        d_values = (-2.0 * adv / batch_size)[:, None].astype(DTYPE)
-        d_feat_v, value_grads = self.value_head.backward(value_cache, d_values)
-        trunk_grads_v = self.trunk.backward(trunk_cache, d_feat_v)
-
         # d(policy_loss)/d(logits): the log-likelihood term plus the entropy
         # bonus, both expressed directly at the logits for stability.
         one_hot = np.zeros_like(probs)
@@ -340,10 +354,19 @@ class Agent:
         d_logits = (adv[:, None] * (probs - one_hot)
                     + cfg.entropy_weight * probs * (log_probs + entropy[:, None]))
         d_logits = (d_logits / batch_size).astype(DTYPE)
-        d_feat_p, policy_grads = self.policy_head.backward(policy_cache, d_logits)
-        trunk_grads_p = self.trunk.backward(trunk_cache, d_feat_p)
+        # d(value_loss)/d(v) for the squared bootstrap error.
+        d_values = (-2.0 * adv / batch_size)[:, None].astype(DTYPE)
 
-        return report, trunk_grads_p + policy_grads, trunk_grads_v + value_grads
+        tail_backs = [tail.backward(cache, d_out) for tail, cache, d_out in
+                      zip(tails, (policy_cache, value_cache), (d_logits, d_values))]
+        d_hidden = [d_h for d_h, _ in tail_backs]
+        first_w = np.hsplit(features.T @ np.concatenate(d_hidden, axis=1), 2)
+        trunk_grads = self.trunk.backward(
+            trunk_cache, [(d_h, first.weight) for d_h, first in zip(d_hidden, firsts)])
+        policy_grads, value_grads = [
+            trunk + [grad_w, d_h.sum(axis=0)] + tail_grads
+            for trunk, grad_w, (d_h, tail_grads) in zip(trunk_grads, first_w, tail_backs)]
+        return report, policy_grads, value_grads
 
     def update(self, batch: UpdateBatch) -> dict[str, float]:
         """One value descent step and one policy ascent step, with rates from

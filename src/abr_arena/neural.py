@@ -212,8 +212,10 @@ class Adam:
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            m[:] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[:] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
@@ -233,5 +235,6 @@ class RMSProp:
         for p, g, v in zip(self.params, grads, self.v):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            v[:] = self.decay * v + (1.0 - self.decay) * (g * g)
+            v *= self.decay
+            v += (1.0 - self.decay) * (g * g)
             p -= self.lr * g / np.sqrt(v + self.eps)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gradcheck import gradient_errors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_session import as_batch
+from reference_update import reference_gradients
 
 from abr_arena.agent import (
     CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
@@ -335,24 +337,30 @@ def test_trunk_matches_per_branch_layers(batch):
     rng = np.random.default_rng(17)
     rows = norm_rows(rng, batch)
     features, cache = agent.trunk.forward(rows)
-    d_features = rng.normal(size=features.shape).astype(np.float32)
-    grads = agent.trunk.backward(cache, d_features)
+    # One (d_h, W) pair per head: a first-layer output gradient and weight.
+    heads = [(rng.normal(size=(batch, units)).astype(np.float32),
+              rng.normal(size=(features.shape[1], units)).astype(np.float32))
+             for units in (5, 2)]
+    head_grads = agent.trunk.backward(cache, heads)
+    assert len(head_grads) == len(heads)
 
-    ref_features, ref_grads, offset = [], [], 0
-    for columns, net in reference_branches(agent):
-        x = rows[:, columns]
-        y, caches = net.forward(x if isinstance(net.layers[0], Dense) else x[:, None, :])
-        width = y[0].size
-        _, branch_grads = net.backward(
-            caches, d_features[:, offset:offset + width].reshape(y.shape))
-        ref_features.append(y.reshape(batch, width))
-        ref_grads += branch_grads
-        offset += width
-    assert_close(features, np.concatenate(ref_features, axis=1))
-    assert len(grads) == len(ref_grads) == len(agent.trunk.params())
-    for grad, ref, param in zip(grads, ref_grads, agent.trunk.params()):
-        assert grad.shape == param.shape
-        assert_close(grad, ref)
+    for grads, (d_h, weight) in zip(head_grads, heads):
+        d_features = d_h @ weight.T
+        ref_features, ref_grads, offset = [], [], 0
+        for columns, net in reference_branches(agent):
+            x = rows[:, columns]
+            y, caches = net.forward(x if isinstance(net.layers[0], Dense) else x[:, None, :])
+            width = y[0].size
+            _, branch_grads = net.backward(
+                caches, d_features[:, offset:offset + width].reshape(y.shape))
+            ref_features.append(y.reshape(batch, width))
+            ref_grads += branch_grads
+            offset += width
+        assert_close(features, np.concatenate(ref_features, axis=1))
+        assert len(grads) == len(ref_grads) == len(agent.trunk.params())
+        for grad, ref, param in zip(grads, ref_grads, agent.trunk.params()):
+            assert grad.shape == param.shape
+            assert_close(grad, ref)
 
 
 def float64_twin(agent):
@@ -404,6 +412,47 @@ def test_agent_gradients_match_float64_differences():
             errors += gradient_errors(loss, param, grad, rng=rng, max_coords=24)
     assert max(errors) < 1e-2
     assert float(np.median(errors)) < 1e-3
+
+
+def update_batch(agent, rng, sessions, chunks, win=0.25):
+    """An epoch batch of ``sessions`` random sessions of ``chunks`` steps."""
+    config = agent.config
+    rows = norm_rows(rng, sessions * chunks, config).reshape(sessions, chunks, -1)
+    trajectories = [played(rng.integers(0, config.num_levels, chunks)) for _ in range(sessions)]
+    return agent.build_update_batch(rows, trajectories, rng.choice([0.0, 1.0], sessions), win)
+
+
+@pytest.mark.parametrize("td_steps", [1, 3])
+@pytest.mark.parametrize("reward_mode", ["broadcast", "terminal"])
+@pytest.mark.parametrize("sessions,chunks", [(1, 1), (3, 3), (16, 48)])
+def test_gradients_match_head_by_head_reference(sessions, chunks, reward_mode, td_steps):
+    agent = Agent(AgentConfig(reward_mode=reward_mode, td_steps=td_steps), seed=21)
+    batch = update_batch(agent, np.random.default_rng(sessions), sessions, chunks)
+    report, policy_grads, value_grads = agent.gradients(batch)
+    ref_report, ref_policy, ref_value = reference_gradients(agent, batch)
+    assert report == ref_report
+    for grads, ref, params in ((policy_grads, ref_policy, agent.policy_opt.params),
+                               (value_grads, ref_value, agent.value_opt.params)):
+        assert len(grads) == len(ref) == len(params)
+        for grad, want, param in zip(grads, ref, params):
+            assert grad.shape == param.shape and grad.dtype == param.dtype
+            assert_close(grad, want)
+
+
+def test_update_peak_memory_below_feature_multiple():
+    """No (batch, trunk.dim) feature gradient is built: one update on a
+    768-row batch peaks under 2.5 feature arrays of traced allocation."""
+    agent = Agent(AgentConfig(), seed=22)
+    batch = update_batch(agent, np.random.default_rng(23), 16, 48)
+    feature_bytes = 768 * agent.trunk.dim * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        agent.update(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert agent.policy_opt.t == 1
+    assert peak <= 2.5 * feature_bytes
 
 
 # ---- updates ---------------------------------------------------------------
@@ -482,11 +531,26 @@ def test_update_skips_on_nonfinite_loss():
     agent = Agent(CFG, seed=11)
     batch = make_batch(agent, np.random.default_rng(10))
     batch.rewards = batch.rewards + np.nan
-    before = snapshot(agent)
+    report, policy_grads, value_grads = agent.gradients(batch)
+    assert math.isnan(report["value_loss"])
+    assert policy_grads is None and value_grads is None
+    params = agent.policy_opt.params + agent.value_opt.params
+    before = [p.copy() for p in params]
     report = agent.update(batch)
     assert math.isnan(report["value_loss"])
-    for old, new in zip(before, agent.policy_opt.params):
+    assert agent.policy_opt.t == agent.value_opt.t == 0
+    for old, new in zip(before, params):
         assert np.array_equal(old, new)
+
+
+@pytest.mark.parametrize("head", ["policy_head", "value_head"])
+@pytest.mark.parametrize("layer", [0, -1])
+def test_gradients_raise_on_nonfinite_head_output(head, layer):
+    agent = Agent(CFG, seed=11)
+    batch = make_batch(agent, np.random.default_rng(10))
+    getattr(agent, head).layers[layer].bias[0] = np.nan
+    with pytest.raises(FloatingPointError):
+        agent.gradients(batch)
 
 
 def test_dominant_win_rate_freezes_learning():

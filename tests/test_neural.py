@@ -180,6 +180,33 @@ def test_rmsprop_first_step_value():
     assert param[0] == pytest.approx(-1e-4 / np.sqrt(0.1 + 1e-8), rel=1e-5)
 
 
+def formula_steps(kind, param, grads, lr):
+    """The optimizer's update written out with fresh arrays each step."""
+    m, v = np.zeros_like(param), np.zeros_like(param)
+    for t, g in enumerate(grads, start=1):
+        if kind == "adam":
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            param -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        else:
+            v = 0.9 * v + (1.0 - 0.9) * (g * g)
+            param -= lr * g / np.sqrt(v + 1e-8)
+    return param
+
+
+@pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+def test_optimizer_steps_equal_formula_bitwise(kind):
+    rng = rng_for(7)
+    start = rng.normal(size=(6, 4)).astype(np.float32)
+    # Column halves of one array: gradients may be non-contiguous views.
+    grads = [np.hsplit(rng.normal(size=(6, 8)).astype(np.float32), 2)[0] for _ in range(5)]
+    param = start.copy()
+    opt = Adam([param], lr=1e-2) if kind == "adam" else RMSProp([param], lr=1e-2)
+    for g in grads:
+        opt.step([g])
+    assert np.array_equal(param, formula_steps(kind, start.copy(), grads, 1e-2))
+
+
 def test_optimizer_shape_validation():
     param = np.zeros(3, dtype=np.float32)
     opt = Adam([param], lr=0.1)
