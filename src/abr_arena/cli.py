@@ -4,18 +4,27 @@ checkpoint evaluation, and baseline round-robin tournaments.
 Exit codes: 0 success, 1 validation error (bad arguments, bad config, bad
 input files), 2 runtime error. Errors go to standard error as single
 ``error: ...`` lines.
+
+Each ``train`` config section maps key for key onto a dataclass, and a key
+left out keeps its default: the top level onto ``TrainConfig``, ``session``
+onto ``SessionConfig``, ``agent`` onto ``AgentConfig`` less ``history_len`` and
+``num_levels`` (the session's and the video's), ``traces.synthetic`` onto
+``SynthTraceConfig``, ``manifest.synthetic`` onto ``SynthManifestConfig``.
+Extra keys: ``schema_version`` (1), ``split.train``/``split.validation``
+(default 0.8/0.2), ``traces.dir`` or ``traces.synthetic``, ``manifest.path`` or
+``manifest.synthetic``, ``count`` (>= 2, default 20) in ``traces.synthetic``,
+and ``seed`` (>= 0, default the top-level one) in both synthetic sections.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import csv
 import json
 import sys
-from dataclasses import replace
+import typing
 from pathlib import Path
-
-import jsonschema
 
 from . import selfplay, workload
 from .agent import Agent, AgentConfig
@@ -25,103 +34,10 @@ from .simulator import SessionConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Keys shared by the config file and the synth-traces / session flags; a key
-# left out keeps its dataclass default.
-SYNTH_TRACES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "count": {"type": "integer", "minimum": 2},
-        "seed": {"type": "integer", "minimum": 0},
-        "num_states": {"type": "integer", "minimum": 1},
-        "bandwidth_min_kbps": {"type": "number", "exclusiveMinimum": 0},
-        "bandwidth_max_kbps": {"type": "number", "exclusiveMinimum": 0},
-        "mean_dwell_s": {"type": "number", "exclusiveMinimum": 0},
-        "duration_s": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-SESSION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "buffer_capacity_s": {"type": "number", "exclusiveMinimum": 0},
-        "per_chunk_latency_s": {"type": "number", "minimum": 0},
-        "history_len": {"type": "integer", "minimum": 1},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "epochs", "traces", "manifest"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": CONFIG_SCHEMA_VERSION},
-        "seed": {"type": "integer", "minimum": 0},
-        "epochs": {"type": "integer", "minimum": 0},
-        "matches_per_epoch": {"type": "integer", "minimum": 1},
-        "eval_every": {"type": "integer", "minimum": 1},
-        "checkpoint_every": {"type": "integer", "minimum": 1},
-        "baselines": {
-            "type": "array", "minItems": 1,
-            "items": {"enum": list(POLICY_NAMES)},
-        },
-        "split": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "train": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "validation": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "traces": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "synthetic": SYNTH_TRACES_SCHEMA,
-            },
-            "oneOf": [{"required": ["dir"]}, {"required": ["synthetic"]}],
-        },
-        "manifest": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "synthetic": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "ladder_kbps": {
-                            "type": "array", "minItems": 2, "items": {"type": "number"},
-                        },
-                        "num_chunks": {"type": "integer", "minimum": 1},
-                        "chunk_duration_s": {"type": "number", "exclusiveMinimum": 0},
-                        "vbr_jitter": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                        "seed": {"type": "integer", "minimum": 0},
-                    },
-                },
-            },
-            "oneOf": [{"required": ["path"]}, {"required": ["synthetic"]}],
-        },
-        "session": SESSION_SCHEMA,
-        "agent": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "discount": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "entropy_weight": {"type": "number", "minimum": 0},
-                "policy_lr": {"type": "number", "exclusiveMinimum": 0},
-                "value_lr": {"type": "number", "exclusiveMinimum": 0},
-                "td_steps": {"type": "integer", "minimum": 1},
-                "reward_mode": {"enum": ["broadcast", "terminal"]},
-                "throughput_scale_kbps": {"type": "number", "exclusiveMinimum": 0},
-                "time_scale_s": {"type": "number", "exclusiveMinimum": 0},
-                "size_scale_bits": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+# Annotation -> JSON type name and the exact Python types of its values (never bool).
+_JSON_TYPES = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("string", (str,))}
+# Integer config keys that no config dataclass checks, and their least values.
+_MINIMUMS = {"seed": 0, "count": 2}
 
 
 class ValidationFailure(Exception):
@@ -149,23 +65,31 @@ def _load_traces_dir(directory: str | Path) -> list[workload.Trace]:
     return traces
 
 
-def _flags(args, schema: dict) -> dict:
-    """The flags given on the command line that the schema names."""
-    return {key: value for key, value in vars(args).items() if key in schema["properties"]}
+def _fields(cls, *omit: str) -> dict:
+    """Field name -> type annotation of config dataclass ``cls``, less ``omit``."""
+    return {name: hint for name, hint in typing.get_type_hints(cls).items() if name not in omit}
 
 
-def _synth_traces(doc: dict, seed: int) -> list[workload.Trace]:
-    """``count`` traces (20 if absent) named ``trace_0000``... from a
-    synthetic-traces document; trace i uses seed ``doc["seed"] + i``, or
-    ``seed + i`` if the document gives none."""
-    doc = dict(doc)
-    count, seed = doc.pop("count", 20), doc.pop("seed", seed)
-    cfg = workload.SynthTraceConfig()
-    lo, hi = cfg.bandwidth_range_kbps
-    cfg = replace(cfg, bandwidth_range_kbps=(doc.pop("bandwidth_min_kbps", lo),
-                                             doc.pop("bandwidth_max_kbps", hi)), **doc)
-    return [workload.synth_trace(cfg, seed + i, trace_id=f"trace_{i:04d}")
-            for i in range(count)]
+# Key -> JSON type annotation, or the keys of a section, of a train config.
+CONFIG_FIELDS = _fields(selfplay.TrainConfig, "train_traces", "val_traces") | {
+    "schema_version": int,
+    "split": {"train": float, "validation": float},
+    "traces": {"dir": str,
+               "synthetic": _fields(workload.SynthTraceConfig) | {"count": int, "seed": int}},
+    "manifest": {"path": str, "synthetic": _fields(workload.SynthManifestConfig) | {"seed": int}},
+    "session": _fields(SessionConfig),
+    "agent": _fields(AgentConfig, "history_len", "num_levels"),
+}
+
+
+def _flags(args, cls) -> dict:
+    """The flags given on the command line that name fields of ``cls``."""
+    return {key: getattr(args, key) for key in _fields(cls) if hasattr(args, key)}
+
+
+def _synth_traces(cfg: workload.SynthTraceConfig, count: int, seed: int) -> list[workload.Trace]:
+    """``count`` traces named ``trace_0000``...; trace i uses seed ``seed + i``."""
+    return [workload.synth_trace(cfg, seed + i, trace_id=f"trace_{i:04d}") for i in range(count)]
 
 
 def cmd_synth_traces(args) -> int:
@@ -173,9 +97,11 @@ def cmd_synth_traces(args) -> int:
         raise ValidationFailure(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValidationFailure(f"--seed must be >= 0, got {args.seed}")
+    cfg = workload.SynthTraceConfig(**_flags(args, workload.SynthTraceConfig))
+    traces = _synth_traces(cfg, args.count, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for trace in _synth_traces(_flags(args, SYNTH_TRACES_SCHEMA), args.seed):
+    for trace in traces:
         workload.save_trace(trace, out / f"{trace.id}.json")
     print(f"wrote {args.count} traces to {out}")
     return 0
@@ -188,44 +114,82 @@ def cmd_convert_trace(args) -> int:
     return 0
 
 
-def _build_train_config(doc: dict) -> selfplay.TrainConfig:
-    """The training config of a validated document; every key it leaves out
-    keeps its dataclass default."""
-    seed = doc.get("seed", selfplay.TrainConfig.seed)
-    traces_doc = doc["traces"]
+def _config_error(path: str, message: str) -> ValidationFailure:
+    return ValidationFailure(f"config: {path}: {message}" if path else f"config: {message}")
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError becomes a config error at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _config_error(path, str(exc)) from exc
+
+
+def _section(doc, path: str, fields: dict) -> dict:
+    """Config section ``path``: an object whose keys name ``fields`` and whose
+    values have their field's JSON type; a dict of fields is a nested section."""
+    if not isinstance(doc, dict):
+        raise _config_error(path, f"expected an object, got {json.dumps(doc)}")
+    section = {}
+    for key, value in doc.items():
+        where, hint = f"{path}.{key}" if path else key, fields.get(key)
+        if hint is None:
+            raise _config_error(where, f"unknown key; valid keys: {', '.join(fields)}")
+        if isinstance(hint, dict):
+            section[key] = _section(value, where, hint)
+            continue
+        array = typing.get_origin(hint) in (tuple, collections.abc.Sequence)
+        name, types = _JSON_TYPES[typing.get_args(hint)[0] if array else hint]
+        if isinstance(value, list) != array or any(
+                type(v) not in types for v in (value if array else [value])):
+            raise _config_error(where, f"expected {'array of ' if array else ''}{name}, "
+                                       f"got {json.dumps(value)}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise _config_error(where, f"must be >= {_MINIMUMS[key]}, got {value}")
+        section[key] = tuple(value) if array else value
+    return section
+
+
+def _build_train_config(doc) -> selfplay.TrainConfig:
+    """The training config of a config document, checked section by section."""
+    top = _section(doc, "", CONFIG_FIELDS)
+    for key in ("schema_version", "epochs", "traces", "manifest"):
+        if key not in top:
+            raise _config_error(key, "missing")
+    for key in ("traces", "manifest"):
+        if len(top[key]) != 1:
+            raise _config_error(key, f"needs exactly one of {' or '.join(CONFIG_FIELDS[key])}")
+    if (version := top.pop("schema_version")) != CONFIG_SCHEMA_VERSION:
+        raise _config_error("schema_version", f"must be {CONFIG_SCHEMA_VERSION}, got {version}")
+    seed = top.pop("seed", selfplay.TrainConfig.seed)
+    traces_doc = top.pop("traces")
     if "dir" in traces_doc:
         traces = _load_traces_dir(traces_doc["dir"])
     else:
-        traces = _synth_traces(traces_doc["synthetic"], seed)
-    split_doc = doc.get("split", {})
-    ratios = (split_doc.get("train", 0.8), split_doc.get("validation", 0.2))
-    by_id = {t.id: t for t in traces}
-    split = workload.split_dataset(by_id, ratios, seed)
-    train_traces = [by_id[i] for i in sorted(split.train)]
-    val_traces = [by_id[i] for i in sorted(split.validation)]
-    if not val_traces:
-        val_traces = train_traces
-
-    manifest_doc = doc["manifest"]
+        synth_doc = traces_doc["synthetic"]
+        count, traces_seed = synth_doc.pop("count", 20), synth_doc.pop("seed", seed)
+        traces = _synth_traces(_checked("traces.synthetic", workload.SynthTraceConfig,
+                                        **synth_doc), count, traces_seed)
+    manifest_doc = top.pop("manifest")
     if "path" in manifest_doc:
         manifest = workload.load_manifest(manifest_doc["path"])
     else:
-        syn = dict(manifest_doc["synthetic"])
-        manifest_seed = syn.pop("seed", seed)
-        if "ladder_kbps" in syn:
-            syn["ladder_kbps"] = tuple(syn["ladder_kbps"])
-        manifest = workload.synth_manifest(workload.SynthManifestConfig(**syn), manifest_seed)
-
-    session = SessionConfig(**doc.get("session", {}))
-    agent_cfg = AgentConfig(history_len=session.history_len, num_levels=manifest.num_levels,
-                            **doc.get("agent", {}))
-    options = {key: doc[key] for key in (
-        "epochs", "seed", "matches_per_epoch", "eval_every", "checkpoint_every") if key in doc}
-    if "baselines" in doc:
-        options["baselines"] = tuple(doc["baselines"])
-    return selfplay.TrainConfig(train_traces=train_traces, val_traces=val_traces,
-                                manifest=manifest, session=session, agent=agent_cfg,
-                                **options)
+        path, video_doc = "manifest.synthetic", manifest_doc["synthetic"]
+        video_seed = video_doc.pop("seed", seed)
+        manifest = _checked(path, workload.synth_manifest,
+                            _checked(path, workload.SynthManifestConfig, **video_doc), video_seed)
+    session = _checked("session", SessionConfig, **top.pop("session", {}))
+    agent_cfg = _checked("agent", AgentConfig, history_len=session.history_len,
+                         num_levels=manifest.num_levels, **top.pop("agent", {}))
+    by_id = {t.id: t for t in traces}
+    split_doc = top.pop("split", {})
+    split = _checked("split", workload.split_dataset, by_id,
+                     (split_doc.get("train", 0.8), split_doc.get("validation", 0.2)), seed)
+    train_traces = [by_id[i] for i in sorted(split.train)]
+    val_traces = [by_id[i] for i in sorted(split.validation)] or train_traces
+    return _checked("", selfplay.TrainConfig, train_traces=train_traces, val_traces=val_traces,
+                    manifest=manifest, session=session, agent=agent_cfg, seed=seed, **top)
 
 
 def cmd_train(args) -> int:
@@ -234,12 +198,8 @@ def cmd_train(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationFailure(f"cannot read config {args.config}: {exc}") from exc
     if isinstance(doc, dict):
-        # --seed/--epochs override the file before validation, so they meet the schema too.
-        doc.update(_flags(args, CONFIG_SCHEMA))
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationFailure(f"config schema violation: {exc.message}") from exc
+        # --seed/--epochs override the file before the checks, so they meet them too.
+        doc.update(_flags(args, selfplay.TrainConfig))
     cfg = _build_train_config(doc)
     result = selfplay.train(cfg, args.out)
     print(f"trained {cfg.epochs} epochs; final Elo {result.final_rating:.2f}")
@@ -252,9 +212,6 @@ def _parse_baselines(spec: str) -> list[str]:
     if not names:
         raise ValidationFailure("no baseline names given")
     for i, name in enumerate(names):
-        if name not in POLICY_NAMES:
-            raise ValidationFailure(
-                f"unknown baseline {name!r}; valid names: {', '.join(POLICY_NAMES)}")
         if name in names[:i]:
             raise ValidationFailure(f"baseline {name!r} is named twice")
     return names
@@ -265,7 +222,7 @@ def cmd_evaluate(args) -> int:
     agent = Agent.load(args.checkpoint)
     traces = _load_traces_dir(args.traces)
     manifest = workload.load_manifest(args.manifest)
-    session = SessionConfig(**_flags(args, SESSION_SCHEMA),
+    session = SessionConfig(**_flags(args, SessionConfig),
                             history_len=agent.config.history_len)
     baselines = {name: make_policy(name, manifest, session) for name in names}
     result = selfplay.evaluate(agent, baselines, traces, manifest, session)
@@ -281,11 +238,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tournament(args) -> int:
     names = _parse_baselines(args.policies)
-    if len(names) < 2:
-        raise ValidationFailure("tournament needs at least 2 policies")
     traces = _load_traces_dir(args.traces)
     manifest = workload.load_manifest(args.manifest)
-    session = SessionConfig(**_flags(args, SESSION_SCHEMA))
+    session = SessionConfig(**_flags(args, SessionConfig))
     policies = {name: make_policy(name, manifest, session) for name in names}
     ratings = anchor_baselines(policies, traces, manifest, session)
     Path(args.out).write_text(json.dumps({"ratings": ratings}, sort_keys=True, indent=2) + "\n")

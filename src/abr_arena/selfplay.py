@@ -248,13 +248,14 @@ def _csv_row(report: EpochReport) -> list:
 def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     """Run the full training loop, logging epochs.csv, checkpoints, and a
     final evaluation dump under ``out_dir``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     baseline_policies = {
         name: make_policy(name, cfg.manifest, cfg.session) for name in cfg.baselines
     }
+    # Make the run directory only once the first session has accepted the video.
     baseline_ratings = anchor_baselines(
         baseline_policies, list(cfg.val_traces), cfg.manifest, cfg.session)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     agent0 = Agent(cfg.agent, seed=cfg.seed * 2 + 1)
     agent1 = Agent(cfg.agent, seed=cfg.seed * 2 + 2)

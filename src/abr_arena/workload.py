@@ -188,16 +188,18 @@ class SynthTraceConfig:
     """Markov-chain bandwidth generator settings."""
 
     num_states: int = 4
-    bandwidth_range_kbps: tuple[float, float] = (350.0, 4800.0)
+    bandwidth_min_kbps: float = 350.0
+    bandwidth_max_kbps: float = 4800.0
     mean_dwell_s: float = 10.0
     duration_s: float = 320.0
 
     def __post_init__(self):
-        lo, hi = self.bandwidth_range_kbps
         if self.num_states < 1:
             raise ValueError(f"num_states must be >= 1, got {self.num_states}")
-        if not (0 < lo <= hi):
-            raise ValueError(f"invalid bandwidth range ({lo}, {hi})")
+        lo, hi = self.bandwidth_min_kbps, self.bandwidth_max_kbps
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"need 0 < bandwidth_min_kbps <= bandwidth_max_kbps < inf, "
+                             f"got {lo} and {hi}")
         if not (math.isfinite(self.mean_dwell_s) and self.mean_dwell_s > 0):
             raise ValueError(f"mean_dwell_s must be finite and > 0, got {self.mean_dwell_s}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
@@ -212,8 +214,7 @@ def synth_trace(cfg: SynthTraceConfig, seed, trace_id: str | None = None) -> Tra
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = cfg.bandwidth_range_kbps
-    levels = rng.uniform(lo, hi, size=cfg.num_states)
+    levels = rng.uniform(cfg.bandwidth_min_kbps, cfg.bandwidth_max_kbps, size=cfg.num_states)
     state = int(rng.integers(cfg.num_states))
     samples: list[tuple[float, float]] = []
     t = 0.0

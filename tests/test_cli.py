@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +145,7 @@ def test_train_rejects_bad_schema(tmp_path, capsys):
     code, _, err = run_cli("train", "--config", str(config), "--out",
                            str(tmp_path / "r"), capsys=capsys)
     assert code == 1
-    assert "schema" in err
+    assert "schema_version" in err
     doc = train_config_doc(tmp_path)
     doc["unexpected"] = True
     config.write_text(json.dumps(doc))
@@ -262,7 +266,7 @@ def test_train_rejects_negative_epochs_flag(tmp_path, capsys):
     assert code == 1
     assert "trained" not in stdout
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "schema" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:") and "epochs" in lines[0]
     assert not (tmp_path / "r").exists()
 
 
@@ -284,7 +288,7 @@ def test_synth_traces_defaults_come_from_config(tmp_path, capsys):
     code, _, _ = run_cli("synth-traces", "--count", "2", "--seed", "4", "--out", str(out),
                          "--bw-max-kbps", "900", capsys=capsys)
     assert code == 0
-    cfg = workload.SynthTraceConfig(bandwidth_range_kbps=(350.0, 900.0))
+    cfg = workload.SynthTraceConfig(bandwidth_max_kbps=900.0)
     for i in range(2):
         expected = workload.synth_trace(cfg, 4 + i, trace_id=f"trace_{i:04d}")
         assert workload.load_trace(out / f"trace_{i:04d}.json", "canonical-json") == expected
@@ -385,14 +389,18 @@ def test_tournament_rejects_non_finite_session_flags(tmp_path, capsys, flag, val
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--duration-s", "--mean-dwell-s"])
-def test_synth_traces_rejects_non_finite_durations(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag,value,words", [
+    ("--duration-s", "inf", ["finite", "inf"]),
+    ("--mean-dwell-s", "inf", ["finite", "inf"]),
+    ("--num-states", "0", ["num_states", ">= 1"]),
+], ids=["--duration-s", "--mean-dwell-s", "--num-states"])
+def test_synth_traces_rejects_non_finite_durations(tmp_path, capsys, flag, value, words):
     out = tmp_path / "traces"
-    code, _, err = run_cli("synth-traces", "--count", "2", "--out", str(out), flag, "inf",
+    code, _, err = run_cli("synth-traces", "--count", "2", "--out", str(out), flag, value,
                            capsys=capsys)
     assert code == 1
-    assert_one_error_line(err, "finite", "inf")
-    assert not list(out.glob("*.json"))
+    assert_one_error_line(err, *words)
+    assert not out.exists()
 
 
 def test_synth_traces_rejects_negative_seed(tmp_path, capsys):
@@ -477,23 +485,30 @@ def test_non_finite_manifest_is_rejected(tmp_path, capsys, command, field):
 
 
 @pytest.mark.parametrize("capacity", ["4.0", "2.5"])
-@pytest.mark.parametrize("command", ["tournament", "evaluate"])
+@pytest.mark.parametrize("command", ["tournament", "evaluate", "train"])
 def test_buffer_capacity_must_exceed_chunk_duration(tmp_path, capsys, command, capacity):
     # The manifest's chunks last 4 s; the simulator refuses a buffer that
     # cannot hold more than one chunk.
     traces_dir = write_traces(tmp_path, count=2)
     manifest_path = write_manifest(tmp_path)
     out = tmp_path / "out.json"
+    args = ["--traces", str(traces_dir), "--manifest", str(manifest_path),
+            "--buffer-capacity-s", capacity]
     if command == "tournament":
-        args = ["--policies", "constrained,throughput"]
-    else:
+        args += ["--policies", "constrained,throughput"]
+    elif command == "evaluate":
         ckpt = tmp_path / "agent.ckpt"
         Agent(AgentConfig(history_len=10, num_levels=6), seed=0).save(ckpt)
-        args = ["--checkpoint", str(ckpt), "--baselines", "constrained,bola"]
+        args += ["--checkpoint", str(ckpt), "--baselines", "constrained,bola"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            **synthetic_config_doc(), "traces": {"dir": str(traces_dir)},
+            "manifest": {"path": str(manifest_path)},
+            "session": {"buffer_capacity_s": float(capacity)}}))
+        args = ["--config", str(config)]
     capsys.readouterr()
-    code, stdout, err = run_cli(
-        command, *args, "--traces", str(traces_dir), "--manifest", str(manifest_path),
-        "--out", str(out), "--buffer-capacity-s", capacity, capsys=capsys)
+    code, stdout, err = run_cli(command, *args, "--out", str(out), capsys=capsys)
     assert code == 1
     assert_one_error_line(err, "buffer capacity", "chunk duration")
     assert not out.exists()
@@ -530,3 +545,146 @@ def test_duplicate_trace_ids_are_rejected(tmp_path, capsys, command):
                           str(duplicate))
     assert not out.exists()
     assert stdout == ""
+
+
+def synthetic_config_doc():
+    """A tiny train config that draws its traces and video from the synthetic
+    generators, touching every config section."""
+    return {
+        "schema_version": 1,
+        "seed": 3,
+        "epochs": 1,
+        "matches_per_epoch": 2,
+        "eval_every": 1,
+        "checkpoint_every": 1,
+        "baselines": ["constrained", "throughput"],
+        "split": {"train": 0.6, "validation": 0.4},
+        "traces": {"synthetic": {"count": 4, "seed": 1, "duration_s": 60.0,
+                                 "bandwidth_min_kbps": 500.0, "bandwidth_max_kbps": 3000.0}},
+        "manifest": {"synthetic": {"num_chunks": 4, "seed": 2}},
+        "session": {"buffer_capacity_s": 25.0, "history_len": 4},
+        "agent": {"discount": 0.9},
+    }
+
+
+_DELETE = object()
+
+
+def edit_at(doc, path, value):
+    """Set the key at dotted ``path`` to ``value``, or delete it for ``_DELETE``."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        doc = doc[parent]
+    if value is _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+MALFORMED_CONFIGS = [
+    # (edited key, new value, key path the error names)
+    *[(key, 1, key) for key in (
+        "bogus", "split.bogus", "traces.bogus", "traces.synthetic.bogus", "manifest.bogus",
+        "manifest.synthetic.bogus", "session.bogus", "agent.bogus")],
+    ("epochs", True, "epochs"),
+    ("epochs", 1.5, "epochs"),
+    ("epochs", -1, "epochs"),
+    ("seed", "3", "seed"),
+    ("baselines", "bola", "baselines"),
+    ("baselines", ["bola"], "baselines"),
+    ("split", [0.6, 0.4], "split"),
+    ("split.train", "0.6", "split.train"),
+    ("split.validation", 1.5, "split"),
+    ("traces", [], "traces"),
+    ("traces.synthetic", 4, "traces.synthetic"),
+    ("traces.synthetic.duration_s", "60", "traces.synthetic.duration_s"),
+    ("traces.synthetic.num_states", 0, "traces.synthetic"),
+    ("traces.synthetic.bandwidth_min_kbps", 0.0, "traces.synthetic"),
+    ("manifest", "video.json", "manifest"),
+    ("manifest.synthetic.ladder_kbps", [300.0, "x"], "manifest.synthetic.ladder_kbps"),
+    ("manifest.synthetic.ladder_kbps", [300.0], "manifest.synthetic"),
+    ("manifest.synthetic.num_chunks", True, "manifest.synthetic.num_chunks"),
+    ("session", "x", "session"),
+    ("session.buffer_capacity_s", True, "session.buffer_capacity_s"),
+    ("session.history_len", 2.0, "session.history_len"),
+    ("agent", [], "agent"),
+    ("agent.reward_mode", 1, "agent.reward_mode"),
+    ("agent.reward_mode", "sparse", "agent"),
+    ("agent.discount", 0.0, "agent"),
+    ("schema_version", _DELETE, "schema_version"),
+    ("schema_version", 2, "schema_version"),
+    ("schema_version", "1", "schema_version"),
+    ("schema_version", True, "schema_version"),
+    ("epochs", _DELETE, "epochs"),
+    ("traces", _DELETE, "traces"),
+    ("manifest", _DELETE, "manifest"),
+    ("traces.dir", "traces", "traces"),
+    ("traces", {}, "traces"),
+    ("manifest.path", "video.json", "manifest"),
+    ("manifest", {}, "manifest"),
+    ("traces.synthetic.count", 1, "traces.synthetic.count"),
+    ("traces.synthetic.count", 4.5, "traces.synthetic.count"),
+    ("seed", -1, "seed"),
+    ("traces.synthetic.seed", -1, "traces.synthetic.seed"),
+    ("manifest.synthetic.seed", -2, "manifest.synthetic.seed"),
+    ("seed", 1.5, "seed"),
+    ("traces.synthetic.seed", 2.5, "traces.synthetic.seed"),
+    ("agent.history_len", 4, "agent.history_len"),
+    ("agent.num_levels", 6, "agent.num_levels"),
+]
+
+
+@pytest.mark.parametrize("key,value,path", MALFORMED_CONFIGS,
+                         ids=[f"{key}={value!r}" if value is not _DELETE else f"no-{key}"
+                              for key, value, _ in MALFORMED_CONFIGS])
+def test_train_rejects_malformed_config(tmp_path, capsys, key, value, path):
+    doc = synthetic_config_doc()
+    edit_at(doc, key, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, stdout, err = run_cli("train", "--config", str(config), "--out", str(tmp_path / "r"),
+                                capsys=capsys)
+    assert code == 1
+    assert stdout == ""
+    assert_one_error_line(err)
+    assert err.startswith(f"error: config: {path}"), err
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([synthetic_config_doc()]))
+    code, _, err = run_cli("train", "--config", str(config), "--out", str(tmp_path / "r"),
+                           capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "error: config:", "object")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("key", ["epochs", "seed", "matches_per_epoch", "traces.synthetic.count",
+                                 "manifest.synthetic.num_chunks", "session.history_len"])
+def test_train_rejects_integral_float_for_integer_key(tmp_path, capsys, key):
+    # 4.0 is a JSON number but not an integer: range() and the seed streams refuse it.
+    doc = synthetic_config_doc()
+    edit_at(doc, key, 4.0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli("train", "--config", str(config), "--out", str(tmp_path / "r"),
+                           capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, f"error: config: {key}: expected integer, got 4.0")
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_runs_without_jsonschema(tmp_path):
+    doc = {**synthetic_config_doc(), "epochs": 0}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    script = ("import sys; sys.modules['jsonschema'] = None; from abr_arena.cli import main; "
+              f"sys.exit(main(['train', '--config', {str(config)!r}, '--out', "
+              f"{str(tmp_path / 'r')!r}]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "r" / "epochs.csv").exists()

@@ -184,7 +184,8 @@ def random_video(rng, chunk_duration_s, levels):
 def random_trace(rng):
     trace_cfg = SynthTraceConfig(
         num_states=int(rng.integers(1, 6)),
-        bandwidth_range_kbps=(float(rng.uniform(100, 900)), float(rng.uniform(1000, 8000))),
+        bandwidth_min_kbps=float(rng.uniform(100, 900)),
+        bandwidth_max_kbps=float(rng.uniform(1000, 8000)),
         mean_dwell_s=float(rng.uniform(1.0, 20.0)),
         duration_s=float(rng.uniform(20.0, 120.0)),
     )

@@ -133,13 +133,13 @@ def test_trace_table_equals_scalar_walk(batch):
 
 
 def test_synth_trace_degenerate_and_determinism():
-    cfg = SynthTraceConfig(num_states=1, bandwidth_range_kbps=(1000.0, 1000.0),
+    cfg = SynthTraceConfig(num_states=1, bandwidth_min_kbps=1000.0, bandwidth_max_kbps=1000.0,
                            mean_dwell_s=2.0, duration_s=10.0)
     trace = synth_trace(cfg, seed=3)
     assert trace.total_duration_s == pytest.approx(10.0)
     assert set(trace.bandwidths_kbps.tolist()) == {1000.0}
     assert synth_trace(cfg, seed=3) == trace
-    cfg4 = SynthTraceConfig(num_states=4, bandwidth_range_kbps=(500.0, 5000.0),
+    cfg4 = SynthTraceConfig(num_states=4, bandwidth_min_kbps=500.0, bandwidth_max_kbps=5000.0,
                             mean_dwell_s=5.0, duration_s=60.0)
     assert synth_trace(cfg4, seed=1) != synth_trace(cfg4, seed=2)
 
@@ -147,7 +147,7 @@ def test_synth_trace_degenerate_and_determinism():
 @given(seed=st.integers(0, 2**31), states=st.integers(1, 6))
 @settings(max_examples=50, deadline=None)
 def test_synth_trace_range_property(seed, states):
-    cfg = SynthTraceConfig(num_states=states, bandwidth_range_kbps=(700.0, 2100.0),
+    cfg = SynthTraceConfig(num_states=states, bandwidth_min_kbps=700.0, bandwidth_max_kbps=2100.0,
                            mean_dwell_s=4.0, duration_s=30.0)
     trace = synth_trace(cfg, seed)
     assert np.all(trace.bandwidths_kbps >= 700.0)
@@ -158,7 +158,11 @@ def test_synth_trace_bad_config():
     with pytest.raises(ValueError):
         SynthTraceConfig(num_states=0)
     with pytest.raises(ValueError):
-        SynthTraceConfig(bandwidth_range_kbps=(0.0, 100.0))
+        SynthTraceConfig(bandwidth_min_kbps=0.0, bandwidth_max_kbps=100.0)
+    with pytest.raises(ValueError):
+        SynthTraceConfig(bandwidth_min_kbps=900.0, bandwidth_max_kbps=800.0)
+    with pytest.raises(ValueError):
+        SynthTraceConfig(bandwidth_max_kbps=float("inf"))
     with pytest.raises(ValueError):
         SynthTraceConfig(mean_dwell_s=-1.0)
 
