@@ -50,10 +50,9 @@ class AgentConfig:
     size_scale_bits: float = 8e6
 
     def __post_init__(self):
-        if self.history_len < CONV_KERNEL:
-            raise ValueError(f"history_len must be >= {CONV_KERNEL}, got {self.history_len}")
-        if self.num_levels < CONV_KERNEL:
-            raise ValueError(f"num_levels must be >= {CONV_KERNEL}, got {self.num_levels}")
+        for name in ("history_len", "num_levels"):
+            if getattr(self, name) < CONV_KERNEL:
+                raise ValueError(f"{name} must be >= {CONV_KERNEL}, got {getattr(self, name)}")
         if not 0 < self.discount <= 1:
             raise ValueError(f"discount must be in (0,1], got {self.discount}")
         if not (math.isfinite(self.entropy_weight) and self.entropy_weight >= 0):
@@ -130,19 +129,15 @@ def dynamic_lr(win_rate: float, base_lr: float) -> float:
     if not 0.0 <= win_rate <= 1.0:
         raise ValueError(f"win rate must be in [0,1], got {win_rate}")
     w_log_w = 0.0 if win_rate == 0.0 else win_rate * math.log(win_rate)
-    if win_rate < 0.5:
-        return base_lr * (w_log_w + 2.0)
-    return -base_lr * w_log_w
+    return base_lr * (w_log_w + 2.0) if win_rate < 0.5 else -base_lr * w_log_w
 
 
 def td_targets(rewards: np.ndarray, values: np.ndarray, discount: float,
                td_steps: int = 1) -> np.ndarray:
     """n-step bootstrap targets along the last axis, one session per row (a
     1-D array is one session); the value beyond a session's last step is 0."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    horizon = rewards.shape[-1]
-    targets = np.zeros(rewards.shape, dtype=np.float64)
+    rewards, values = np.asarray(rewards, np.float64), np.asarray(values, np.float64)
+    horizon, targets = rewards.shape[-1], np.zeros(rewards.shape, dtype=np.float64)
     for j in range(min(td_steps, horizon)):
         targets[..., :horizon - j] += (discount ** j) * rewards[..., j:]
     if td_steps < horizon:
@@ -165,33 +160,37 @@ class FeatureTrunk:
     """The shared feature layer, read straight off flat rows.
 
     Each history segment of the row (throughput, download time, bitrate, next
-    sizes, hidden) feeds a 1-channel kernel-3 valid convolution, run as a
-    gather of its windows plus one matmul; the two scalars feed a dense layer.
-    ReLU outputs fill one feature row: branches in that order, each
-    filter-major (filter f, position l at f * width + l), scalar units last.
-    The parameters stay in the Conv1D/Dense layers the checkpoint names.
+    sizes, hidden) feeds a 1-channel kernel-3 valid convolution; the two scalars
+    feed a dense layer. Features are position-major, a (positions + 1, filters)
+    block: each branch is one matmul of its gathered windows into its own slab,
+    the scalar units come last, and one bias add and one ReLU cover the block.
+    The backward takes each head's first dense layer as (d_h, W), output
+    gradient and weight, and forms d_h @ W.T one slab at a time: times the
+    window patches it gives the kernel gradient, summed the bias gradient.
 
-    The backward takes each head as (d_h, W), its first dense layer's output
-    gradient and weight, and forms d_h @ W.T one branch span at a time. For a
-    branch over row segment x (width + 2 columns), one band matmul
-    H = x.T @ d_pre, viewed as (width + 2, filters, width), holds every tap:
-    grad_w[f, 0, j] is the trace of H[j:j + width, f, :].
+    ``order[c]`` is column c's filter-major column (filter f, position l at
+    f * width + l in each branch), the checkpoint row order of the heads'
+    first layers. ``Agent`` permutes those rows at initialisation, save and
+    load; their Adam moments are position-major, to be permuted likewise.
     """
 
-    def __init__(self, config: AgentConfig, rng: np.random.Generator):
+    def __init__(self, config: AgentConfig, rng: np.random.Generator | None):
         k, n = config.history_len, config.num_levels
         segments = {"throughput": (0, k), "download": (k, k), "bitrate": (2 * k, k),
                     "sizes": (3 * k + 2, n), "hidden": (3 * k + 2 + n, HIDDEN_SIZE)}
-        # _taps[j, c]: the row column kernel tap j reads at output position c.
-        # Branch i owns positions lo:hi, so feature columns CONV_FILTERS * (lo:hi).
-        self.convs, self._branches, taps, lo = {}, [], [], 0
+        # _taps[l]: the row columns position l's window reads; branch i owns
+        # positions lo:hi. _widths: positions per layer, the scalar units last.
+        self.convs, self._branches, taps, order, lo = {}, [], [], [], 0
         for name, (start, length) in segments.items():
             conv = self.convs[name] = Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng)
             hi = lo + length - CONV_KERNEL + 1
-            taps.append(start + np.arange(CONV_KERNEL)[:, None] + np.arange(hi - lo))
-            self._branches.append((conv, slice(start, start + length), lo, hi))
+            taps.append(start + np.arange(hi - lo)[:, None] + np.arange(CONV_KERNEL))
+            order.append(np.arange(CONV_FILTERS * lo, CONV_FILTERS * hi).reshape(-1, hi - lo).T)
+            self._branches.append((conv, lo, hi))
             lo = hi
-        self._taps = np.concatenate(taps, axis=1)
+        self._taps = np.concatenate(taps)
+        self._widths = [hi - lo for _, lo, hi in self._branches] + [1]
+        self.order = np.concatenate([*order, CONV_FILTERS * lo + np.arange(CONV_FILTERS)], axis=None)
         self.scalars = Dense(2, CONV_FILTERS, rng=rng)
         self._scalar_cols = slice(3 * k, 3 * k + 2)
         self.dim = CONV_FILTERS * (lo + 1)
@@ -207,15 +206,14 @@ class FeatureTrunk:
             raise ValueError(f"rows must be (batch, {self.flat_dim}), got {rows.shape}")
         windows = rows[:, self._taps]
         features = np.empty((len(rows), self.dim), dtype=rows.dtype)
-        for conv, _, lo, hi in self._branches:
-            # (filters, kernel) @ (batch, kernel, width): filter-major output.
-            pre = conv.weight.reshape(CONV_FILTERS, CONV_KERNEL) @ windows[:, :, lo:hi]
-            out = features[:, CONV_FILTERS * lo:CONV_FILTERS * hi]
-            np.add(pre, conv.bias[:, None], out=out.reshape(-1, CONV_FILTERS, hi - lo))
-        np.add(rows[:, self._scalar_cols] @ self.scalars.weight, self.scalars.bias,
-               out=features[:, -CONV_FILTERS:])
+        slabs = features.reshape(len(rows), -1, CONV_FILTERS)
+        for conv, lo, hi in self._branches:
+            np.matmul(windows[:, lo:hi], conv.weight[:, 0].T, out=slabs[:, lo:hi])
+        np.matmul(rows[:, self._scalar_cols], self.scalars.weight, out=slabs[:, -1])
+        slabs += np.repeat(self.params()[1::2], self._widths, axis=0)  # each layer's bias
         np.maximum(features, 0, out=features)
-        if not np.all(np.isfinite(features)):
+        # np.maximum keeps NaN and +inf: the largest feature is finite iff all are.
+        if not np.isfinite(features.max()):
             raise FloatingPointError("non-finite network output")
         return features, (rows, features)
 
@@ -224,23 +222,18 @@ class FeatureTrunk:
         (d_h, W) pair of ``heads``; no input gradient."""
         rows, features = cache
         grads: list[list[np.ndarray]] = [[] for _ in heads]
-        for conv, segment, lo, hi in self._branches:
+        for conv, lo, hi in self._branches:
             span = slice(CONV_FILTERS * lo, CONV_FILTERS * hi)
-            mask = features[:, span] > 0
-            x = rows[:, segment]
+            mask = (features[:, span] > 0).reshape(-1, CONV_FILTERS)
+            patches = rows[:, self._taps[lo:hi]].reshape(-1, CONV_KERNEL)
             for out, (d_h, weight) in zip(grads, heads):
-                d_pre = d_h @ weight[span].T
+                d_pre = (d_h @ weight[span].T).reshape(-1, CONV_FILTERS)
                 d_pre *= mask
-                band = (x.T @ d_pre).reshape(-1, CONV_FILTERS, hi - lo)
-                taps = [np.trace(band[j:j + hi - lo], axis1=0, axis2=2)
-                        for j in range(CONV_KERNEL)]
-                out += [np.stack(taps, axis=1).reshape(conv.weight.shape),
-                        d_pre.sum(axis=0).reshape(CONV_FILTERS, -1).sum(axis=1)]
+                out += [(d_pre.T @ patches).reshape(conv.weight.shape), d_pre.sum(axis=0)]
         mask = features[:, -CONV_FILTERS:] > 0
-        x = rows[:, self._scalar_cols]
         for out, (d_h, weight) in zip(grads, heads):
             d_pre = (d_h @ weight[-CONV_FILTERS:].T) * mask
-            out += [x.T @ d_pre, d_pre.sum(axis=0)]
+            out += [rows[:, self._scalar_cols].T @ d_pre, d_pre.sum(axis=0)]
         return grads
 
 
@@ -248,8 +241,18 @@ class Agent:
     """Feature trunk, policy and value heads, and a paired GEM."""
 
     def __init__(self, config: AgentConfig = AgentConfig(), *, seed: int = 0):
+        self._build(config, *(np.random.default_rng([seed, i]) for i in (0, 1)))
+        self._permute_feature_rows(self.trunk.order)  # drawn filter-major, as stored
+
+    def _permute_feature_rows(self, index: np.ndarray) -> None:
+        """Reorder the heads' first-layer rows, one per trunk feature, in place."""
+        for head in (self.policy_head, self.value_head):
+            head.layers[0].weight[...] = head.layers[0].weight[index]
+
+    def _build(self, config: AgentConfig, rng: np.random.Generator | None,
+               gem_rng: np.random.Generator | None) -> None:
+        """Networks and optimizers drawn from the generators; all-zero for None."""
         self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.trunk = FeatureTrunk(config, rng)
         self.policy_head = Sequential([Dense(self.trunk.dim, HEAD_WIDTH, rng=rng), Relu(),
                                        Dense(HEAD_WIDTH, config.num_levels, rng=rng)])
@@ -258,18 +261,13 @@ class Agent:
         trunk_params = self.trunk.params()
         self.policy_opt = Adam(trunk_params + self.policy_head.params(), lr=config.policy_lr)
         self.value_opt = Adam(trunk_params + self.value_head.params(), lr=config.value_lr)
-        gem_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         self.gem = GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
         self.rating = Rating()
-
-    # ---- forward passes -------------------------------------------------
 
     def policy_probs(self, rows: np.ndarray) -> np.ndarray:
         features, _ = self.trunk.forward(rows)
         logits, _ = self.policy_head.forward(features)
         return softmax(logits)
-
-    # ---- acting ----------------------------------------------------------
 
     def act(self, rows: np.ndarray, mode: str = "greedy",
             rngs: Sequence[np.random.Generator | None] | None = None) -> np.ndarray:
@@ -339,11 +337,8 @@ class Agent:
         chosen = log_probs[np.arange(batch_size), batch.actions]
         policy_loss = float(-np.mean(adv * chosen + cfg.entropy_weight * entropy))
 
-        report = {
-            "policy_loss": policy_loss,
-            "value_loss": value_loss,
-            "entropy": float(entropy.mean()),
-        }
+        report = {"policy_loss": policy_loss, "value_loss": value_loss,
+                  "entropy": float(entropy.mean())}
         if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
             return report, None, None
 
@@ -374,14 +369,12 @@ class Agent:
         lr_p = dynamic_lr(batch.win_rate, self.config.policy_lr)
         lr_v = dynamic_lr(batch.win_rate, self.config.value_lr)
         report, policy_grads, value_grads = self.gradients(batch)
-        report["policy_lr"] = lr_p
-        report["value_lr"] = lr_v
-        if policy_grads is None:
-            return report
-        self.value_opt.lr = lr_v
-        self.value_opt.step(value_grads)
-        self.policy_opt.lr = lr_p
-        self.policy_opt.step(policy_grads)
+        report.update(policy_lr=lr_p, value_lr=lr_v)
+        if policy_grads is not None:
+            for opt, lr, grads in ((self.value_opt, lr_v, value_grads),
+                                   (self.policy_opt, lr_p, policy_grads)):
+                opt.lr = lr
+                opt.step(grads)
         return report
 
     def flatten_trajectory(self, observations: Observation,
@@ -408,27 +401,29 @@ class Agent:
                 for attr, value in vars(layer).items() if isinstance(value, np.ndarray)}
 
     def save(self, path) -> None:
-        """Write one ``.npz`` file: every array of :meth:`arrays` plus a
-        ``meta`` entry, a JSON object of ``kind``, ``agent_config`` and
-        ``rating``. A temporary file in the same directory replaces ``path``
-        only once it is fully written."""
+        """Write one ``.npz`` file: every array of :meth:`arrays`, the heads'
+        first-layer rows permuted filter-major in place for the write, and a
+        JSON ``meta`` entry of ``kind``, ``agent_config`` and ``rating``. A
+        temporary file in the same directory replaces ``path`` once written."""
         meta = json.dumps({"kind": META_KIND, "agent_config": asdict(self.config),
                            "rating": self.rating.value}, sort_keys=True)
         tmp = Path(f"{path}.{os.getpid()}.tmp")
         try:
+            self._permute_feature_rows(np.argsort(self.trunk.order))
             # A file handle, not a path: given a path, np.savez appends ".npz".
             with open(tmp, "wb") as fh:
                 np.savez(fh, allow_pickle=False, meta=np.array(meta), **self.arrays())
             os.replace(tmp, path)
         finally:
+            self._permute_feature_rows(self.trunk.order)
             tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "Agent":
-        """Read a checkpoint written by :meth:`save` into a fresh
-        ``Agent(agent_config)``. The stored names must be exactly that
-        agent's :meth:`arrays`, each with its shape and dtype. A malformed
-        file raises one ValueError that names ``path``."""
+        """Read a checkpoint written by :meth:`save` into zero-initialised
+        networks of its ``agent_config``. The stored names must be exactly
+        their :meth:`arrays`, each with its shape and dtype. A malformed file
+        raises one ValueError that names ``path``."""
         stored = _read_npz(path)
         try:
             meta = json.loads(stored.pop("meta").item())
@@ -440,18 +435,23 @@ class Agent:
             config, rating = AgentConfig(**meta["agent_config"]), float(meta["rating"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint metadata: {exc}") from exc
-        agent = cls(config)
+        agent = cls.__new__(cls)
+        agent._build(config, None, None)
         agent.rating = Rating(value=rating)
         arrays = agent.arrays()
         if stored.keys() != arrays.keys():
             raise ValueError(f"{path}: missing arrays {sorted(arrays.keys() - stored)}, "
                              f"unexpected arrays {sorted(stored.keys() - arrays)}")
         for name, dst in arrays.items():
-            src = stored[name]
+            src = stored.pop(name)  # freed once copied
             if src.shape != dst.shape or src.dtype != dst.dtype:
                 raise ValueError(f"{path}: {name} is {src.dtype} {src.shape}, "
                                  f"expected {dst.dtype} {dst.shape}")
-            dst[...] = src
+            if name in ("policy_head.0.weight", "value_head.0.weight"):
+                # Filter-major rows; "clip" (the indices are valid) skips take's buffer.
+                np.take(src, agent.trunk.order, axis=0, out=dst, mode="clip")
+            else:
+                dst[...] = src
         return agent
 
 

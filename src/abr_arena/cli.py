@@ -27,7 +27,7 @@ import typing
 from pathlib import Path
 
 from . import selfplay, workload
-from .agent import Agent, AgentConfig
+from .agent import CONV_KERNEL, Agent, AgentConfig
 from .baselines import POLICY_NAMES, make_policy
 from .elo import anchor_baselines
 from .simulator import SessionConfig
@@ -173,13 +173,21 @@ def _build_train_config(doc) -> selfplay.TrainConfig:
                                         **synth_doc), count, traces_seed)
     manifest_doc = top.pop("manifest")
     if "path" in manifest_doc:
-        manifest = workload.load_manifest(manifest_doc["path"])
+        manifest, ladder = workload.load_manifest(manifest_doc["path"]), "manifest.path"
     else:
         path, video_doc = "manifest.synthetic", manifest_doc["synthetic"]
         video_seed = video_doc.pop("seed", seed)
         manifest = _checked(path, workload.synth_manifest,
                             _checked(path, workload.SynthManifestConfig, **video_doc), video_seed)
+        ladder = "manifest.synthetic.ladder_kbps"
+    # The agent's kernel spans CONV_KERNEL bitrate levels and history steps.
+    if manifest.num_levels < CONV_KERNEL:
+        raise _config_error(ladder, f"the agent needs >= {CONV_KERNEL} bitrate levels, "
+                                    f"got {manifest.num_levels}")
     session = _checked("session", SessionConfig, **top.pop("session", {}))
+    if session.history_len < CONV_KERNEL:
+        raise _config_error("session.history_len", f"the agent needs >= {CONV_KERNEL}, "
+                                                   f"got {session.history_len}")
     agent_cfg = _checked("agent", AgentConfig, history_len=session.history_len,
                          num_levels=manifest.num_levels, **top.pop("agent", {}))
     by_id = {t.id: t for t in traces}

@@ -17,7 +17,7 @@ GEM_BATCH = 64
 WIN_BUFFER_CAPACITY = 10_000
 
 
-def build_generator(input_dim: int, rng: np.random.Generator) -> Sequential:
+def build_generator(input_dim: int, rng: np.random.Generator | None) -> Sequential:
     return Sequential([
         Dense(input_dim, 64, rng=rng), BatchNorm(64), LeakyRelu(),
         Dense(64, 32, rng=rng), BatchNorm(32), LeakyRelu(),
@@ -25,7 +25,7 @@ def build_generator(input_dim: int, rng: np.random.Generator) -> Sequential:
     ])
 
 
-def build_discriminator(rng: np.random.Generator) -> Sequential:
+def build_discriminator(rng: np.random.Generator | None) -> Sequential:
     # Least-squares convention: the score head is linear, not squashed.
     # A sigmoid output caps how fast generated samples can be re-scored and
     # saturates the generator's gradients once the discriminator is ahead.
@@ -80,9 +80,10 @@ class GemReport:
 
 
 class GemModule:
-    """One agent's generator/discriminator pair plus its winning-sample buffer."""
+    """One agent's generator/discriminator pair plus its winning-sample
+    buffer; with ``rng`` None every weight starts at zero."""
 
-    def __init__(self, input_dim: int, *, rng: np.random.Generator,
+    def __init__(self, input_dim: int, *, rng: np.random.Generator | None,
                  buffer_capacity: int = WIN_BUFFER_CAPACITY, batch_size: int = GEM_BATCH):
         self.input_dim = input_dim
         self.gen = build_generator(input_dim + HIDDEN_SIZE, rng)

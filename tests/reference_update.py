@@ -16,6 +16,9 @@ from abr_arena.neural import DTYPE, softmax
 def trunk_backward(trunk, config, cache, d_features):
     """Trunk parameter gradients for one head's full feature gradient."""
     rows, features = cache
+    # Back to the filter-major columns this reference slices.
+    filter_major = np.argsort(trunk.order)
+    features, d_features = features[:, filter_major], d_features[:, filter_major]
     k, n = config.history_len, config.num_levels
     segments = {"throughput": (0, k), "download": (k, k), "bitrate": (2 * k, k),
                 "sizes": (3 * k + 2, n), "hidden": (3 * k + 2 + n, HIDDEN_SIZE)}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference_session import as_batch
 from reference_update import reference_gradients
 
+from abr_arena import neural
 from abr_arena.agent import (
     CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
     dynamic_lr, normalize, sample_levels, td_targets,
@@ -344,8 +345,12 @@ def test_trunk_matches_per_branch_layers(batch):
     head_grads = agent.trunk.backward(cache, heads)
     assert len(head_grads) == len(heads)
 
+    # The reference layers write filter-major features: position-major
+    # column c is their column trunk.order[c].
+    order = agent.trunk.order
     for grads, (d_h, weight) in zip(head_grads, heads):
-        d_features = d_h @ weight.T
+        d_features = np.empty_like(features)
+        d_features[:, order] = d_h @ weight.T
         ref_features, ref_grads, offset = [], [], 0
         for columns, net in reference_branches(agent):
             x = rows[:, columns]
@@ -356,11 +361,37 @@ def test_trunk_matches_per_branch_layers(batch):
             ref_features.append(y.reshape(batch, width))
             ref_grads += branch_grads
             offset += width
-        assert_close(features, np.concatenate(ref_features, axis=1))
+        assert_close(features, np.concatenate(ref_features, axis=1)[:, order])
         assert len(grads) == len(ref_grads) == len(agent.trunk.params())
         for grad, ref, param in zip(grads, ref_grads, agent.trunk.params()):
             assert grad.shape == param.shape
             assert_close(grad, ref)
+
+
+@pytest.mark.parametrize("batch", [1, 768])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trunk_rejects_non_finite_in_any_segment(batch, value):
+    config = AgentConfig()
+    k, n = config.history_len, config.num_levels
+    agent = Agent(config, seed=24)
+    rows = norm_rows(np.random.default_rng(25), batch, config)
+    agent.trunk.forward(rows)
+    # One column inside each segment: throughput, download, bitrate, the two
+    # scalars, next sizes, hidden.
+    for column in (k // 2, k + k // 2, 2 * k + k // 2, 3 * k, 3 * k + 1, 3 * k + 2 + n // 2,
+                   config.flat_dim - 1):
+        bad = rows.copy()
+        bad[batch // 2, column] = value
+        with pytest.raises(FloatingPointError):
+            agent.trunk.forward(bad)
+
+
+def test_trunk_rows_do_not_depend_on_the_batch():
+    agent = Agent(AgentConfig(), seed=26)
+    rows = norm_rows(np.random.default_rng(27), 768, agent.config)
+    features, _ = agent.trunk.forward(rows)
+    for i in range(len(rows)):
+        assert_close(features[i:i + 1], agent.trunk.forward(rows[i:i + 1])[0])
 
 
 def float64_twin(agent):
@@ -453,6 +484,23 @@ def test_update_peak_memory_below_feature_multiple():
         tracemalloc.stop()
     assert agent.policy_opt.t == 1
     assert peak <= 2.5 * feature_bytes
+
+
+def test_trunk_forward_peak_memory_below_feature_multiple():
+    """The forward writes each branch into its slab and checks finiteness
+    without a full-size temporary: a 768-row forward peaks under 1.4 feature
+    arrays of traced allocation."""
+    agent = Agent(AgentConfig(), seed=22)
+    rows = norm_rows(np.random.default_rng(23), 768, agent.config)
+    feature_bytes = 768 * agent.trunk.dim * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        features, _ = agent.trunk.forward(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (768, agent.trunk.dim)
+    assert peak <= 1.4 * feature_bytes
 
 
 # ---- updates ---------------------------------------------------------------
@@ -654,6 +702,42 @@ def test_checkpoint_reproduces_decisions(tmp_path):
         assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
 
 
+def trained_agent():
+    """A toy agent after one self-play epoch, so no array is at its initial
+    value pattern (zero biases, zero batch-norm means)."""
+    agents = (Agent(TOY_CFG, seed=13), Agent(TOY_CFG, seed=14))
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=4), seed=0)
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(4)]
+    run_epoch(*agents, [(trace, manifest) for trace in traces],
+              SessionConfig(buffer_capacity_s=25.0, history_len=4), seed=3)
+    return agents[0]
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    agent = trained_agent()
+    agent.save(tmp_path / "first.ckpt")
+    Agent.load(tmp_path / "first.ckpt").save(tmp_path / "second.ckpt")
+    assert (tmp_path / "first.ckpt").read_bytes() == (tmp_path / "second.ckpt").read_bytes()
+
+
+def test_load_draws_no_random_init(tmp_path, monkeypatch):
+    agent = trained_agent()
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load drew a random initialisation")
+
+    monkeypatch.setattr(neural, "_uniform_init", no_draws)
+    loaded = Agent.load(path)
+    rows = norm_rows(np.random.default_rng(28), 50, TOY_CFG)
+    assert np.array_equal(agent.act(rows, "greedy"), loaded.act(rows, "greedy"))
+    assert np.array_equal(agent.policy_probs(rows), loaded.policy_probs(rows))
+    assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
+    with pytest.raises(AssertionError, match="random initialisation"):
+        Agent(TOY_CFG)
+
+
 def test_failed_save_keeps_existing_checkpoint(tmp_path):
     agent = Agent(CFG, seed=12)
     path = tmp_path / "agent.ckpt"
@@ -662,10 +746,14 @@ def test_failed_save_keeps_existing_checkpoint(tmp_path):
     # The last array cannot be stored without pickling, so the write fails
     # after the meta entry and the earlier arrays.
     agent.gem.disc.layers[-1].bias = np.array(["not a number"], dtype=object)
+    rows = norm_rows(np.random.default_rng(29), 8)
+    probs = agent.policy_probs(rows)
     with pytest.raises(ValueError):
         agent.save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["agent.ckpt"]
+    # The heads' rows, permuted for the write, are back in the trunk's order.
+    assert np.array_equal(agent.policy_probs(rows), probs)
 
 
 # SHA-256 of the default agent's seed-0 checkpoint, written with numpy 2.4.6.

@@ -631,6 +631,9 @@ MALFORMED_CONFIGS = [
     ("traces.synthetic.seed", 2.5, "traces.synthetic.seed"),
     ("agent.history_len", 4, "agent.history_len"),
     ("agent.num_levels", 6, "agent.num_levels"),
+    # Values the agent cannot take are named where the config sets them.
+    ("session.history_len", 2, "session.history_len"),
+    ("manifest.synthetic.ladder_kbps", [300.0, 1000.0], "manifest.synthetic.ladder_kbps"),
 ]
 
 
@@ -648,6 +651,20 @@ def test_train_rejects_malformed_config(tmp_path, capsys, key, value, path):
     assert stdout == ""
     assert_one_error_line(err)
     assert err.startswith(f"error: config: {path}"), err
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_names_manifest_path_with_too_few_levels(tmp_path, capsys):
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=4, ladder_kbps=(300.0, 1000.0)),
+                              seed=0)
+    workload.save_manifest(manifest, tmp_path / "video.json")
+    doc = {**synthetic_config_doc(), "manifest": {"path": str(tmp_path / "video.json")}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli("train", "--config", str(config), "--out", str(tmp_path / "r"),
+                           capsys=capsys)
+    assert code == 1
+    assert_one_error_line(err, "error: config: manifest.path:", "got 2")
     assert not (tmp_path / "r").exists()
 
 
