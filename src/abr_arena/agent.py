@@ -29,6 +29,9 @@ from .workload import Manifest
 CONV_FILTERS = 64
 CONV_KERNEL = 3
 HEAD_WIDTH = 64
+# Rows per step of the trunk backward: its (rows, dim) temporaries stay
+# cache-sized and are reused from the heap, not faulted in on every update.
+_ROW_BLOCK = 128
 
 REWARD_MODES = ("broadcast", "terminal")
 
@@ -165,8 +168,12 @@ class FeatureTrunk:
     block: each branch is one matmul of its gathered windows into its own slab,
     the scalar units come last, and one bias add and one ReLU cover the block.
     The backward takes each head's first dense layer as (d_h, W), output
-    gradient and weight, and forms d_h @ W.T one slab at a time: times the
-    window patches it gives the kernel gradient, summed the bias gradient.
+    gradient and weight, and walks the batch in blocks of ``_ROW_BLOCK`` rows,
+    so no (batch, dim) feature gradient is built. Per block one ReLU mask
+    serves every head; per head d_h @ W.T is one matmul, masked in place, and
+    one batched matmul against the block's (positions, rows, kernel) windows
+    gives every position's kernel gradient. Per-position kernel and bias sums
+    are added up per branch after the last block.
 
     ``order[c]`` is column c's filter-major column (filter f, position l at
     f * width + l in each branch), the checkpoint row order of the heads'
@@ -221,19 +228,32 @@ class FeatureTrunk:
         """Parameter gradients in :meth:`params` order, one list per
         (d_h, W) pair of ``heads``; no input gradient."""
         rows, features = cache
-        grads: list[list[np.ndarray]] = [[] for _ in heads]
-        for conv, lo, hi in self._branches:
-            span = slice(CONV_FILTERS * lo, CONV_FILTERS * hi)
-            mask = (features[:, span] > 0).reshape(-1, CONV_FILTERS)
-            patches = rows[:, self._taps[lo:hi]].reshape(-1, CONV_KERNEL)
-            for out, (d_h, weight) in zip(grads, heads):
-                d_pre = (d_h @ weight[span].T).reshape(-1, CONV_FILTERS)
+        positions, dtype = len(self._taps), features.dtype
+        # Per head: each conv position's kernel and each position's bias sums,
+        # then the scalar units' weight gradient.
+        sums = [(np.zeros((positions, CONV_FILTERS, CONV_KERNEL), dtype),
+                 np.zeros((positions + 1, CONV_FILTERS), dtype),
+                 np.zeros(self.scalars.weight.shape, dtype)) for _ in heads]
+        for start in range(0, len(rows), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            mask = features[block] > 0
+            windows = rows[block, self._taps].transpose(1, 0, 2)
+            scalars = rows[block, self._scalar_cols]
+            for (d_kernel, d_bias, d_scalar), (d_h, weight) in zip(sums, heads):
+                d_pre = d_h[block] @ weight.T
                 d_pre *= mask
-                out += [(d_pre.T @ patches).reshape(conv.weight.shape), d_pre.sum(axis=0)]
-        mask = features[:, -CONV_FILTERS:] > 0
-        for out, (d_h, weight) in zip(grads, heads):
-            d_pre = (d_h @ weight[-CONV_FILTERS:].T) * mask
-            out += [rows[:, self._scalar_cols].T @ d_pre, d_pre.sum(axis=0)]
+                d_pre = d_pre.reshape(len(d_pre), -1, CONV_FILTERS)
+                d_kernel += d_pre[:, :-1].transpose(1, 2, 0) @ windows
+                d_bias += d_pre.sum(axis=0)
+                d_scalar += scalars.T @ d_pre[:, -1]
+        starts = [lo for _, lo, _ in self._branches]
+        grads = []
+        for d_kernel, d_bias, d_scalar in sums:
+            kernels = np.add.reduceat(d_kernel, starts)
+            biases = np.add.reduceat(d_bias[:-1], starts)
+            grads.append([g for conv, kernel, bias in zip(self.convs.values(), kernels, biases)
+                          for g in (kernel.reshape(conv.weight.shape), bias)]
+                         + [d_scalar, d_bias[-1]])
         return grads
 
 

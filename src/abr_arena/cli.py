@@ -230,6 +230,9 @@ def cmd_evaluate(args) -> int:
     agent = Agent.load(args.checkpoint)
     traces = _load_traces_dir(args.traces)
     manifest = workload.load_manifest(args.manifest)
+    if manifest.num_levels != agent.config.num_levels:
+        raise ValueError(f"manifest {args.manifest} has {manifest.num_levels} bitrate levels, "
+                         f"checkpoint {args.checkpoint} plays {agent.config.num_levels}")
     session = SessionConfig(**_flags(args, SessionConfig),
                             history_len=agent.config.history_len)
     baselines = {name: make_policy(name, manifest, session) for name in names}

@@ -455,7 +455,8 @@ def update_batch(agent, rng, sessions, chunks, win=0.25):
 
 @pytest.mark.parametrize("td_steps", [1, 3])
 @pytest.mark.parametrize("reward_mode", ["broadcast", "terminal"])
-@pytest.mark.parametrize("sessions,chunks", [(1, 1), (3, 3), (16, 48)])
+# (7, 29) is 203 rows: several trunk backward row blocks, the last one partial.
+@pytest.mark.parametrize("sessions,chunks", [(1, 1), (3, 3), (7, 29), (16, 48)])
 def test_gradients_match_head_by_head_reference(sessions, chunks, reward_mode, td_steps):
     agent = Agent(AgentConfig(reward_mode=reward_mode, td_steps=td_steps), seed=21)
     batch = update_batch(agent, np.random.default_rng(sessions), sessions, chunks)
@@ -471,8 +472,9 @@ def test_gradients_match_head_by_head_reference(sessions, chunks, reward_mode, t
 
 
 def test_update_peak_memory_below_feature_multiple():
-    """No (batch, trunk.dim) feature gradient is built: one update on a
-    768-row batch peaks under 2.5 feature arrays of traced allocation."""
+    """No (batch, trunk.dim) feature gradient is built and the trunk
+    backward's temporaries are row blocks: one update on a 768-row batch peaks
+    under 1.9 feature arrays of traced allocation."""
     agent = Agent(AgentConfig(), seed=22)
     batch = update_batch(agent, np.random.default_rng(23), 16, 48)
     feature_bytes = 768 * agent.trunk.dim * np.dtype(np.float32).itemsize
@@ -483,7 +485,7 @@ def test_update_peak_memory_below_feature_multiple():
     finally:
         tracemalloc.stop()
     assert agent.policy_opt.t == 1
-    assert peak <= 2.5 * feature_bytes
+    assert peak <= 1.9 * feature_bytes
 
 
 def test_trunk_forward_peak_memory_below_feature_multiple():

@@ -4,9 +4,8 @@
 full-size tournament's every round must reproduce the ratings recorded in
 ``tournament_golden.json`` (to 1e-9), and one toy self-play unit and one toy
 evaluate unit must pass their checks with no failed match. With the tracer
-of ``perfbench/tracing.py`` installed, a toy evaluate unit and a toy
-tournament unit must reach (and not reach) the layers ``perfbench/smoke.py``
-names for them.
+of ``perfbench/tracing.py`` installed, a toy unit of each workload must reach
+(and not reach) the layers ``perfbench/smoke.py`` names for it.
 """
 
 import importlib.util
@@ -50,11 +49,10 @@ def test_toy_unit_passes_its_check(workloads, tmp_path, name):
     assert workload.check(output) == 0
 
 
-@pytest.mark.parametrize("name", ["evaluate", "tournament"])
-def test_toy_unit_reaches_its_traced_layers(workloads, tmp_path, name):
-    """The layer contract of the smoke script (a tournament, for example,
-    runs no network code), and ``dynamic_dash`` reaching ``throughput_rule``
-    and ``bola`` through the module names the tracer patches."""
+def traced_toy_unit(workloads, tmp_path, name):
+    """The tracer of one toy ``name`` unit, run with ``perfbench/tracing.py``
+    installed, once its layers are checked against the smoke script's
+    REACHED and UNREACHED lists."""
     tracing, smoke = load_by_path("tracing"), load_by_path("smoke")
     workload = workloads.WORKLOADS[name](7, workloads.SIZES["toy"], tmp_path)
     workload.setup()
@@ -70,7 +68,25 @@ def test_toy_unit_reaches_its_traced_layers(workloads, tmp_path, name):
         assert any(c.startswith(layer) for c in called), f"{layer} never called"
     for prefix in smoke.UNREACHED[name]:
         assert not any(c.startswith(prefix) for c in called), f"{prefix} called"
+    return tracer
+
+
+@pytest.mark.parametrize("name", ["evaluate", "tournament"])
+def test_toy_unit_reaches_its_traced_layers(workloads, tmp_path, name):
+    """The layer contract of the smoke script (a tournament, for example,
+    runs no network code), and ``dynamic_dash`` reaching ``throughput_rule``
+    and ``bola`` through the module names the tracer patches."""
+    tracer = traced_toy_unit(workloads, tmp_path, name)
     names = {span[0]: span[1] for span in tracer.spans}
     nested = {(names.get(span[4]), span[1]) for span in tracer.spans}
     assert {("baselines.dynamic_dash", "baselines.throughput_rule"),
             ("baselines.dynamic_dash", "baselines.bola")} <= nested
+
+
+def test_toy_selfplay_unit_reaches_its_traced_layers(workloads, tmp_path):
+    """A traced self-play unit, both agent updates included, reaches the
+    smoke script's layers. The tracer keeps one span stack and raises on a
+    span closed out of order, as overlapping spans from an update that ran
+    traced layers on worker threads would be."""
+    tracer = traced_toy_unit(workloads, tmp_path, "selfplay")
+    assert tracer.calls["agent.update"] == 2

@@ -258,6 +258,22 @@ def test_evaluate_rejects_repeated_baseline(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_rejects_ladder_size_mismatch(tmp_path, capsys):
+    traces_dir = write_traces(tmp_path, count=2)
+    manifest_path = write_manifest(tmp_path)  # six levels
+    ckpt = tmp_path / "agent.ckpt"
+    Agent(AgentConfig(history_len=4, num_levels=5), seed=0).save(ckpt)
+    out = tmp_path / "eval.jsonl"
+    code, stdout, err = run_cli(
+        "evaluate", "--checkpoint", str(ckpt), "--traces", str(traces_dir),
+        "--manifest", str(manifest_path), "--baselines", "constrained",
+        "--out", str(out), capsys=capsys)
+    assert code == 1
+    assert "win_rate" not in stdout
+    assert_one_error_line(err, str(manifest_path), str(ckpt), " 6 ", " 5")
+    assert not out.exists()
+
+
 def test_train_rejects_negative_epochs_flag(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(train_config_doc(tmp_path)))
