@@ -9,6 +9,7 @@ time, buffer level, next chunk sizes, then the GEM's hidden feature.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -29,11 +30,46 @@ from .workload import Manifest
 CONV_FILTERS = 64
 CONV_KERNEL = 3
 HEAD_WIDTH = 64
-# Rows per step of the trunk backward: its (rows, dim) temporaries stay
+# Rows per step of the trunk backward: its (rows, dim) block buffers stay
 # cache-sized and are reused from the heap, not faulted in on every update.
 _ROW_BLOCK = 128
 
 REWARD_MODES = ("broadcast", "terminal")
+
+
+@functools.cache
+def _worker():
+    """The one thread beside the caller's in :meth:`Agent.gradients`.
+
+    It runs the value head's large matmuls, which release the GIL: its
+    first-layer forward and weight gradient and its :meth:`FeatureTrunk.backward`.
+    Everything else stays on the calling thread: the heads' tails, the losses
+    and the optimizer steps, and every other method of ``neural``, ``Agent``
+    and ``gem``, which ``perfbench/tracing.py`` wraps in spans on one stack.
+    The caller allocates the buffers the worker fills, so the worker's own
+    malloc arena stays small.
+    """
+    # Imported here: concurrent.futures loads logging, about 0.6 MB of peak
+    # memory that processes which never update need not hold.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="abr-arena-value")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _beside(here, there):
+    """(here(), there()): ``there`` on the worker thread while ``here`` runs
+    on this one. The worker is waited for even when ``here`` raises."""
+    future = _worker().submit(there)
+    try:
+        result = here()
+    finally:
+        future.exception()  # waits; a failure of ``here`` takes precedence
+    return result, future.result()
+
 
 META_KIND = "abr-arena-agent"
 
@@ -167,13 +203,13 @@ class FeatureTrunk:
     feed a dense layer. Features are position-major, a (positions + 1, filters)
     block: each branch is one matmul of its gathered windows into its own slab,
     the scalar units come last, and one bias add and one ReLU cover the block.
-    The backward takes each head's first dense layer as (d_h, W), output
+    The backward takes one head's first dense layer as (d_h, W), output
     gradient and weight, and walks the batch in blocks of ``_ROW_BLOCK`` rows,
-    so no (batch, dim) feature gradient is built. Per block one ReLU mask
-    serves every head; per head d_h @ W.T is one matmul, masked in place, and
-    one batched matmul against the block's (positions, rows, kernel) windows
-    gives every position's kernel gradient. Per-position kernel and bias sums
-    are added up per branch after the last block.
+    so no (batch, dim) feature gradient is built. Per block d_h @ W.T is one
+    matmul into the block buffer, masked in place by the ReLU, and one batched
+    matmul against the block's (positions, rows, kernel) windows gives every
+    position's kernel gradient. Per-position kernel and bias sums are added up
+    per branch after the last block.
 
     ``order[c]`` is column c's filter-major column (filter f, position l at
     f * width + l in each branch), the checkpoint row order of the heads'
@@ -224,37 +260,39 @@ class FeatureTrunk:
             raise FloatingPointError("non-finite network output")
         return features, (rows, features)
 
-    def backward(self, cache, heads) -> list[list[np.ndarray]]:
-        """Parameter gradients in :meth:`params` order, one list per
-        (d_h, W) pair of ``heads``; no input gradient."""
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (``_ROW_BLOCK``, dim) block gradient and ReLU mask buffers of
+        one :meth:`backward` call."""
+        return (np.empty((_ROW_BLOCK, self.dim), self.scalars.weight.dtype),
+                np.empty((_ROW_BLOCK, self.dim), bool))
+
+    def backward(self, cache, d_h, weight, work=None) -> list[np.ndarray]:
+        """Parameter gradients in :meth:`params` order for one head whose
+        first dense layer has weight ``weight`` and output gradient ``d_h``;
+        no input gradient. ``work`` is a :meth:`workspace`, new if None."""
         rows, features = cache
         positions, dtype = len(self._taps), features.dtype
-        # Per head: each conv position's kernel and each position's bias sums,
-        # then the scalar units' weight gradient.
-        sums = [(np.zeros((positions, CONV_FILTERS, CONV_KERNEL), dtype),
-                 np.zeros((positions + 1, CONV_FILTERS), dtype),
-                 np.zeros(self.scalars.weight.shape, dtype)) for _ in heads]
+        d_block, mask = self.workspace() if work is None else work
+        # Each conv position's kernel and each position's bias sums, then the
+        # scalar units' weight gradient.
+        d_kernel = np.zeros((positions, CONV_FILTERS, CONV_KERNEL), dtype)
+        d_bias = np.zeros((positions + 1, CONV_FILTERS), dtype)
+        d_scalar = np.zeros(self.scalars.weight.shape, dtype)
         for start in range(0, len(rows), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            mask = features[block] > 0
+            stop = min(start + _ROW_BLOCK, len(rows))
+            block = slice(start, stop)
+            d_pre = np.matmul(d_h[block], weight.T, out=d_block[:stop - start])
+            d_pre *= np.greater(features[block], 0, out=mask[:stop - start])
+            d_pre = d_pre.reshape(len(d_pre), -1, CONV_FILTERS)
             windows = rows[block, self._taps].transpose(1, 0, 2)
-            scalars = rows[block, self._scalar_cols]
-            for (d_kernel, d_bias, d_scalar), (d_h, weight) in zip(sums, heads):
-                d_pre = d_h[block] @ weight.T
-                d_pre *= mask
-                d_pre = d_pre.reshape(len(d_pre), -1, CONV_FILTERS)
-                d_kernel += d_pre[:, :-1].transpose(1, 2, 0) @ windows
-                d_bias += d_pre.sum(axis=0)
-                d_scalar += scalars.T @ d_pre[:, -1]
+            d_kernel += d_pre[:, :-1].transpose(1, 2, 0) @ windows
+            d_bias += d_pre.sum(axis=0)
+            d_scalar += rows[block, self._scalar_cols].T @ d_pre[:, -1]
         starts = [lo for _, lo, _ in self._branches]
-        grads = []
-        for d_kernel, d_bias, d_scalar in sums:
-            kernels = np.add.reduceat(d_kernel, starts)
-            biases = np.add.reduceat(d_bias[:-1], starts)
-            grads.append([g for conv, kernel, bias in zip(self.convs.values(), kernels, biases)
-                          for g in (kernel.reshape(conv.weight.shape), bias)]
-                         + [d_scalar, d_bias[-1]])
-        return grads
+        kernels = np.add.reduceat(d_kernel, starts)
+        biases = np.add.reduceat(d_bias[:-1], starts)
+        return [g for conv, kernel, bias in zip(self.convs.values(), kernels, biases)
+                for g in (kernel.reshape(conv.weight.shape), bias)] + [d_scalar, d_bias[-1]]
 
 
 class Agent:
@@ -333,17 +371,22 @@ class Agent:
         in the policy objective, are held constant. Returns
         (report, policy_grads, value_grads); the gradient lists are None when
         a loss came out non-finite.
+
+        The value head's first-layer matmuls and trunk backward run on the
+        worker thread (see :func:`_worker`) while this thread does the policy
+        head's; each head's arithmetic is the same as run alone.
         """
         cfg = self.config
         features, trunk_cache = self.trunk.forward(batch.inputs)
         batch_size = features.shape[0]
-        # Both heads' first dense layers run as one matmul, forward and backward.
-        heads = (self.policy_head, self.value_head)
-        firsts = [head.layers[0] for head in heads]
-        tails = [Sequential(head.layers[1:]) for head in heads]
-        hidden = np.hsplit(features @ np.concatenate([layer.weight for layer in firsts], axis=1), 2)
-        (logits, policy_cache), (values, value_cache) = [
-            tail.forward(h + first.bias) for tail, first, h in zip(tails, firsts, hidden)]
+        first_p, first_v = self.policy_head.layers[0], self.value_head.layers[0]
+        tail_p, tail_v = (Sequential(head.layers[1:])
+                          for head in (self.policy_head, self.value_head))
+        hidden_v = np.empty((batch_size, HEAD_WIDTH), features.dtype)
+        hidden_p, _ = _beside(lambda: features @ first_p.weight,
+                              lambda: np.matmul(features, first_v.weight, out=hidden_v))
+        logits, policy_cache = tail_p.forward(hidden_p + first_p.bias)
+        values, value_cache = tail_v.forward(hidden_v + first_v.bias)
 
         values = values[:, 0].astype(np.float64)
         q_targets = td_targets(batch.rewards, values.reshape(batch.rewards.shape),
@@ -362,25 +405,28 @@ class Agent:
         if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
             return report, None, None
 
-        # d(policy_loss)/d(logits): the log-likelihood term plus the entropy
-        # bonus, both expressed directly at the logits for stability.
-        one_hot = np.zeros_like(probs)
-        one_hot[np.arange(batch_size), batch.actions] = 1.0
-        d_logits = (adv[:, None] * (probs - one_hot)
-                    + cfg.entropy_weight * probs * (log_probs + entropy[:, None]))
-        d_logits = (d_logits / batch_size).astype(DTYPE)
         # d(value_loss)/d(v) for the squared bootstrap error.
         d_values = (-2.0 * adv / batch_size)[:, None].astype(DTYPE)
+        d_h_v, value_tail_grads = tail_v.backward(value_cache, d_values)
+        grad_w_v, work = np.empty_like(first_v.weight), self.trunk.workspace()
 
-        tail_backs = [tail.backward(cache, d_out) for tail, cache, d_out in
-                      zip(tails, (policy_cache, value_cache), (d_logits, d_values))]
-        d_hidden = [d_h for d_h, _ in tail_backs]
-        first_w = np.hsplit(features.T @ np.concatenate(d_hidden, axis=1), 2)
-        trunk_grads = self.trunk.backward(
-            trunk_cache, [(d_h, first.weight) for d_h, first in zip(d_hidden, firsts)])
-        policy_grads, value_grads = [
-            trunk + [grad_w, d_h.sum(axis=0)] + tail_grads
-            for trunk, grad_w, (d_h, tail_grads) in zip(trunk_grads, first_w, tail_backs)]
+        def value_side():
+            return (self.trunk.backward(trunk_cache, d_h_v, first_v.weight, work)
+                    + [np.matmul(features.T, d_h_v, out=grad_w_v), d_h_v.sum(axis=0)]
+                    + value_tail_grads)
+
+        def policy_side():
+            # d(policy_loss)/d(logits): the log-likelihood term plus the
+            # entropy bonus, both expressed directly at the logits for stability.
+            one_hot = np.zeros_like(probs)
+            one_hot[np.arange(batch_size), batch.actions] = 1.0
+            d_logits = (adv[:, None] * (probs - one_hot)
+                        + cfg.entropy_weight * probs * (log_probs + entropy[:, None]))
+            d_h, tail_grads = tail_p.backward(policy_cache, (d_logits / batch_size).astype(DTYPE))
+            return (self.trunk.backward(trunk_cache, d_h, first_p.weight)
+                    + [features.T @ d_h, d_h.sum(axis=0)] + tail_grads)
+
+        policy_grads, value_grads = _beside(policy_side, value_side)
         return report, policy_grads, value_grads
 
     def update(self, batch: UpdateBatch) -> dict[str, float]:

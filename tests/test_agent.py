@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -342,13 +343,11 @@ def test_trunk_matches_per_branch_layers(batch):
     heads = [(rng.normal(size=(batch, units)).astype(np.float32),
               rng.normal(size=(features.shape[1], units)).astype(np.float32))
              for units in (5, 2)]
-    head_grads = agent.trunk.backward(cache, heads)
-    assert len(head_grads) == len(heads)
-
     # The reference layers write filter-major features: position-major
     # column c is their column trunk.order[c].
     order = agent.trunk.order
-    for grads, (d_h, weight) in zip(head_grads, heads):
+    for d_h, weight in heads:
+        grads = agent.trunk.backward(cache, d_h, weight)
         d_features = np.empty_like(features)
         d_features[:, order] = d_h @ weight.T
         ref_features, ref_grads, offset = [], [], 0
@@ -591,6 +590,63 @@ def test_update_skips_on_nonfinite_loss():
     assert agent.policy_opt.t == agent.value_opt.t == 0
     for old, new in zip(before, params):
         assert np.array_equal(old, new)
+
+
+class TrunkFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("head", ["policy_head", "value_head"])
+def test_update_raises_trunk_backward_fault_and_writes_nothing(monkeypatch, head):
+    """A trunk backward that raises for the value head, on the worker thread,
+    or for the policy head, on the calling one, reaches the caller of update
+    with no parameter, moment or step count written; the next update then
+    equals an untouched twin's."""
+    agent = Agent(AgentConfig(), seed=27)
+    # (7, 29) is 203 rows: several trunk backward row blocks.
+    batch = update_batch(agent, np.random.default_rng(28), 7, 29)
+    twin = copy.deepcopy(agent)
+    failing, backward = getattr(agent, head).layers[0].weight, FeatureTrunk.backward
+
+    def faulty(self, cache, d_h, weight, work=None):
+        if weight is failing:
+            raise TrunkFault(head)
+        return backward(self, cache, d_h, weight, work)
+
+    opts = (agent.policy_opt, agent.value_opt)
+    state = [a.copy() for opt in opts for a in opt.params + opt.m + opt.v]
+    with monkeypatch.context() as patch:
+        patch.setattr(FeatureTrunk, "backward", faulty)
+        with pytest.raises(TrunkFault, match=head):
+            agent.update(batch)
+    assert agent.policy_opt.t == agent.value_opt.t == 0
+    for old, new in zip(state, (a for opt in opts for a in opt.params + opt.m + opt.v)):
+        assert np.array_equal(old, new)
+    assert agent.update(batch) == twin.update(batch)
+    twin_arrays = twin.arrays()
+    for name, array in agent.arrays().items():
+        assert np.array_equal(array, twin_arrays[name]), name
+
+
+def test_repeated_gradients_are_bitwise_equal():
+    """The worker thread and the caller share no buffer they write: 20
+    gradient calls on a multi-block batch, with thread switches forced often,
+    give the same losses and gradients bit for bit."""
+    agent = Agent(AgentConfig(), seed=29)
+    batch = update_batch(agent, np.random.default_rng(30), 7, 29)
+    report, *want = agent.gradients(batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [agent.gradients(batch) for _ in range(20)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got_report, *got in runs:
+        assert got_report == report
+        for got_grads, want_grads in zip(got, want):
+            assert len(got_grads) == len(want_grads)
+            for g, w in zip(got_grads, want_grads):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("head", ["policy_head", "value_head"])
