@@ -14,7 +14,7 @@ from .baselines import (
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
 from .gem import HIDDEN_SIZE, GemModule, WinBuffer
-from .rule import MatchOutcome, judge, win_rate
+from .rule import RESULT_LABELS, judge, win_rate
 from .simulator import (
     Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
     run_session,
@@ -34,7 +34,7 @@ __all__ = [
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
     "HIDDEN_SIZE", "GemModule", "WinBuffer",
-    "MatchOutcome", "judge", "win_rate",
+    "RESULT_LABELS", "judge", "win_rate",
     "Observation", "Session", "SessionConfig", "SessionMetrics",
     "Trajectory", "TrajectoryStep", "run_session",
     "EpochReport", "TrainConfig", "evaluate", "run_epoch", "run_match", "train",

@@ -359,7 +359,7 @@ class Agent:
             rewards[:] = outcomes[:, None]
         else:
             rewards[:, -1] = outcomes
-        actions = np.array([[s.action for s in t.steps] for t in trajectories], dtype=np.int64)
+        actions = np.array([t.levels for t in trajectories], dtype=np.int64)
         return UpdateBatch(inputs=rows.reshape(-1, rows.shape[-1]), actions=actions.ravel(),
                            rewards=rewards, win_rate=win)
 

@@ -169,8 +169,9 @@ def _build_train_config(doc) -> selfplay.TrainConfig:
     else:
         synth_doc = traces_doc["synthetic"]
         count, traces_seed = synth_doc.pop("count", 20), synth_doc.pop("seed", seed)
-        traces = _synth_traces(_checked("traces.synthetic", workload.SynthTraceConfig,
-                                        **synth_doc), count, traces_seed)
+        traces = _checked("traces.synthetic", _synth_traces,
+                          _checked("traces.synthetic", workload.SynthTraceConfig, **synth_doc),
+                          count, traces_seed)
     manifest_doc = top.pop("manifest")
     if "path" in manifest_doc:
         manifest, ladder = workload.load_manifest(manifest_doc["path"]), "manifest.path"

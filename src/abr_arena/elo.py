@@ -6,14 +6,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .rule import MatchOutcome, judge, match_scores
+from .rule import RESULT_LABELS, judge
 from .simulator import Policy, SessionConfig, run_session
 from .workload import Manifest, Trace
 
 INITIAL_RATING = 1000.0
 K_FACTOR = 10.0
-
-VALID_SCORES = (0.0, 0.5, 1.0)
 
 
 @dataclass
@@ -28,13 +26,12 @@ def expected_score(rating_a: float, rating_b: float) -> float:
     return 1.0 / (1.0 + 10.0 ** ((rating_b - rating_a) / 400.0))
 
 
-def update(rating_a: float, rating_b: float, score_a: float,
-           k: float = K_FACTOR) -> tuple[float, float]:
+def update(rating_a: float, rating_b: float, score_a: float) -> tuple[float, float]:
     """One head-to-head update; the rating sum is conserved."""
-    if score_a not in VALID_SCORES:
-        raise ValueError(f"score must be one of {VALID_SCORES}, got {score_a}")
-    new_a = rating_a + k * (score_a - expected_score(rating_a, rating_b))
-    new_b = rating_b + k * ((1.0 - score_a) - expected_score(rating_b, rating_a))
+    if score_a not in RESULT_LABELS:
+        raise ValueError(f"score must be one of {sorted(RESULT_LABELS)}, got {score_a}")
+    new_a = rating_a + K_FACTOR * (score_a - expected_score(rating_a, rating_b))
+    new_b = rating_b + K_FACTOR * ((1.0 - score_a) - expected_score(rating_b, rating_a))
     return new_a, new_b
 
 
@@ -43,7 +40,6 @@ def anchor_baselines(
     traces: Sequence[Trace],
     manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
-    k: float = K_FACTOR,
 ) -> dict[str, float]:
     """Round-robin every unordered policy pair over every trace.
 
@@ -62,29 +58,24 @@ def anchor_baselines(
     for i, name_a in enumerate(names):
         for name_b in names[i + 1:]:
             for metrics_a, metrics_b in zip(metrics[name_a], metrics[name_b]):
-                score_a, _ = match_scores(judge(metrics_a, metrics_b))
                 ratings[name_a], ratings[name_b] = update(
-                    ratings[name_a], ratings[name_b], score_a, k
-                )
+                    ratings[name_a], ratings[name_b], judge(metrics_a, metrics_b))
     return ratings
 
 
 def rate_agent(
     agent_rating: float,
     baseline_ratings: Mapping[str, float],
-    outcomes: Mapping[str, Sequence[MatchOutcome]],
-    k: float = K_FACTOR,
+    scores: Mapping[str, Sequence[float]],
 ) -> float:
-    """Update the agent's rating from matches against frozen baselines.
-
-    The agent is agent0 in every outcome. Baseline ratings are anchors and
-    are never modified.
+    """Update the agent's rating from its match scores against frozen
+    baselines. Baseline ratings are anchors and are never modified.
     """
     rating = agent_rating
-    for name, outcome_list in outcomes.items():
+    for name, score_list in scores.items():
         if name not in baseline_ratings:
             raise KeyError(f"unknown baseline {name!r}")
         anchor = baseline_ratings[name]
-        for outcome in outcome_list:
-            rating = update(rating, anchor, match_scores(outcome)[0], k)[0]
+        for score in score_list:
+            rating = update(rating, anchor, score)[0]
     return rating

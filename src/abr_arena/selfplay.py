@@ -15,8 +15,8 @@ import numpy as np
 
 from .agent import Agent, AgentConfig, AgentPolicy
 from .baselines import POLICY_NAMES, make_policy
-from .elo import K_FACTOR, anchor_baselines, rate_agent
-from .rule import MatchOutcome, judge, match_scores, win_rate
+from .elo import anchor_baselines, rate_agent
+from .rule import RESULT_LABELS, judge, win_rate
 from .simulator import Policy, SessionConfig, SessionMetrics, Trajectory, run_session
 from .workload import Manifest, Trace
 
@@ -84,9 +84,9 @@ def run_match(
     traces: Sequence[Trace],
     manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
-) -> list[tuple[Trajectory, Trajectory, MatchOutcome]]:
+) -> list[tuple[Trajectory, Trajectory, float]]:
     """Stream both players over ``manifest`` on each trace in one
-    ``run_session`` call and judge each pair of sessions.
+    ``run_session`` call and judge each pair of sessions: player 0's score.
 
     A player is any policy: an :class:`AgentPolicy` keeps its own rows, act
     mode and generators, a baseline needs nothing. No traces play no match.
@@ -111,7 +111,7 @@ def run_epoch(
     *,
     seed: int = 0,
     epoch: int = 0,
-) -> tuple[EpochReport, list[tuple[Trajectory, Trajectory, MatchOutcome]]]:
+) -> tuple[EpochReport, list[tuple[Trajectory, Trajectory, float]]]:
     """Play every (trace, video) match, then apply GEM and policy/value
     updates. The matches must share one video (compared with ``==``).
 
@@ -132,12 +132,13 @@ def run_epoch(
                            [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(traces))])
                for agent_idx, agent in enumerate(agents)]
     results = run_match(*players, traces, videos[0], cfg)
-    *played, outcomes = zip(*results)
-    wins = win_rate(outcomes)
+    *played, scores = zip(*results)
+    wins = win_rate(scores)
+    rewards0 = np.array(scores)
 
     losses: list[dict[str, float]] = []
-    for agent_idx, (agent, player, trajectories) in enumerate(zip(agents, players, played)):
-        rewards = np.array([match_scores(outcome)[agent_idx] for outcome in outcomes])
+    for agent_idx, (agent, player, trajectories, rewards) in enumerate(
+            zip(agents, players, played, (rewards0, 1.0 - rewards0))):
         rows = player.rows.swapaxes(0, 1)
         agent.gem.collect(rows[rewards == 1.0])
         # The batch's flat rows double as the generator's input pool.
@@ -194,19 +195,19 @@ def evaluate(
     steps_denom = max(1, chunks - 1)
     records: list[dict] = []
     win_rates: dict[str, float] = {}
-    outcomes_by_opponent: dict[str, list[MatchOutcome]] = {}
+    scores_by_opponent: dict[str, list[float]] = {}
     my_sessions, *opponents = run_session(
         [AgentPolicy(agent, len(traces), manifest, cfg), *baselines.values()],
         traces, manifest, cfg)
     for name, their_sessions in zip(baselines, opponents):
-        outcomes: list[MatchOutcome] = []
+        scores: list[float] = []
         for trace, mine, theirs in zip(traces, my_sessions, their_sessions):
-            outcome = judge(mine.metrics, theirs.metrics)
-            outcomes.append(outcome)
+            score = judge(mine.metrics, theirs.metrics)
+            scores.append(score)
             records.append({
                 "trace_id": trace.id,
                 "opponent": name,
-                "result": outcome.value,
+                "result": RESULT_LABELS[score],
                 "agent_bitrate_kbps": mine.metrics.total_bitrate_kbps / chunks,
                 "agent_rebuffer_s": mine.metrics.total_rebuffer_s,
                 "agent_change_kbps": mine.metrics.total_change_kbps / steps_denom,
@@ -214,11 +215,11 @@ def evaluate(
                 "opponent_rebuffer_s": theirs.metrics.total_rebuffer_s,
                 "opponent_change_kbps": theirs.metrics.total_change_kbps / steps_denom,
             })
-        win_rates[name] = win_rate(outcomes)[0]
-        outcomes_by_opponent[name] = outcomes
+        win_rates[name] = win_rate(scores)[0]
+        scores_by_opponent[name] = scores
     rating = None
     if baseline_ratings is not None and agent_rating is not None:
-        rating = rate_agent(agent_rating, baseline_ratings, outcomes_by_opponent, K_FACTOR)
+        rating = rate_agent(agent_rating, baseline_ratings, scores_by_opponent)
     return EvalResult(win_rates=win_rates, records=records, rating=rating)
 
 

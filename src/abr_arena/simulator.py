@@ -79,13 +79,17 @@ class TrajectoryStep:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A played session: each step's level and the totals. An agent's flat
-    rows stay with its ``AgentPolicy``. The levels stay ``TrajectoryStep``
-    objects rather than one array only because the benchmark's ``selfplay``
-    check reads ``steps[i].action``; the update batch stacks them once."""
+    """A played session: each chunk's ladder level and the totals. An
+    agent's flat rows stay with its ``AgentPolicy``."""
 
-    steps: tuple[TrajectoryStep, ...]
+    levels: tuple[int, ...]
     metrics: SessionMetrics
+
+    @property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        """The levels as step objects, built on demand for the benchmark's
+        ``selfplay`` check, which reads ``steps[i].action``."""
+        return tuple(map(TrajectoryStep, self.levels))
 
 
 class Session:
@@ -182,8 +186,8 @@ class Session:
 
     def trajectories(self) -> list[Trajectory]:
         """The played sessions, in session order."""
-        return [Trajectory(tuple(map(TrajectoryStep, actions)), metrics)
-                for actions, metrics in zip(self.actions.tolist(), self.metrics())]
+        return [Trajectory(tuple(levels), metrics)
+                for levels, metrics in zip(self.actions.tolist(), self.metrics())]
 
 
 def run_session(

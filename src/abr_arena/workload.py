@@ -139,6 +139,8 @@ def _trace_from_two_column(text: str, source: str) -> Trace:
             t, bw = float(fields[0]), float(fields[1])
         except ValueError as exc:
             raise ValueError(f"{source}: line {lineno}: non-numeric field") from exc
+        if not math.isfinite(t):
+            raise ValueError(f"{source}: line {lineno}: non-finite timestamp {t}")
         if times and t <= times[-1]:
             raise ValueError(f"{source}: line {lineno}: timestamp {t} not increasing")
         if not (math.isfinite(bw) and bw > 0):

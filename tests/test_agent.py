@@ -22,7 +22,7 @@ from abr_arena.gem import HIDDEN_SIZE
 from abr_arena.neural import Conv1D, Dense, Relu, Sequential
 from abr_arena.selfplay import run_epoch
 from abr_arena.simulator import (
-    Observation, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
+    Observation, SessionConfig, SessionMetrics, Trajectory,
 )
 from abr_arena.workload import (
     SynthManifestConfig, SynthTraceConfig, synth_manifest, synth_trace,
@@ -671,8 +671,7 @@ def test_dominant_win_rate_freezes_learning():
 
 def played(actions):
     """A trajectory of the given actions."""
-    steps = tuple(TrajectoryStep(int(a)) for a in actions)
-    return Trajectory(steps=steps, metrics=SessionMetrics(0.0, 0.0, 0.0))
+    return Trajectory(levels=tuple(map(int, actions)), metrics=SessionMetrics(0.0, 0.0, 0.0))
 
 
 def session_block(rng, sessions, chunks):

@@ -616,6 +616,7 @@ MALFORMED_CONFIGS = [
     ("traces.synthetic.duration_s", "60", "traces.synthetic.duration_s"),
     ("traces.synthetic.num_states", 0, "traces.synthetic"),
     ("traces.synthetic.bandwidth_min_kbps", 0.0, "traces.synthetic"),
+    ("traces.synthetic.duration_s", 1e-10, "traces.synthetic"),
     ("manifest", "video.json", "manifest"),
     ("manifest.synthetic.ladder_kbps", [300.0, "x"], "manifest.synthetic.ladder_kbps"),
     ("manifest.synthetic.ladder_kbps", [300.0], "manifest.synthetic"),

@@ -8,7 +8,7 @@ from abr_arena.baselines import POLICY_NAMES, make_policy
 from abr_arena.elo import (
     INITIAL_RATING, anchor_baselines, expected_score, rate_agent, update,
 )
-from abr_arena.rule import MatchOutcome, judge, match_scores
+from abr_arena.rule import judge
 from abr_arena.simulator import SessionConfig
 from abr_arena.workload import SynthManifestConfig, SynthTraceConfig, synth_manifest, synth_trace
 
@@ -29,13 +29,13 @@ def test_expected_score_monotone():
 
 
 def test_update_examples():
-    assert update(1000, 1000, 1.0, 10) == (1005.0, 995.0)
-    ra, rb = update(1200, 1000, 0.0, 10)
+    assert update(1000, 1000, 1.0) == (1005.0, 995.0)
+    ra, rb = update(1200, 1000, 0.0)
     assert ra == pytest.approx(1192.40, abs=0.01)
     assert rb == pytest.approx(1007.60, abs=0.01)
-    assert update(1000, 1000, 0.5, 10) == (1000.0, 1000.0)
+    assert update(1000, 1000, 0.5) == (1000.0, 1000.0)
     with pytest.raises(ValueError):
-        update(1000, 1000, 0.7, 10)
+        update(1000, 1000, 0.7)
 
 
 def test_update_conserves_sum():
@@ -44,7 +44,7 @@ def test_update_conserves_sum():
         ra = rng.uniform(600, 1600)
         rb = rng.uniform(600, 1600)
         score = float(rng.choice([0.0, 0.5, 1.0]))
-        na, nb = update(ra, rb, score, 10)
+        na, nb = update(ra, rb, score)
         assert abs((na + nb) - (ra + rb)) < 1e-9
 
 
@@ -103,7 +103,7 @@ def test_anchor_plays_each_policy_once_per_trace():
     for i, a in enumerate(POLICY_NAMES):
         for b in POLICY_NAMES[i + 1:]:
             for trace in traces:
-                score_a, _ = match_scores(judge(played_alone(a, trace), played_alone(b, trace)))
+                score_a = judge(played_alone(a, trace), played_alone(b, trace))
                 expected[a], expected[b] = update(expected[a], expected[b], score_a)
     assert ratings == expected
 
@@ -119,16 +119,16 @@ def test_anchor_validates_inputs():
 
 def test_rate_agent():
     baselines = {"anchor": 1000.0}
-    rating = rate_agent(1000.0, baselines, {"anchor": [MatchOutcome.AGENT0]}, 10)
+    rating = rate_agent(1000.0, baselines, {"anchor": [1.0]})
     assert rating == 1005.0
     assert baselines["anchor"] == 1000.0  # anchors are frozen
 
     # Draw-everything pulls the rating toward the opponents' level.
-    far = rate_agent(1200.0, {"weak": 1000.0}, {"weak": [MatchOutcome.DRAW] * 5}, 10)
+    far = rate_agent(1200.0, {"weak": 1000.0}, {"weak": [0.5] * 5})
     assert far < 1200.0
-    low = rate_agent(800.0, {"weak": 1000.0}, {"weak": [MatchOutcome.DRAW] * 5}, 10)
+    low = rate_agent(800.0, {"weak": 1000.0}, {"weak": [0.5] * 5})
     assert low > 800.0
 
-    assert rate_agent(1234.0, baselines, {"anchor": []}, 10) == 1234.0
+    assert rate_agent(1234.0, baselines, {"anchor": []}) == 1234.0
     with pytest.raises(KeyError):
-        rate_agent(1000.0, baselines, {"ghost": [MatchOutcome.DRAW]}, 10)
+        rate_agent(1000.0, baselines, {"ghost": [0.5]})

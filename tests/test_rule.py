@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abr_arena.rule import MatchOutcome, judge, match_scores, win_rate
+from abr_arena.rule import judge, win_rate
 from abr_arena.simulator import SessionMetrics
 
 
@@ -11,13 +11,13 @@ def m(b, r, s):
 
 def test_judge_worked_examples():
     # Dominance on (rebuffer, bitrate).
-    assert judge(m(2000, 0, 0), m(1500, 2, 0)) is MatchOutcome.AGENT0
+    assert judge(m(2000, 0, 0), m(1500, 2, 0)) == 1.0
     # Mixed axes fall through to the rebuffer-per-bitrate ratio.
-    assert judge(m(2000, 4, 0), m(1000, 1, 0)) is MatchOutcome.AGENT1
+    assert judge(m(2000, 4, 0), m(1000, 1, 0)) == 0.0
     # Equal on both axes and equal ratios: smaller total change wins.
-    assert judge(m(2000, 1, 500), m(2000, 1, 100)) is MatchOutcome.AGENT1
+    assert judge(m(2000, 1, 500), m(2000, 1, 100)) == 0.0
     # Total symmetry is a draw.
-    assert judge(m(2000, 1, 100), m(2000, 1, 100)) is MatchOutcome.DRAW
+    assert judge(m(2000, 1, 100), m(2000, 1, 100)) == 0.5
 
 
 def test_judge_rejects_bad_metrics():
@@ -27,14 +27,6 @@ def test_judge_rejects_bad_metrics():
         judge(m(1000, -1, 0), m(1000, 0, 0))
     with pytest.raises(ValueError):
         judge(m(1000, float("nan"), 0), m(1000, 0, 0))
-
-
-def _mirror(outcome):
-    return {
-        MatchOutcome.AGENT0: MatchOutcome.AGENT1,
-        MatchOutcome.AGENT1: MatchOutcome.AGENT0,
-        MatchOutcome.DRAW: MatchOutcome.DRAW,
-    }[outcome]
 
 
 def _random_metrics(rng, size):
@@ -57,7 +49,7 @@ def test_judge_antisymmetry_bulk():
     for i in range(size):
         m0 = m(b0[i], r0[i], s0[i])
         m1 = m(b1[i], r1[i], s1[i])
-        if judge(m0, m1) is not _mirror(judge(m1, m0)):
+        if judge(m1, m0) != 1.0 - judge(m0, m1):
             failures += 1
     assert failures == 0
 
@@ -67,7 +59,7 @@ def test_judge_dominance_property():
     for _ in range(2000):
         b1, r1, s1 = rng.uniform(1, 1e5), rng.uniform(0, 100), rng.uniform(0, 1e4)
         better = m(b1 + rng.uniform(0, 100) + 1e-6, max(0.0, r1 - rng.uniform(0, r1)), s1)
-        assert judge(better, m(b1, r1, s1)) is MatchOutcome.AGENT0
+        assert judge(better, m(b1, r1, s1)) == 1.0
 
 
 def test_judge_scale_covariance():
@@ -81,28 +73,22 @@ def test_judge_scale_covariance():
                         m0.total_change_kbps)
             scaled1 = m(m1.total_bitrate_kbps * factor, m1.total_rebuffer_s,
                         m1.total_change_kbps)
-            assert judge(scaled0, scaled1) is base
+            assert judge(scaled0, scaled1) == base
 
 
 def test_win_rate():
-    outcomes = [MatchOutcome.AGENT0, MatchOutcome.AGENT0, MatchOutcome.AGENT1,
-                MatchOutcome.DRAW]
-    assert win_rate(outcomes) == (0.625, 0.375)
-    assert win_rate([MatchOutcome.DRAW] * 3) == (0.5, 0.5)
-    assert win_rate([MatchOutcome.AGENT1] * 4) == (0.0, 1.0)
+    assert win_rate([1.0, 1.0, 0.0, 0.5]) == (0.625, 0.375)
+    assert win_rate([0.5] * 3) == (0.5, 0.5)
+    assert win_rate([0.0] * 4) == (0.0, 1.0)
     with pytest.raises(ValueError):
         win_rate([])
 
 
 def test_win_rates_sum_to_one_exactly():
     rng = np.random.default_rng(1)
-    choices = list(MatchOutcome)
+    choices = [1.0, 0.0, 0.5]
     for _ in range(200):
-        outcomes = [choices[i] for i in rng.integers(0, 3, size=rng.integers(1, 30))]
-        w0, w1 = win_rate(outcomes)
+        scores = [choices[i] for i in rng.integers(0, 3, size=rng.integers(1, 30))]
+        w0, w1 = win_rate(scores)
         assert w0 + w1 == 1.0
 
-
-def test_match_scores():
-    assert match_scores(MatchOutcome.AGENT0) == (1.0, 0.0)
-    assert match_scores(MatchOutcome.DRAW) == (0.5, 0.5)

@@ -9,8 +9,9 @@ from reference_session import ReferenceSession, as_batch
 from abr_arena import agent as agent_module
 from abr_arena import simulator
 from abr_arena.agent import Agent, AgentConfig, AgentPolicy, SessionScales
-from abr_arena.baselines import make_policy
-from abr_arena.rule import MatchOutcome, judge
+from abr_arena.baselines import POLICY_NAMES, make_policy
+from abr_arena.elo import rate_agent
+from abr_arena.rule import RESULT_LABELS, judge
 from abr_arena.selfplay import (
     EPOCH_CSV_COLUMNS, TrainConfig, _rollout_rng, evaluate, run_epoch, run_match, train,
 )
@@ -39,7 +40,7 @@ def pinned_agent(level, seed=0):
 
 
 def trajectory_signature(traj):
-    return tuple(s.action for s in traj.steps), traj.metrics
+    return traj.levels, traj.metrics
 
 
 def player(agent, traces, manifest=MANIFEST, mode="greedy", rngs=None):
@@ -49,18 +50,18 @@ def player(agent, traces, manifest=MANIFEST, mode="greedy", rngs=None):
 def test_run_match_identical_agents_draw():
     a = Agent(AGENT_CFG, seed=5)
     b = Agent(AGENT_CFG, seed=5)
-    [(t0, t1, outcome)] = run_match(player(a, [AMPLE]), player(b, [AMPLE]), [AMPLE],
-                                    MANIFEST, SESSION_CFG)
-    assert outcome is MatchOutcome.DRAW
+    [(t0, t1, score)] = run_match(player(a, [AMPLE]), player(b, [AMPLE]), [AMPLE],
+                                  MANIFEST, SESSION_CFG)
+    assert score == 0.5
     assert trajectory_signature(t0) == trajectory_signature(t1)
 
 
 def test_run_match_higher_bitrate_wins_on_ample_trace():
     low = pinned_agent(0, seed=1)
     high = pinned_agent(5, seed=2)
-    [(_, _, outcome)] = run_match(player(low, [AMPLE]), player(high, [AMPLE]), [AMPLE],
-                                  MANIFEST, SESSION_CFG)
-    assert outcome is MatchOutcome.AGENT1
+    [(_, _, score)] = run_match(player(low, [AMPLE]), player(high, [AMPLE]), [AMPLE],
+                                MANIFEST, SESSION_CFG)
+    assert score == 0.0
 
 
 def test_run_match_deterministic_given_rngs():
@@ -68,11 +69,11 @@ def test_run_match_deterministic_given_rngs():
     b = Agent(AGENT_CFG, seed=4)
     runs = []
     for _ in range(2):
-        [(t0, t1, outcome)] = run_match(
+        [(t0, t1, score)] = run_match(
             player(a, [AMPLE], mode="sample", rngs=[np.random.default_rng(7)]),
             player(b, [AMPLE], mode="sample", rngs=[np.random.default_rng(8)]),
             [AMPLE], MANIFEST, SESSION_CFG)
-        runs.append((trajectory_signature(t0), trajectory_signature(t1), outcome))
+        runs.append((trajectory_signature(t0), trajectory_signature(t1), score))
     assert runs[0] == runs[1]
 
 
@@ -139,7 +140,7 @@ def test_run_epoch_rejects_mixed_videos():
     twin = synth_manifest(SynthManifestConfig(num_chunks=4), seed=0)
     assert twin is not MANIFEST and twin == MANIFEST
     _, results = run_epoch(a0, a1, [(AMPLE, MANIFEST), (AMPLE, twin)], SESSION_CFG)
-    assert [len(t0.steps) for t0, _, _ in results] == [MANIFEST.num_chunks] * 2
+    assert [len(t0.levels) for t0, _, _ in results] == [MANIFEST.num_chunks] * 2
 
 
 def test_run_epoch_winner_learning_rate_freezes_policy():
@@ -163,7 +164,7 @@ def test_run_epoch_all_draws():
     a1 = pinned_agent(2, seed=15)
     report, results = run_epoch(a0, a1, [(AMPLE, MANIFEST)] * 3, SESSION_CFG, seed=2, epoch=1)
     assert report.w0 == 0.5 and report.w1 == 0.5
-    assert all(outcome is MatchOutcome.DRAW for _, _, outcome in results)
+    assert all(score == 0.5 for _, _, score in results)
     assert report.losses0["policy_lr"] == pytest.approx(
         -0.5 * np.log(0.5) * AGENT_CFG.policy_lr)
 
@@ -196,10 +197,10 @@ def test_run_epoch_rollouts_match_one_match_runs(monkeypatch):
 
     monkeypatch.setattr(Agent, "build_update_batch", recording_build)
     _, together = run_epoch(a0, a1, matches, SESSION_CFG, seed=seed, epoch=epoch)
-    assert [len(t0.steps) for t0, _, _ in together] == [7, 7, 7, 7]
-    for m, (((s0, s1, s_outcome), alone_rows), (t0, t1, t_outcome)) in enumerate(
+    assert [len(t0.levels) for t0, _, _ in together] == [7, 7, 7, 7]
+    for m, (((s0, s1, s_score), alone_rows), (t0, t1, t_score)) in enumerate(
             zip(separate, together)):
-        assert s_outcome is t_outcome
+        assert s_score == t_score
         for alone, batched in ((s0, t0), (s1, t1)):
             assert trajectory_signature(alone) == trajectory_signature(batched)
         for a in (0, 1):
@@ -223,9 +224,9 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
         # replay of the played actions.
         reference = ReferenceSession(manifest, trace, SESSION_CFG)
         observations = []
-        for step in traj.steps:
+        for level in traj.levels:
             observations.append(reference.observe())
-            reference.step(step.action)
+            reference.step(level)
         flat = agent.flatten_trajectory(as_batch(observations), scales)
         assert np.array_equal(rows[:, :-HIDDEN_SIZE], flat[:, :-HIDDEN_SIZE])
         assert traj.metrics == reference.metrics()
@@ -314,6 +315,23 @@ def test_evaluate_plays_agent_once_per_trace():
                 for record in evaluate(agent, {name: policy}, traces, MANIFEST,
                                        SESSION_CFG).records]
     assert result.records == separate
+
+
+def test_evaluate_labels_win_rates_and_rating_agree():
+    agent = Agent(AGENT_CFG, seed=32)
+    traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s) for s in range(4)]
+    baselines = {name: make_policy(name, MANIFEST, SESSION_CFG) for name in POLICY_NAMES}
+    anchors = {name: 950.0 + 25.0 * i for i, name in enumerate(POLICY_NAMES)}
+    result = evaluate(agent, baselines, traces, MANIFEST, SESSION_CFG,
+                      baseline_ratings=anchors, agent_rating=1010.0)
+    score_of = {label: score for score, label in RESULT_LABELS.items()}
+    scores = {name: [score_of[r["result"]] for r in result.records if r["opponent"] == name]
+              for name in POLICY_NAMES}
+    assert len(set().union(*scores.values())) > 1
+    for name, opponent_scores in scores.items():
+        assert len(opponent_scores) == len(traces)
+        assert result.win_rates[name] == sum(opponent_scores) / len(opponent_scores)
+    assert result.rating == rate_agent(1010.0, anchors, scores)
 
 
 def small_train_config(seed=0, epochs=2):

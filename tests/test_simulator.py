@@ -152,11 +152,12 @@ def test_run_session_constant_policy():
     manifest = one_level_manifest()
     trace = constant_trace(2000.0)
     [[traj]] = run_session([lowest], [trace], manifest)
-    assert len(traj.steps) == 2
+    assert traj.levels == (0, 0)
+    assert [s.action for s in traj.steps] == list(traj.levels)
     assert traj.metrics.total_bitrate_kbps == 2000.0
     assert traj.metrics.total_rebuffer_s == 0.0
     [[again]] = run_session([lowest], [trace], manifest)
-    assert [s.action for s in again.steps] == [s.action for s in traj.steps]
+    assert again.levels == traj.levels
     assert again.metrics == traj.metrics
     with pytest.raises(ValueError):  # a policy must pick one level per row
         run_session([lambda obs: np.zeros(len(obs.buffer_s) + 1, dtype=np.int64)],
@@ -166,7 +167,7 @@ def test_run_session_constant_policy():
 def test_run_session_single_chunk():
     manifest = one_level_manifest(num_chunks=1)
     [[traj]] = run_session([lowest], [constant_trace(2000.0)], manifest)
-    assert len(traj.steps) == 1
+    assert len(traj.levels) == 1
     assert traj.metrics.total_change_kbps == 0.0
 
 
@@ -334,11 +335,11 @@ def test_run_session_equals_reference_runs(monkeypatch):
             assert len(obs.buffer_s) == len(traces)
         for m, (trace, traj) in enumerate(zip(traces, trajectories)):
             ref = ReferenceSession(manifest, trace, cfg)
-            assert len(traj.steps) == manifest.num_chunks
-            for t, step in enumerate(traj.steps):
+            assert len(traj.levels) == manifest.num_chunks
+            for t, level in enumerate(traj.levels):
                 # The batches handed to the policy are still valid snapshots.
                 assert_same_observation(seen[p][t].rows(m), ref.observe())
-                ref.step(step.action)
+                ref.step(level)
                 row = p * len(traces) + m
                 assert session.download_time_s[row, cfg.history_len + t] == ref.last_download_s
             assert ref.done and traj.metrics == ref.metrics()

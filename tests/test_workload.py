@@ -47,6 +47,11 @@ def test_two_column_bad_rows(tmp_path):
     bad_time.write_text("0 1.0\n0 2.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_trace(bad_time, "two-column-text")
+    for text in ("0 1.0\ninf 2.0\n", "0 1.0\nnan 2.0\n3 1.0\n"):
+        non_finite = tmp_path / "non_finite.txt"
+        non_finite.write_text(text)
+        with pytest.raises(ValueError, match="line 2"):
+            load_trace(non_finite, "two-column-text")
     bad_field = tmp_path / "field.txt"
     bad_field.write_text("0 1.0 extra\n")
     with pytest.raises(ValueError, match="line 1"):
