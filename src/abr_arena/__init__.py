@@ -7,10 +7,7 @@ Elo ratings against classical baselines track progress.
 """
 
 from .agent import Agent, AgentConfig, AgentPolicy, SessionScales, dynamic_lr, normalize
-from .baselines import (
-    BolaParams, DynamicDashParams, bola, constrained, dynamic_dash, make_policy,
-    throughput_rule,
-)
+from .baselines import BolaParams, bola, constrained, dynamic_dash, make_policy, throughput_rule
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
 from .gem import HIDDEN_SIZE, GemModule, WinBuffer
@@ -30,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Agent", "AgentConfig", "AgentPolicy", "SessionScales", "dynamic_lr", "normalize",
-    "BolaParams", "DynamicDashParams", "bola", "constrained", "dynamic_dash",
+    "BolaParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
     "HIDDEN_SIZE", "GemModule", "WinBuffer",

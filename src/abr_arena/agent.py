@@ -327,23 +327,23 @@ class Agent:
         logits, _ = self.policy_head.forward(features)
         return softmax(logits)
 
-    def act(self, rows: np.ndarray, mode: str = "greedy",
-            rngs: Sequence[np.random.Generator | None] | None = None) -> np.ndarray:
+    def act(self, rows: np.ndarray,
+            rngs: Sequence[np.random.Generator] | None = None) -> np.ndarray:
         """Pick one level per flat normalized row.
 
-        Greedy takes the argmax (ties resolve to the lowest index); sample
-        mode draws row i from its softmax distribution with ``rngs[i]``.
+        With no generators it plays the argmax (ties resolve to the lowest
+        index); given ``rngs``, row i draws from its softmax distribution
+        with ``rngs[i]``.
         """
         probs = self.policy_probs(rows)
-        if mode == "greedy":
+        if rngs is None:
             return np.argmax(probs, axis=1)
-        if mode == "sample":
-            if rngs is None or len(rngs) != len(probs) or any(rng is None for rng in rngs):
-                raise ValueError("sample mode needs one random generator per row")
-            p = probs.astype(np.float64)
-            p /= p.sum(axis=1, keepdims=True)
-            return sample_levels(p, rngs)
-        raise ValueError(f"unknown act mode {mode!r}")
+        if len(rngs) != len(probs):
+            raise ValueError(f"sampling needs one random generator per row: "
+                             f"{len(probs)} rows, {len(rngs)} generators")
+        p = probs.astype(np.float64)
+        p /= p.sum(axis=1, keepdims=True)
+        return sample_levels(p, rngs)
 
     # ---- learning --------------------------------------------------------
 
@@ -542,7 +542,7 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 class AgentPolicy:
     """``agent`` as a :data:`simulator.Policy` over ``sessions`` sessions of
-    one video; session i samples with ``rngs[i]`` in sample mode.
+    one video: greedy with no ``rngs``, else session i samples with ``rngs[i]``.
 
     ``rows`` (num_chunks, sessions, flat_dim) is the only copy of the
     normalized states and hidden features: call t normalizes into ``rows[t]``
@@ -550,12 +550,12 @@ class AgentPolicy:
     """
 
     def __init__(self, agent: Agent, sessions: int, manifest: Manifest,
-                 cfg: SessionConfig = SessionConfig(), mode: str = "greedy",
-                 rngs: Sequence[np.random.Generator | None] | None = None):
+                 cfg: SessionConfig = SessionConfig(),
+                 rngs: Sequence[np.random.Generator] | None = None):
         config = agent.config
         if cfg.history_len != config.history_len or manifest.num_levels != config.num_levels:
             raise ValueError("session shapes do not match agent config")
-        self.agent, self.mode, self.rngs = agent, mode, rngs
+        self.agent, self.rngs = agent, rngs
         self.rows = np.zeros((manifest.num_chunks, sessions, config.flat_dim), dtype=DTYPE)
         self._scales = SessionScales(manifest.ladder_kbps[-1], cfg.buffer_capacity_s,
                                      manifest.total_duration_s)
@@ -568,4 +568,4 @@ class AgentPolicy:
         if t:
             rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1])
         self._t += 1
-        return self.agent.act(rows[t], self.mode, self.rngs)
+        return self.agent.act(rows[t], self.rngs)

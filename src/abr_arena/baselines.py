@@ -14,6 +14,8 @@ from .simulator import Observation, Policy, SessionConfig
 from .workload import Manifest
 
 POLICY_NAMES = ("constrained", "throughput", "bola", "dynamic")
+# DYNAMIC plays the throughput rule below this buffer level and BOLA at or above it.
+SWITCH_BUFFER_S = 10.0
 
 
 def constrained(obs: Observation, ladder) -> np.ndarray:
@@ -62,8 +64,6 @@ class BolaParams:
     @classmethod
     def derive(cls, ladder, buffer_capacity_s: float, chunk_duration_s: float) -> "BolaParams":
         ladder = np.asarray(ladder, dtype=np.float64)
-        if ladder.size < 2:
-            return cls(gain=1.0, offset=1.0, chunk_duration_s=chunk_duration_s)
         rho = ladder / ladder[0]
         utility = np.log(rho)
         offset = 1.25 * float(np.max(utility[1:] / (rho[1:] - 1.0)))
@@ -81,16 +81,10 @@ def bola(obs: Observation, ladder, params: BolaParams) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-@dataclass(frozen=True)
-class DynamicDashParams:
-    bola: BolaParams
-    switch_buffer_s: float = 10.0
-
-
-def dynamic_dash(obs: Observation, ladder, params: DynamicDashParams) -> np.ndarray:
-    """Throughput rule below the switch buffer level, BOLA at or above it."""
-    return np.where(obs.buffer_s < params.switch_buffer_s,
-                    throughput_rule(obs, ladder), bola(obs, ladder, params.bola))
+def dynamic_dash(obs: Observation, ladder, bola_params: BolaParams) -> np.ndarray:
+    """Throughput rule below ``SWITCH_BUFFER_S`` of buffer, BOLA at or above it."""
+    return np.where(obs.buffer_s < SWITCH_BUFFER_S,
+                    throughput_rule(obs, ladder), bola(obs, ladder, bola_params))
 
 
 def make_policy(name: str, manifest: Manifest, cfg: SessionConfig) -> Policy:
@@ -104,6 +98,5 @@ def make_policy(name: str, manifest: Manifest, cfg: SessionConfig) -> Policy:
     if name == "bola":
         return lambda obs: bola(obs, ladder, bola_params)
     if name == "dynamic":
-        params = DynamicDashParams(bola=bola_params)
-        return lambda obs: dynamic_dash(obs, ladder, params)
+        return lambda obs: dynamic_dash(obs, ladder, bola_params)
     raise ValueError(f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}")

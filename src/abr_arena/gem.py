@@ -83,13 +83,11 @@ class GemModule:
     """One agent's generator/discriminator pair plus its winning-sample
     buffer; with ``rng`` None every weight starts at zero."""
 
-    def __init__(self, input_dim: int, *, rng: np.random.Generator | None,
-                 buffer_capacity: int = WIN_BUFFER_CAPACITY, batch_size: int = GEM_BATCH):
+    def __init__(self, input_dim: int, *, rng: np.random.Generator | None):
         self.input_dim = input_dim
         self.gen = build_generator(input_dim + HIDDEN_SIZE, rng)
         self.disc = build_discriminator(rng)
-        self.buffer = WinBuffer(buffer_capacity)
-        self.batch_size = batch_size
+        self.buffer = WinBuffer(WIN_BUFFER_CAPACITY)
         self.gen_opt = RMSProp(self.gen.params(), lr=GEM_LR)
         self.disc_opt = RMSProp(self.disc.params(), lr=GEM_LR)
 
@@ -160,16 +158,14 @@ class GemModule:
         gen_inputs = np.asarray(gen_inputs, dtype=DTYPE)
         if gen_inputs.ndim != 2 or gen_inputs.shape[1] != self.input_dim + HIDDEN_SIZE:
             raise ValueError(f"generator inputs must be (n, {self.input_dim + HIDDEN_SIZE})")
-        batch = self.batch_size
-
-        real = self.buffer.sample(rng, batch)
-        fake_in = gen_inputs[rng.integers(len(gen_inputs), size=batch)]
+        real = self.buffer.sample(rng, GEM_BATCH)
+        fake_in = gen_inputs[rng.integers(len(gen_inputs), size=GEM_BATCH)]
         fake, _ = self.gen.forward(fake_in, training=True)
         d_value, disc_grads = self.disc_gradients(real, fake)
         if disc_grads is not None:
             self.disc_opt.step(disc_grads)
 
-        gen_in = gen_inputs[rng.integers(len(gen_inputs), size=batch)]
+        gen_in = gen_inputs[rng.integers(len(gen_inputs), size=GEM_BATCH)]
         g_value, gen_grads = self.gen_gradients(gen_in)
         if gen_grads is not None:
             self.gen_opt.step(gen_grads)

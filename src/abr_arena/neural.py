@@ -16,6 +16,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+LEAKY_SLOPE = 0.2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+RMSPROP_DECAY = 0.9
+OPT_EPS = 1e-8  # Adam's and RMSProp's denominator guard
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -93,8 +100,8 @@ class BatchNorm:
     running estimates; inference mode uses the running estimates only.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
-        self.dim, self.momentum, self.eps = dim, momentum, eps
+    def __init__(self, dim: int):
+        self.dim = dim
         self.gamma = np.ones(dim, dtype=DTYPE)
         self.beta = np.zeros(dim, dtype=DTYPE)
         self.running_mean = np.zeros(dim, dtype=DTYPE)
@@ -109,11 +116,11 @@ class BatchNorm:
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean[:] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var[:] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
         y = self.gamma * x_hat + self.beta
         return y, (x_hat, inv_std)
@@ -142,18 +149,15 @@ class Relu:
 
 
 class LeakyRelu:
-    def __init__(self, slope: float = 0.2):
-        self.slope = slope
-
     def params(self) -> list[np.ndarray]:
         return []
 
     def forward(self, x: np.ndarray, training: bool = False):
         pos = x > 0
-        return np.where(pos, x, x * np.asarray(self.slope, dtype=x.dtype)), pos
+        return np.where(pos, x, x * np.asarray(LEAKY_SLOPE, dtype=x.dtype)), pos
 
     def backward(self, cache, dy: np.ndarray):
-        return np.where(cache, dy, dy * np.asarray(self.slope, dtype=dy.dtype)), []
+        return np.where(cache, dy, dy * np.asarray(LEAKY_SLOPE, dtype=dy.dtype)), []
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -194,11 +198,9 @@ class Sequential:
 class Adam:
     """Adam with bias correction; shares its parameter list with the network."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[np.ndarray], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -207,26 +209,24 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + OPT_EPS)
 
 
 class RMSProp:
     """RMSProp with the epsilon inside the square root."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float,
-                 decay: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params: Sequence[np.ndarray], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.decay, self.eps = decay, eps
         self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
@@ -235,6 +235,6 @@ class RMSProp:
         for p, g, v in zip(self.params, grads, self.v):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            v *= self.decay
-            v += (1.0 - self.decay) * (g * g)
-            p -= self.lr * g / np.sqrt(v + self.eps)
+            v *= RMSPROP_DECAY
+            v += (1.0 - RMSPROP_DECAY) * (g * g)
+            p -= self.lr * g / np.sqrt(v + OPT_EPS)

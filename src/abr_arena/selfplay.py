@@ -88,8 +88,8 @@ def run_match(
     """Stream both players over ``manifest`` on each trace in one
     ``run_session`` call and judge each pair of sessions: player 0's score.
 
-    A player is any policy: an :class:`AgentPolicy` keeps its own rows, act
-    mode and generators, a baseline needs nothing. No traces play no match.
+    A player is any policy: an :class:`AgentPolicy` keeps its own rows and
+    generators, a baseline needs nothing. No traces play no match.
     """
     played = run_session([player0, player1], traces, manifest, cfg)
     return [(t0, t1, judge(t0.metrics, t1.metrics)) for t0, t1 in zip(*played)]
@@ -128,7 +128,7 @@ def run_epoch(
     if any(video != videos[0] for video in videos):
         raise ValueError("the matches of one epoch must stream one video")
     agents = (agent0, agent1)
-    players = [AgentPolicy(agent, len(traces), videos[0], cfg, "sample",
+    players = [AgentPolicy(agent, len(traces), videos[0], cfg,
                            [_rollout_rng(seed, epoch, m, agent_idx) for m in range(len(traces))])
                for agent_idx, agent in enumerate(agents)]
     results = run_match(*players, traces, videos[0], cfg)

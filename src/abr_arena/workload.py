@@ -185,6 +185,11 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     Path(path).write_text(json.dumps(trace_to_json(trace), indent=2) + "\n")
 
 
+# A synthetic trace ends once less than this much of its duration is left, so
+# a duration at or below it gets no sample.
+_SYNTH_SLACK_S = 1e-9
+
+
 @dataclass(frozen=True)
 class SynthTraceConfig:
     """Markov-chain bandwidth generator settings."""
@@ -204,8 +209,9 @@ class SynthTraceConfig:
                              f"got {lo} and {hi}")
         if not (math.isfinite(self.mean_dwell_s) and self.mean_dwell_s > 0):
             raise ValueError(f"mean_dwell_s must be finite and > 0, got {self.mean_dwell_s}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > _SYNTH_SLACK_S):
+            raise ValueError(f"duration_s must be finite and > {_SYNTH_SLACK_S:g}, "
+                             f"got {self.duration_s}")
 
 
 def synth_trace(cfg: SynthTraceConfig, seed, trace_id: str | None = None) -> Trace:
@@ -220,7 +226,7 @@ def synth_trace(cfg: SynthTraceConfig, seed, trace_id: str | None = None) -> Tra
     state = int(rng.integers(cfg.num_states))
     samples: list[tuple[float, float]] = []
     t = 0.0
-    while t < cfg.duration_s - 1e-9:
+    while t < cfg.duration_s - _SYNTH_SLACK_S:
         dwell = float(rng.exponential(cfg.mean_dwell_s))
         dur = min(max(dwell, 1e-3), cfg.duration_s - t)
         samples.append((dur, float(levels[state])))

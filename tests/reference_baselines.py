@@ -3,13 +3,14 @@ observation, in plain Python and numpy scalars. The batched policies in
 ``abr_arena.baselines`` must choose exactly these levels row by row;
 ``tests/test_baselines.py`` compares the two with ``==``.
 
-``throughput_rule`` sums with the builtin ``sum``, which adds left to right
-up to Python 3.11 (3.12 compensates its rounding).
+``throughput_rule`` adds its inverses in an explicit left-to-right loop: the
+builtin ``sum`` does the same up to Python 3.11, but compensates its rounding
+from 3.12 on.
 """
 
 import numpy as np
 
-from abr_arena.baselines import BolaParams, DynamicDashParams
+from abr_arena.baselines import SWITCH_BUFFER_S, BolaParams
 from abr_arena.simulator import Observation
 
 
@@ -27,7 +28,10 @@ def throughput_rule(obs: Observation, ladder) -> int:
     recent = [x for x in reversed(obs.throughput_kbps.tolist()) if x > 0][:5]
     if not recent:
         return 0
-    prediction = len(recent) / sum(1.0 / x for x in recent)
+    inverse_sum = 0.0
+    for x in recent:
+        inverse_sum += 1.0 / x
+    prediction = len(recent) / inverse_sum
     level = int(np.searchsorted(np.asarray(ladder, dtype=np.float64), prediction, side="right")) - 1
     return max(level, 0)
 
@@ -43,8 +47,8 @@ def bola(obs: Observation, ladder, params: BolaParams) -> int:
     return int(np.argmax(scores))
 
 
-def dynamic_dash(obs: Observation, ladder, params: DynamicDashParams) -> int:
-    """Throughput rule below the switch buffer level, BOLA at or above it."""
-    if obs.buffer_s < params.switch_buffer_s:
+def dynamic_dash(obs: Observation, ladder, bola_params: BolaParams) -> int:
+    """Throughput rule below ``SWITCH_BUFFER_S`` of buffer, BOLA at or above it."""
+    if obs.buffer_s < SWITCH_BUFFER_S:
         return throughput_rule(obs, ladder)
-    return bola(obs, ladder, params.bola)
+    return bola(obs, ladder, bola_params)

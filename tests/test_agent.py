@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from reference_update import reference_gradients
 from abr_arena import neural
 from abr_arena.agent import (
     CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
-    dynamic_lr, normalize, sample_levels, td_targets,
+    _beside, dynamic_lr, normalize, sample_levels, td_targets,
 )
 from abr_arena.gem import HIDDEN_SIZE
 from abr_arena.neural import Conv1D, Dense, Relu, Sequential
@@ -215,7 +217,7 @@ def test_act_greedy_tie_breaks_low():
     out = agent.policy_head.layers[-1]
     out.weight[:] = 0.0
     out.bias[:] = 0.0
-    assert agent.act(norm_rows(np.random.default_rng(1)), "greedy").tolist() == [0, 0, 0]
+    assert agent.act(norm_rows(np.random.default_rng(1))).tolist() == [0, 0, 0]
 
 
 def test_act_dominant_logit_wins_in_both_modes():
@@ -224,27 +226,23 @@ def test_act_dominant_logit_wins_in_both_modes():
     out.weight[:] = 0.0
     out.bias[:] = np.array([0.0, 50.0, 0.0], dtype=np.float32)
     rows = norm_rows(np.random.default_rng(2))
-    assert agent.act(rows, "greedy").tolist() == [1, 1, 1]
+    assert agent.act(rows).tolist() == [1, 1, 1]
     rngs = [np.random.default_rng(3 + i) for i in range(len(rows))]
-    assert agent.act(rows, "sample", rngs).tolist() == [1, 1, 1]
+    assert agent.act(rows, rngs).tolist() == [1, 1, 1]
 
 
 def test_act_sample_deterministic_given_seed():
     agent = Agent(CFG, seed=1)
     rows = norm_rows(np.random.default_rng(4))
-    first = agent.act(rows, "sample", [np.random.default_rng(99 + i) for i in range(3)])
-    second = agent.act(rows, "sample", [np.random.default_rng(99 + i) for i in range(3)])
+    first = agent.act(rows, [np.random.default_rng(99 + i) for i in range(3)])
+    second = agent.act(rows, [np.random.default_rng(99 + i) for i in range(3)])
     assert np.array_equal(first, second)
     # Row i draws with rngs[i] exactly as a one-row call with that generator does.
     for i in range(3):
-        alone = agent.act(rows[i:i + 1], "sample", [np.random.default_rng(99 + i)])
+        alone = agent.act(rows[i:i + 1], [np.random.default_rng(99 + i)])
         assert alone[0] == first[i]
     with pytest.raises(ValueError):
-        agent.act(rows, "sample")
-    with pytest.raises(ValueError):
-        agent.act(rows, "sample", [np.random.default_rng(0)])  # one generator per row
-    with pytest.raises(ValueError):
-        agent.act(rows, "argmax")
+        agent.act(rows, [np.random.default_rng(0)])  # one generator per row
 
 
 def random_probability_rows(rng, count, levels):
@@ -291,7 +289,7 @@ def test_act_shape_mismatch_rejected():
     agent = Agent(CFG, seed=0)
     bad = norm_rows(np.random.default_rng(0), 1, AgentConfig(history_len=6, num_levels=3))
     with pytest.raises(ValueError):
-        agent.act(bad, "greedy")
+        agent.act(bad)
 
 
 def test_policy_probs_sum_to_one():
@@ -649,6 +647,40 @@ def test_repeated_gradients_are_bitwise_equal():
                 assert np.array_equal(g, w)
 
 
+class WorkerFault(Exception):
+    pass
+
+
+def test_beside_returns_both_results_and_reraises_the_workers_exception():
+    assert _beside(lambda: "here", lambda: "there") == ("here", "there")
+
+    def there():
+        raise WorkerFault("there")
+
+    with pytest.raises(WorkerFault, match="there"):
+        _beside(lambda: "here", there)
+
+
+def test_beside_raises_the_callers_exception_after_the_worker_finishes():
+    """With both sides raising, the caller's exception propagates, and only
+    once the worker's callable has returned."""
+    released, finished = threading.Event(), threading.Event()
+
+    def there():
+        assert released.wait(10)
+        time.sleep(0.05)  # still running when ``here`` has raised
+        finished.set()
+        raise WorkerFault("there")
+
+    def here():
+        released.set()
+        raise TrunkFault("here")
+
+    with pytest.raises(TrunkFault, match="here"):
+        _beside(here, there)
+    assert finished.is_set()
+
+
 @pytest.mark.parametrize("head", ["policy_head", "value_head"])
 @pytest.mark.parametrize("layer", [0, -1])
 def test_gradients_raise_on_nonfinite_head_output(head, layer):
@@ -755,7 +787,7 @@ def test_checkpoint_reproduces_decisions(tmp_path):
         for name, array in saved.items():
             assert restored[name].dtype == array.dtype
             assert restored[name].tobytes() == array.tobytes(), name
-        assert np.array_equal(agent.act(rows, "greedy"), loaded.act(rows, "greedy"))
+        assert np.array_equal(agent.act(rows), loaded.act(rows))
         assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
 
 
@@ -788,7 +820,7 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
     monkeypatch.setattr(neural, "_uniform_init", no_draws)
     loaded = Agent.load(path)
     rows = norm_rows(np.random.default_rng(28), 50, TOY_CFG)
-    assert np.array_equal(agent.act(rows, "greedy"), loaded.act(rows, "greedy"))
+    assert np.array_equal(agent.act(rows), loaded.act(rows))
     assert np.array_equal(agent.policy_probs(rows), loaded.policy_probs(rows))
     assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
     with pytest.raises(AssertionError, match="random initialisation"):

@@ -3,8 +3,7 @@ import pytest
 import reference_baselines as reference
 
 from abr_arena.baselines import (
-    BolaParams, DynamicDashParams, bola, constrained, dynamic_dash, make_policy,
-    throughput_rule,
+    SWITCH_BUFFER_S, BolaParams, bola, constrained, dynamic_dash, make_policy, throughput_rule,
 )
 from abr_arena.simulator import Observation, SessionConfig
 from abr_arena.workload import SynthManifestConfig, synth_manifest
@@ -88,23 +87,22 @@ def test_bola_monotone_in_buffer():
 
 
 def test_dynamic_dash_switches():
-    params = DynamicDashParams(bola=bola_params())
+    params = bola_params()
     history = [2000.0] * 10
     low_buffer = obs_with(tput=history, buffer_s=2.0)
     assert (decide(dynamic_dash, low_buffer, LADDER, params)
             == decide(throughput_rule, low_buffer, LADDER))
     high_buffer = obs_with(tput=history, buffer_s=20.0)
     assert (decide(dynamic_dash, high_buffer, LADDER, params)
-            == decide(bola, high_buffer, LADDER, params.bola))
-    boundary = obs_with(tput=history, buffer_s=10.0)
+            == decide(bola, high_buffer, LADDER, params))
+    boundary = obs_with(tput=history, buffer_s=SWITCH_BUFFER_S)
     assert (decide(dynamic_dash, boundary, LADDER, params)
-            == decide(bola, boundary, LADDER, params.bola))
+            == decide(bola, boundary, LADDER, params))
 
 
 def test_policies_total_and_in_range():
     rng = np.random.default_rng(7)
     params = bola_params()
-    dyn = DynamicDashParams(bola=params)
     for _ in range(500):
         obs = obs_with(
             tput=rng.uniform(0, 6000, size=10),
@@ -115,7 +113,7 @@ def test_policies_total_and_in_range():
             decide(constrained, obs, LADDER),
             decide(throughput_rule, obs, LADDER),
             decide(bola, obs, LADDER, params),
-            decide(dynamic_dash, obs, LADDER, dyn),
+            decide(dynamic_dash, obs, LADDER, params),
         ):
             assert 0 <= level < len(LADDER)
 
@@ -141,7 +139,7 @@ def random_policy_batch(rng, rows, history_len, ladder):
     tput[np.arange(history_len) < rng.integers(0, history_len + 1, size=(rows, 1))] = 0.0
     tput[rng.random((rows, history_len)) < rng.uniform(0.0, 0.6)] = 0.0
     buffer_s = rng.uniform(0.0, 25.0, size=rows)
-    buffer_s[rng.random(rows) < 0.2] = DynamicDashParams.switch_buffer_s
+    buffer_s[rng.random(rows) < 0.2] = SWITCH_BUFFER_S
     buffer_s[rng.random(rows) < 0.1] = 0.0
     return Observation(
         throughput_kbps=tput,
@@ -161,15 +159,15 @@ def test_batched_policies_equal_scalar_reference(seed):
     for _ in range(750):
         ladder = tuple(np.sort(rng.uniform(100.0, 5000.0, size=int(rng.integers(1, 8)))))
         obs = random_policy_batch(rng, int(rng.integers(1, 65)), int(rng.integers(1, 12)), ladder)
-        params = BolaParams.derive(ladder, float(rng.uniform(8.0, 40.0)),
-                                   float(rng.uniform(1.0, 6.0)))
-        dyn = DynamicDashParams(bola=params)
-        for batched, scalar, args in (
-            (constrained, reference.constrained, (ladder,)),
-            (throughput_rule, reference.throughput_rule, (ladder,)),
-            (bola, reference.bola, (ladder, params)),
-            (dynamic_dash, reference.dynamic_dash, (ladder, dyn)),
-        ):
+        capacity_s, chunk_s = float(rng.uniform(8.0, 40.0)), float(rng.uniform(1.0, 6.0))
+        cases = [(constrained, reference.constrained, (ladder,)),
+                 (throughput_rule, reference.throughput_rule, (ladder,))]
+        # BOLA's parameters need 2 rungs, the least a manifest has.
+        if len(ladder) > 1:
+            params = BolaParams.derive(ladder, capacity_s, chunk_s)
+            cases += [(bola, reference.bola, (ladder, params)),
+                      (dynamic_dash, reference.dynamic_dash, (ladder, params))]
+        for batched, scalar, args in cases:
             levels = batched(obs, *args)
             assert levels.shape == obs.buffer_s.shape
             assert levels.tolist() == [scalar(obs.rows(j), *args) for j in range(len(levels))]

@@ -409,7 +409,8 @@ def test_tournament_rejects_non_finite_session_flags(tmp_path, capsys, flag, val
     ("--duration-s", "inf", ["finite", "inf"]),
     ("--mean-dwell-s", "inf", ["finite", "inf"]),
     ("--num-states", "0", ["num_states", ">= 1"]),
-], ids=["--duration-s", "--mean-dwell-s", "--num-states"])
+    ("--duration-s", "1e-10", ["duration_s", "1e-10"]),
+], ids=["--duration-s", "--mean-dwell-s", "--num-states", "--duration-s-too-short"])
 def test_synth_traces_rejects_non_finite_durations(tmp_path, capsys, flag, value, words):
     out = tmp_path / "traces"
     code, _, err = run_cli("synth-traces", "--count", "2", "--out", str(out), flag, value,

@@ -9,8 +9,8 @@ from abr_arena.gem import HIDDEN_SIZE, GemModule, WinBuffer
 STATE_DIM = 20
 
 
-def make_gem(seed=0, **kwargs):
-    return GemModule(STATE_DIM, rng=np.random.default_rng(seed), batch_size=16, **kwargs)
+def make_gem(seed=0):
+    return GemModule(STATE_DIM, rng=np.random.default_rng(seed))
 
 
 def session_rows(num_steps, fill=1.0):
@@ -103,8 +103,8 @@ def test_losses_nonnegative_and_finite():
 
 
 def test_win_buffer_fifo():
-    gem = make_gem(buffer_capacity=5)
-    buf = gem.buffer
+    gem = make_gem()
+    gem.buffer = buf = WinBuffer(5)
     rows = session_rows(10)
     gem.collect(rows[None, :0])
     assert len(buf) == 0
@@ -152,7 +152,8 @@ def test_collect_of_a_block_equals_per_session_extends():
     # on top of 4 earlier vectors.
     earlier = np.random.default_rng(5).normal(size=(4, HIDDEN_SIZE)).astype(np.float32)
     winners = np.stack([session_rows(5, fill=0.5), session_rows(5, fill=2.0)])
-    gem, reference = make_gem(buffer_capacity=7), WinBuffer(7)
+    gem, reference = make_gem(), WinBuffer(7)
+    gem.buffer = WinBuffer(7)
     gem.buffer.extend(earlier)
     reference.extend(earlier)
     gem.collect(winners)

@@ -6,7 +6,8 @@ from gradcheck import (
 )
 
 from abr_arena.neural import (
-    Adam, BatchNorm, Conv1D, Dense, LeakyRelu, Relu, RMSProp, Sequential, softmax,
+    BN_EPS, BN_MOMENTUM, Adam, BatchNorm, Conv1D, Dense, LeakyRelu, Relu, RMSProp, Sequential,
+    softmax,
 )
 
 
@@ -81,11 +82,13 @@ def test_batchnorm_training_statistics():
 
 
 def test_batchnorm_inference_uses_running_stats():
-    bn = BatchNorm(3, momentum=0.5)
+    bn = BatchNorm(3)
     x = rng_for(4).normal(1.0, 2.0, size=(32, 3)).astype(np.float32)
     bn.forward(x, training=True)
+    # One training step from (0, 1) moves the estimates by 1 - momentum.
+    assert np.allclose(bn.running_mean, (1 - BN_MOMENTUM) * x.mean(axis=0), rtol=1e-6)
     y_inf, _ = bn.forward(x, training=False)
-    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y_inf, expected, atol=1e-6)
     # Inference mode must not move the running statistics.
     before = bn.running_mean.copy()
@@ -175,7 +178,7 @@ def test_adam_first_step_is_signed_lr():
 
 def test_rmsprop_first_step_value():
     param = np.array([0.0], dtype=np.float32)
-    opt = RMSProp([param], lr=1e-4, decay=0.9)
+    opt = RMSProp([param], lr=1e-4)
     opt.step([np.array([1.0], dtype=np.float32)])
     assert param[0] == pytest.approx(-1e-4 / np.sqrt(0.1 + 1e-8), rel=1e-5)
 

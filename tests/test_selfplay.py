@@ -43,8 +43,8 @@ def trajectory_signature(traj):
     return traj.levels, traj.metrics
 
 
-def player(agent, traces, manifest=MANIFEST, mode="greedy", rngs=None):
-    return AgentPolicy(agent, len(traces), manifest, SESSION_CFG, mode, rngs)
+def player(agent, traces, manifest=MANIFEST, rngs=None):
+    return AgentPolicy(agent, len(traces), manifest, SESSION_CFG, rngs)
 
 
 def test_run_match_identical_agents_draw():
@@ -70,8 +70,8 @@ def test_run_match_deterministic_given_rngs():
     runs = []
     for _ in range(2):
         [(t0, t1, score)] = run_match(
-            player(a, [AMPLE], mode="sample", rngs=[np.random.default_rng(7)]),
-            player(b, [AMPLE], mode="sample", rngs=[np.random.default_rng(8)]),
+            player(a, [AMPLE], rngs=[np.random.default_rng(7)]),
+            player(b, [AMPLE], rngs=[np.random.default_rng(8)]),
             [AMPLE], MANIFEST, SESSION_CFG)
         runs.append((trajectory_signature(t0), trajectory_signature(t1), score))
     assert runs[0] == runs[1]
@@ -183,7 +183,7 @@ def test_run_epoch_rollouts_match_one_match_runs(monkeypatch):
     # One-match runs first: run_epoch updates the parameters after its rollouts.
     separate = []
     for m, (trace, manifest) in enumerate(matches):
-        players = [player(agent, [trace], manifest, "sample", [_rollout_rng(seed, epoch, m, a)])
+        players = [player(agent, [trace], manifest, [_rollout_rng(seed, epoch, m, a)])
                    for a, agent in enumerate((a0, a1))]
         [result] = run_match(*players, [trace], manifest, SESSION_CFG)
         separate.append((result, [p.rows[:, 0] for p in players]))
@@ -213,7 +213,7 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
     matches = several_trace_matches()
     traces, manifest = [trace for trace, _ in matches], LONG_MANIFEST
     rngs = [np.random.default_rng(m) for m in range(len(matches))]
-    policy = player(agent, traces, manifest, "sample", rngs)
+    policy = player(agent, traces, manifest, rngs)
     [trajectories] = run_session([policy], traces, manifest, SESSION_CFG)
     assert policy.rows.shape == (manifest.num_chunks, len(traces), AGENT_CFG.flat_dim)
     for m, (traj, trace) in enumerate(zip(trajectories, traces)):
@@ -235,8 +235,7 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
         np.testing.assert_allclose(rows[1:, -HIDDEN_SIZE:],
                                    agent.gem.hidden_for(rows[:-1]), rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError):
-        run_session([player(agent, traces, manifest, "sample", None)], traces, manifest,
-                    SESSION_CFG)
+        run_session([player(agent, traces, manifest, rngs[:1])], traces, manifest, SESSION_CFG)
     with pytest.raises(ValueError):
         AgentPolicy(agent, len(traces), manifest, SessionConfig(history_len=5))
     with pytest.raises(ValueError):

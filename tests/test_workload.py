@@ -170,6 +170,9 @@ def test_synth_trace_bad_config():
         SynthTraceConfig(bandwidth_max_kbps=float("inf"))
     with pytest.raises(ValueError):
         SynthTraceConfig(mean_dwell_s=-1.0)
+    with pytest.raises(ValueError, match="duration_s"):
+        SynthTraceConfig(duration_s=1e-9)  # too short for one sample
+    assert synth_trace(SynthTraceConfig(duration_s=2e-9), seed=0).samples
 
 
 def test_split_sizes_and_determinism():
