@@ -7,7 +7,9 @@ Elo ratings against classical baselines track progress.
 """
 
 from .agent import Agent, AgentConfig, AgentPolicy, SessionScales, dynamic_lr, normalize
-from .baselines import BolaParams, bola, constrained, dynamic_dash, make_policy, throughput_rule
+from .baselines import (
+    Baseline, BolaParams, bola, constrained, dynamic_dash, make_policy, throughput_rule,
+)
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
 from .gem import HIDDEN_SIZE, GemModule, WinBuffer
@@ -27,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Agent", "AgentConfig", "AgentPolicy", "SessionScales", "dynamic_lr", "normalize",
-    "BolaParams", "bola", "constrained", "dynamic_dash",
+    "Baseline", "BolaParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
     "HIDDEN_SIZE", "GemModule", "WinBuffer",

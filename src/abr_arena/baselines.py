@@ -1,7 +1,9 @@
 """Classical ABR policies used as rating anchors and opponents.
 
 Every policy maps a batch of observations and the ladder to one level per
-row: deterministic, total over valid observations, always in [0, n).
+row: deterministic, total over valid observations, always in [0, n). So a
+:class:`Baseline`, bound to one video and session config, plays the same
+session on a trace every time, and keeps it once played.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Observation, Policy, SessionConfig
-from .workload import Manifest
+from .simulator import Observation, SessionConfig, Trajectory
+from .workload import Manifest, Trace
 
 POLICY_NAMES = ("constrained", "throughput", "bola", "dynamic")
 # DYNAMIC plays the throughput rule below this buffer level and BOLA at or above it.
@@ -87,16 +89,34 @@ def dynamic_dash(obs: Observation, ladder, bola_params: BolaParams) -> np.ndarra
                     throughput_rule(obs, ladder), bola(obs, ladder, bola_params))
 
 
-def make_policy(name: str, manifest: Manifest, cfg: SessionConfig) -> Policy:
-    """Build a ready-to-run policy closure for one video/session setup."""
-    ladder = manifest.ladder_kbps
-    if name == "constrained":
-        return lambda obs: constrained(obs, ladder)
-    if name == "throughput":
-        return lambda obs: throughput_rule(obs, ladder)
-    bola_params = BolaParams.derive(ladder, cfg.buffer_capacity_s, manifest.chunk_duration_s)
-    if name == "bola":
-        return lambda obs: bola(obs, ladder, bola_params)
-    if name == "dynamic":
-        return lambda obs: dynamic_dash(obs, ladder, bola_params)
-    raise ValueError(f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}")
+class Baseline:
+    """Policy ``name`` bound to one video and session config, called as any
+    policy is. ``played`` holds the sessions it has played, by trace.
+
+    The rule functions are looked up in this module at each call, so a
+    name patched here reaches every baseline, ``dynamic_dash``'s calls
+    included.
+    """
+
+    def __init__(self, name: str, manifest: Manifest, cfg: SessionConfig):
+        if name not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}")
+        self.name, self.manifest, self.cfg = name, manifest, cfg
+        self.ladder = manifest.ladder_kbps
+        self.bola_params = BolaParams.derive(
+            self.ladder, cfg.buffer_capacity_s, manifest.chunk_duration_s)
+        self.played: dict[Trace, Trajectory] = {}
+
+    def __call__(self, obs: Observation) -> np.ndarray:
+        if self.name == "constrained":
+            return constrained(obs, self.ladder)
+        if self.name == "throughput":
+            return throughput_rule(obs, self.ladder)
+        if self.name == "bola":
+            return bola(obs, self.ladder, self.bola_params)
+        return dynamic_dash(obs, self.ladder, self.bola_params)
+
+
+def make_policy(name: str, manifest: Manifest, cfg: SessionConfig) -> Baseline:
+    """Build a ready-to-run baseline for one video/session setup."""
+    return Baseline(name, manifest, cfg)

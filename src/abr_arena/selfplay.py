@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .agent import Agent, AgentConfig, AgentPolicy
-from .baselines import POLICY_NAMES, make_policy
+from .baselines import POLICY_NAMES, Baseline, make_policy
 from .elo import anchor_baselines, rate_agent
 from .rule import RESULT_LABELS, judge, win_rate
 from .simulator import Policy, SessionConfig, SessionMetrics, Trajectory, run_session
@@ -57,9 +57,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.train_traces:
             raise ValueError("empty training trace set")
+        if not self.val_traces:
+            raise ValueError("val_traces is empty: evaluation needs at least one trace")
         if len(set(self.baselines)) < 2 or not set(self.baselines) <= set(POLICY_NAMES):
             raise ValueError(f"baselines must name at least 2 distinct policies of "
                              f"{', '.join(POLICY_NAMES)}; got {list(self.baselines)}")
+        for i, name in enumerate(self.baselines):
+            if name in self.baselines[:i]:
+                raise ValueError(f"baselines: baseline {name!r} is named twice")
 
 
 @dataclass
@@ -173,7 +178,7 @@ class EvalResult:
 
 def evaluate(
     agent: Agent,
-    baselines: Mapping[str, Policy],
+    baselines: Mapping[str, Baseline],
     traces: Sequence[Trace],
     manifest: Manifest,
     cfg: SessionConfig = SessionConfig(),
@@ -183,25 +188,33 @@ def evaluate(
 ) -> EvalResult:
     """Head-to-head matches against every baseline on every trace.
 
-    One ``run_session`` call plays the agent, as a greedy
-    :class:`AgentPolicy`, and every baseline on every trace; the agent's
-    one session per trace is judged against each opponent's.
-    Returns per-opponent win rates, one CDF-ready record per (trace,
-    opponent), and (when anchor ratings are supplied) the updated Elo.
+    A baseline is deterministic, so its session on a trace is played once
+    and kept in its ``played`` store. One ``run_session`` call plays the
+    agent, as a greedy :class:`AgentPolicy`, and every baseline that has
+    not yet played all of ``traces``; the agent's one session per trace is
+    judged against each opponent's. Returns per-opponent win rates, one
+    CDF-ready record per (trace, opponent), and (when anchor ratings are
+    supplied) the updated Elo.
     """
     if not traces:
         raise ValueError("empty trace set")
+    for name, baseline in baselines.items():
+        if baseline.manifest != manifest or baseline.cfg != cfg:
+            raise ValueError(f"baseline {name!r} was built for another video or session config")
     chunks = manifest.num_chunks
     steps_denom = max(1, chunks - 1)
     records: list[dict] = []
     win_rates: dict[str, float] = {}
     scores_by_opponent: dict[str, list[float]] = {}
-    my_sessions, *opponents = run_session(
-        [AgentPolicy(agent, len(traces), manifest, cfg), *baselines.values()],
-        traces, manifest, cfg)
-    for name, their_sessions in zip(baselines, opponents):
+    missing = [b for b in baselines.values() if not all(t in b.played for t in traces)]
+    my_sessions, *fresh = run_session(
+        [AgentPolicy(agent, len(traces), manifest, cfg), *missing], traces, manifest, cfg)
+    for baseline, sessions in zip(missing, fresh):
+        baseline.played.update(zip(traces, sessions))
+    for name, baseline in baselines.items():
         scores: list[float] = []
-        for trace, mine, theirs in zip(traces, my_sessions, their_sessions):
+        for trace, mine in zip(traces, my_sessions):
+            theirs = baseline.played[trace]
             score = judge(mine.metrics, theirs.metrics)
             scores.append(score)
             records.append({

@@ -609,6 +609,7 @@ MALFORMED_CONFIGS = [
     ("seed", "3", "seed"),
     ("baselines", "bola", "baselines"),
     ("baselines", ["bola"], "baselines"),
+    ("baselines", ["bola", "bola", "throughput"], "baselines: baseline 'bola' is named twice"),
     ("split", [0.6, 0.4], "split"),
     ("split.train", "0.6", "split.train"),
     ("split.validation", 1.5, "split"),

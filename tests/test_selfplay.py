@@ -7,6 +7,7 @@ import pytest
 from reference_session import ReferenceSession, as_batch
 
 from abr_arena import agent as agent_module
+from abr_arena import baselines as baselines_module
 from abr_arena import simulator
 from abr_arena.agent import Agent, AgentConfig, AgentPolicy, SessionScales
 from abr_arena.baselines import POLICY_NAMES, make_policy
@@ -333,6 +334,71 @@ def test_evaluate_labels_win_rates_and_rating_agree():
     assert result.rating == rate_agent(1010.0, anchors, scores)
 
 
+def test_evaluate_reuses_stored_baseline_sessions(monkeypatch):
+    """Calls rotating over trace sets on one baselines dict give what fresh
+    baselines give, and each baseline plays a trace set only once."""
+    agent = Agent(AGENT_CFG, seed=33)
+    pool = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=s, trace_id=f"v{s}")
+            for s in range(6)]
+    trace_sets = [pool[0:2], pool[2:4], pool[4:6]]
+    anchors = {name: 950.0 + 25.0 * i for i, name in enumerate(POLICY_NAMES)}
+
+    def fresh_baselines():
+        return {name: make_policy(name, MANIFEST, SESSION_CFG) for name in POLICY_NAMES}
+
+    bola_rows = []
+    bola = baselines_module.bola
+
+    def spy_bola(obs, *args):
+        bola_rows.append(len(obs.buffer_s))
+        return bola(obs, *args)
+
+    kept = fresh_baselines()
+    for call in range(2 * len(trace_sets)):
+        traces = trace_sets[call % len(trace_sets)]
+        monkeypatch.setattr(baselines_module, "bola", spy_bola)
+        bola_rows.clear()
+        stored = evaluate(agent, kept, traces, MANIFEST, SESSION_CFG,
+                          baseline_ratings=anchors, agent_rating=1010.0)
+        # bola plays its own sessions and dynamic's at or above the switch buffer.
+        assert (len(bola_rows) > 0) == (call < len(trace_sets)), call
+        monkeypatch.setattr(baselines_module, "bola", bola)
+        replayed = evaluate(agent, fresh_baselines(), traces, MANIFEST, SESSION_CFG,
+                            baseline_ratings=anchors, agent_rating=1010.0)
+        assert stored.records == replayed.records
+        assert stored.win_rates == replayed.win_rates
+        assert stored.rating == replayed.rating
+    assert all(len(b.played) == len(pool) for b in kept.values())
+
+
+def test_evaluate_keys_stored_sessions_by_trace_value():
+    """Traces that share an id but not their samples get their own sessions."""
+    agent = Agent(AGENT_CFG, seed=34)
+    scarce = Trace(id="ample", samples=((1000.0, 400.0),))
+    baselines = {"bola": make_policy("bola", MANIFEST, SESSION_CFG),
+                 "throughput": make_policy("throughput", MANIFEST, SESSION_CFG)}
+    evaluate(agent, baselines, [AMPLE], MANIFEST, SESSION_CFG)
+    result = evaluate(agent, baselines, [scarce], MANIFEST, SESSION_CFG)
+    fresh = {name: make_policy(name, MANIFEST, SESSION_CFG) for name in baselines}
+    assert result.records == evaluate(agent, fresh, [scarce], MANIFEST, SESSION_CFG).records
+    for baseline in baselines.values():
+        assert set(baseline.played) == {AMPLE, scarce}
+        assert baseline.played[AMPLE] != baseline.played[scarce]
+
+
+@pytest.mark.parametrize("manifest,cfg", [
+    (LONG_MANIFEST, SESSION_CFG),
+    (MANIFEST, dataclasses.replace(SESSION_CFG, buffer_capacity_s=30.0)),
+])
+def test_evaluate_rejects_baselines_built_for_another_setup(manifest, cfg):
+    agent = Agent(AGENT_CFG, seed=35)
+    baselines = {"constrained": make_policy("constrained", MANIFEST, SESSION_CFG),
+                 "bola": make_policy("bola", manifest, cfg)}
+    with pytest.raises(ValueError, match="baseline 'bola'"):
+        evaluate(agent, baselines, [AMPLE], MANIFEST, SESSION_CFG)
+    assert all(not b.played for b in baselines.values())
+
+
 def small_train_config(seed=0, epochs=2):
     traces = [synth_trace(SynthTraceConfig(duration_s=60.0), seed=100 + s,
                           trace_id=f"tr{s:02d}") for s in range(6)]
@@ -359,6 +425,8 @@ def small_train_config(seed=0, epochs=2):
     ({"baselines": ("bola", "bola")}, "baselines"),
     ({"baselines": ("bola",)}, "baselines"),
     ({"baselines": ("bola", "pensieve")}, "baselines"),
+    ({"baselines": ("bola", "bola", "throughput")}, "baseline 'bola' is named twice"),
+    ({"val_traces": []}, "val_traces"),
 ])
 def test_train_config_rejects_settings_that_fail_later(change, word):
     with pytest.raises(ValueError, match=word):
