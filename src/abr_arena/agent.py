@@ -35,6 +35,7 @@ HEAD_WIDTH = 64
 _ROW_BLOCK = 128
 
 REWARD_MODES = ("broadcast", "terminal")
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's check of p
 
 
 @functools.cache
@@ -149,14 +150,14 @@ def sample_levels(probs: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.
     ``choice`` requires; no generator is advanced when one is not.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if not np.all(np.isfinite(p) & (p >= 0)):
+    if not (np.isfinite(p) & (p >= 0)).all():
         raise ValueError("probabilities must be finite and non-negative")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+    if (np.abs(p.sum(axis=1) - 1.0) > _SUM_TOLERANCE).any():
         raise ValueError("probabilities do not sum to 1")
     u = np.array([rng.random() for rng in rngs])
-    cdf = np.cumsum(p, axis=1)
+    cdf = p.cumsum(axis=1)
     cdf = cdf / cdf[:, -1:]
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def dynamic_lr(win_rate: float, base_lr: float) -> float:
@@ -253,7 +254,7 @@ class FeatureTrunk:
         for conv, lo, hi in self._branches:
             np.matmul(windows[:, lo:hi], conv.weight[:, 0].T, out=slabs[:, lo:hi])
         np.matmul(rows[:, self._scalar_cols], self.scalars.weight, out=slabs[:, -1])
-        slabs += np.repeat(self.params()[1::2], self._widths, axis=0)  # each layer's bias
+        slabs += np.array(self.params()[1::2]).repeat(self._widths, axis=0)  # each layer's bias
         np.maximum(features, 0, out=features)
         # np.maximum keeps NaN and +inf: the largest feature is finite iff all are.
         if not np.isfinite(features.max()):
@@ -337,7 +338,7 @@ class Agent:
         """
         probs = self.policy_probs(rows)
         if rngs is None:
-            return np.argmax(probs, axis=1)
+            return probs.argmax(axis=1)
         if len(rngs) != len(probs):
             raise ValueError(f"sampling needs one random generator per row: "
                              f"{len(probs)} rows, {len(rngs)} generators")

@@ -33,15 +33,16 @@ def throughput_rule(obs: Observation, ladder) -> np.ndarray:
     """
     newest_first = obs.throughput_kbps[:, ::-1]
     positive = newest_first > 0
-    taken = positive & (np.cumsum(positive, axis=1) <= 5)
+    positives = positive.cumsum(axis=1)
+    taken = positive & (positives <= 5)
     inverses = np.divide(1.0, newest_first, out=np.zeros(newest_first.shape), where=taken)
-    # cumsum adds left to right, newest first, as a per-row loop would (np.sum
+    # cumsum adds left to right, newest first, as a per-row loop would (a sum
     # adds pairwise and may round differently).
-    inverse_sum = np.cumsum(inverses, axis=1)[:, -1]
-    count = np.count_nonzero(taken, axis=1)
+    inverse_sum = inverses.cumsum(axis=1)[:, -1]
+    count = np.minimum(positives[:, -1], 5)
     prediction = np.divide(count, inverse_sum, out=np.zeros(len(count)), where=count > 0)
     # The level is the number of rungs above the lowest that the prediction reaches.
-    return np.searchsorted(np.asarray(ladder, dtype=np.float64)[1:], prediction, side="right")
+    return np.asarray(ladder, dtype=np.float64)[1:].searchsorted(prediction, side="right")
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def bola(obs: Observation, ladder, params: BolaParams) -> np.ndarray:
     utility = np.log(sizes / sizes[:, :1])
     buffer_chunks = obs.buffer_s / params.chunk_duration_s
     scores = (params.gain * (utility + params.offset) - buffer_chunks[:, None]) / sizes
-    return np.argmax(scores, axis=1)
+    return scores.argmax(axis=1)
 
 
 def dynamic_dash(obs: Observation, ladder, bola_params: BolaParams) -> np.ndarray:
@@ -102,7 +103,7 @@ class Baseline:
         if name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}")
         self.name, self.manifest, self.cfg = name, manifest, cfg
-        self.ladder = manifest.ladder_kbps
+        self.ladder = np.array(manifest.ladder_kbps)
         self.bola_params = BolaParams.derive(
             self.ladder, cfg.buffer_capacity_s, manifest.chunk_duration_s)
         self.played: dict[Trace, Trajectory] = {}

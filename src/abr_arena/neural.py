@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 DTYPE = np.float32
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
-LEAKY_SLOPE = 0.2
+LEAKY_SLOPE = 0.2  # a Python float: it takes the dtype of the array it scales
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 RMSPROP_DECAY = 0.9
@@ -154,10 +154,10 @@ class LeakyRelu:
 
     def forward(self, x: np.ndarray, training: bool = False):
         pos = x > 0
-        return np.where(pos, x, x * np.asarray(LEAKY_SLOPE, dtype=x.dtype)), pos
+        return np.where(pos, x, x * LEAKY_SLOPE), pos
 
     def backward(self, cache, dy: np.ndarray):
-        return np.where(cache, dy, dy * np.asarray(LEAKY_SLOPE, dtype=dy.dtype)), []
+        return np.where(cache, dy, dy * LEAKY_SLOPE), []
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ class Sequential:
         for layer in self.layers:
             x, cache = layer.forward(x, training=training)
             caches.append(cache)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FloatingPointError("non-finite network output")
         return x, caches
 

@@ -55,7 +55,9 @@ class Observation:
 
     def rows(self, index) -> "Observation":
         """The sessions ``index`` selects; a slice keeps the batch axis."""
-        return Observation(*(getattr(self, name)[index] for name in self.__slots__))
+        return Observation(self.throughput_kbps[index], self.download_time_s[index],
+                           self.chosen_bitrate_kbps[index], self.remaining_play_s[index],
+                           self.buffer_s[index], self.next_sizes_bits[index])
 
 
 # A policy maps a batch of observations to one ladder level per row, called
@@ -116,6 +118,11 @@ class Session:
         self.ladder_kbps = np.array(manifest.ladder_kbps)
         self.trace_table = TraceTable(self.traces)
         n, k, horizon = len(self.traces), cfg.history_len, manifest.num_chunks
+        # Row t: chunk index t's remaining play time and next sizes, read-only, for all sessions.
+        self._remaining_play_s = np.broadcast_to(
+            ((horizon - np.arange(horizon)) * manifest.chunk_duration_s)[:, None], (horizon, n))
+        self._next_sizes_bits = np.broadcast_to(
+            manifest.sizes[:, None], (horizon, n, manifest.num_levels))
         self.throughput_kbps, self.download_time_s, self.bitrate_kbps = np.zeros((3, n, horizon + k))
         self.actions = np.zeros((n, horizon), dtype=np.int64)
         (self.buffer_s, self.clock_s, self.total_download_s, self.total_idle_s,
@@ -128,13 +135,11 @@ class Session:
 
     def observe(self) -> Observation:
         """Every session's observation as one batch, row i for session i."""
-        t, k, n, manifest = self.t, self.cfg.history_len, len(self.traces), self.manifest
-        sizes = manifest.sizes[t]
+        t, k = self.t, self.cfg.history_len
         return Observation(
             self.throughput_kbps[:, t:t + k], self.download_time_s[:, t:t + k],
-            self.bitrate_kbps[:, t:t + k],
-            np.full(n, (manifest.num_chunks - t) * manifest.chunk_duration_s),
-            self.buffer_s.copy(), np.broadcast_to(sizes, (n, len(sizes))))
+            self.bitrate_kbps[:, t:t + k], self._remaining_play_s[t],
+            self.buffer_s.copy(), self._next_sizes_bits[t])
 
     def step(self, actions) -> None:
         """Download chunk index ``t`` of every session, session i at ladder
@@ -150,10 +155,13 @@ class Session:
         if self.done:
             raise RuntimeError("stepping a finished session")
         t, k, cfg = self.t, self.cfg.history_len, self.cfg
-        actions = np.asarray(actions)
-        levels = len(self.ladder_kbps)
-        if actions.shape != self.buffer_s.shape or np.any((actions < 0) | (actions >= levels)):
-            raise ValueError(f"actions {actions} out of range [0, {levels})")
+        actions, levels = np.asarray(actions), len(self.ladder_kbps)
+        if actions.shape != self.buffer_s.shape:
+            raise ValueError(f"expected {len(self.buffer_s)} actions, one per session, "
+                             f"got shape {actions.shape}")
+        if not (0 <= actions.min() and actions.max() < levels):
+            i = int(np.flatnonzero(~((0 <= actions) & (actions < levels)))[0])
+            raise ValueError(f"action {actions[i]} of session {i} out of range [0, {levels})")
         chunk_s = self.manifest.chunk_duration_s
         # Zero before the first chunk: an empty buffer always fits one.
         overshoot = np.maximum(self.buffer_s + chunk_s - cfg.buffer_capacity_s, 0.0)
@@ -204,9 +212,14 @@ def run_session(
         return [[] for _ in policies]
     block = len(traces)
     session = Session(list(traces) * len(policies), manifest, cfg)
+    blocks = [slice(p * block, (p + 1) * block) for p in range(len(policies))]
     while not session.done:
         obs = session.observe()
-        session.step(np.concatenate([policy(obs.rows(slice(p * block, (p + 1) * block)))
-                                     for p, policy in enumerate(policies)]))
+        choices = [policy(obs.rows(rows)) for policy, rows in zip(policies, blocks)]
+        for p, levels in enumerate(choices):
+            if np.shape(levels) != (block,):
+                raise ValueError(f"policy {p} returned levels of shape {np.shape(levels)} "
+                                 f"for {block} sessions")
+        session.step(np.concatenate(choices))
     played = session.trajectories()
     return [played[p * block:(p + 1) * block] for p in range(len(policies))]

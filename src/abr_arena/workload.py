@@ -40,6 +40,16 @@ class Trace:
             if not (math.isfinite(bw) and bw > 0):
                 raise ValueError(f"trace {self.id!r}: sample {i} has non-positive bandwidth {bw}")
 
+    def __hash__(self) -> int:  # hashing every sample on each dict lookup is slow
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.id, self.samples))
+
+    def __getstate__(self):  # str hashes differ between processes, so not _hash
+        return {"id": self.id, "samples": self.samples}
+
     @cached_property
     def bandwidths_kbps(self) -> np.ndarray:
         return np.array([b for _, b in self.samples], dtype=np.float64)
@@ -57,22 +67,33 @@ _WINDOW = 16  # segments that one pass of the trace walk integrates
 
 
 class TraceTable:
-    """The segments of many looping traces end to end, row i's from index
-    ``first[i]``: each segment's start and end in the loop, and its bit/s."""
+    """The segments of many looping traces, laid out for the walk: row i's
+    entries are its segments, then the next ``_WINDOW`` of its loop again, so
+    a pass reads consecutive entries. Each holds its segment's end in the
+    loop, length (end minus start) and bit/s."""
 
     def __init__(self, traces: Sequence[Trace]):
-        self.segments = np.array([len(trace.samples) for trace in traces])
-        self.first = np.cumsum(self.segments) - self.segments
-        self.ends = np.concatenate([trace._segment_ends for trace in traces])
-        self.starts = np.concatenate([[0.0], self.ends[:-1]])
-        self.starts[self.first] = 0.0
-        self.bps = np.concatenate([trace.bandwidths_kbps for trace in traces]) * 1000.0
-        self.total_s = self.ends[self.first + self.segments - 1]
+        count = np.array([len(trace.samples) for trace in traces])
+        ends = np.concatenate([trace._segment_ends for trace in traces])
+        first = np.cumsum(count) - count
+        starts = np.concatenate([[0.0], ends[:-1]])
+        starts[first] = 0.0
+        self.total_s = ends[first + count - 1]
+        # Row i's entries start at _first[i]; its entry j is its segment j % count[i].
+        self._index = np.arange(len(traces))
+        self._first, self._count = first + _WINDOW * self._index, count
+        row = np.repeat(self._index, count + _WINDOW)
+        entry = np.arange(len(row)) - self._first[row]
+        segment = first[row] + entry % count[row]
+        self._ends, self._lengths = ends[segment], (ends - starts)[segment]
+        self._bps = np.concatenate([trace.bandwidths_kbps for trace in traces])[segment] * 1000.0
         # Complex numbers order lexicographically, so one searchsorted over
-        # (row, segment end) pairs finds every row's segment at once.
-        self._rows = np.arange(len(traces), dtype=complex)
-        self._keys = np.repeat(self._rows, self.segments)
-        self._keys.imag = self.ends
+        # (row, segment end) pairs finds every row's entry at once; the
+        # repeated entries sort last in their row.
+        self._rows = self._index.astype(complex)
+        self._keys = row.astype(complex)
+        self._keys.imag = np.where(entry < count[row], self._ends, math.inf)
+        self._offsets, self._zeros = np.arange(_WINDOW), np.zeros(len(traces))
 
     def transfer_times(self, start_s: np.ndarray, size_bits: np.ndarray) -> np.ndarray:
         """Exact time (s) to move ``size_bits[i]`` over looping trace i from
@@ -83,33 +104,34 @@ class TraceTable:
         ``_WINDOW`` segments of every unfinished download.
         """
         if not (0 <= start_s.min() and start_s.max() < math.inf):
-            raise ValueError(f"start times must be finite and >= 0, got {start_s}")
+            i = int(np.flatnonzero(~((0 <= start_s) & (start_s < math.inf)))[0])
+            raise ValueError(f"start time of row {i} must be finite and >= 0, got {start_s[i]}")
         pos = np.fmod(start_s, self.total_s)
         query = self._rows.copy()
         query.imag = pos
-        rows, first, count = np.arange(len(pos)), self.first, self.segments
-        seg = np.searchsorted(self._keys, query, side="right") - first
-        remaining, elapsed, tau = size_bits, np.zeros(len(pos)), np.empty(len(pos))
+        base = self._keys.searchsorted(query, side="right")
+        head = self._ends[base] - pos  # the first pass starts at pos
+        rows, remaining, elapsed, tau = self._index, size_bits, self._zeros, np.empty(len(pos))
         while True:
-            flat = first[:, None] + (seg[:, None] + np.arange(_WINDOW)) % count[:, None]
-            seg_left = self.ends[flat] - self.starts[flat]
-            seg_left[:, 0] = self.ends[flat[:, 0]] - pos  # the pass starts at pos
-            capacity = self.bps[flat] * seg_left
+            walk = base[:, None] + self._offsets
+            seg_left = self._lengths[walk]
+            seg_left[:, 0] = head
+            bps = self._bps[walk]
             # Column w holds the bits left and the time spent on entering
             # segment w, accumulated in sequence as the walk does. A download
-            # ends in the first segment that fits it; a later pass redoes the rest.
+            # ends in the first segment that fits it, where the bits left
+            # drop to 0 or below; a later pass redoes the rest.
             remaining = np.subtract.accumulate(
-                np.concatenate((remaining[:, None], capacity), axis=1), axis=1)
+                np.concatenate((remaining[:, None], bps * seg_left), axis=1), axis=1)
             elapsed = np.add.accumulate(np.concatenate((elapsed[:, None], seg_left), axis=1), axis=1)
-            fits = capacity >= remaining[:, :-1]
-            last = np.arange(len(rows)), fits.argmax(axis=1)
-            tau[rows] = elapsed[last] + remaining[last] / self.bps[flat[last]]
-            go = ~fits[last]
-            if not go.any():
+            last = self._index[:len(rows)], (remaining[:, 1:] <= 0).argmax(axis=1)
+            tau[rows] = elapsed[last] + remaining[last] / bps[last]
+            if remaining[:, -1].max() <= 0:
                 return tau
-            rows, first, count = rows[go], first[go], count[go]
-            seg = (seg[go] + _WINDOW) % count
-            pos = self.starts[first + seg]
+            go = remaining[:, -1] > 0
+            rows, first = rows[go], self._first[rows[go]]
+            base = first + (base[go] - first + _WINDOW) % self._count[rows]
+            head = self._lengths[base]  # later passes start where a segment starts
             remaining, elapsed = remaining[go, -1], elapsed[go, -1]
 
 

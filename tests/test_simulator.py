@@ -136,6 +136,58 @@ def test_step_errors():
         Session([], manifest)
 
 
+def test_step_errors_are_one_line():
+    manifest = one_level_manifest(num_chunks=1)
+    for sessions in (1, 64):
+        session = Session([constant_trace(2000.0)] * sessions, manifest)
+        with pytest.raises(ValueError, match=rf"expected {sessions} actions, one per "
+                                             rf"session, got shape \({sessions + 1},\)") as wrong:
+            session.step(np.zeros(sessions + 1, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            session.step(0)
+        actions = np.zeros(sessions, dtype=np.int64)
+        actions[sessions // 2:] = 2
+        with pytest.raises(ValueError, match=rf"action 2 of session {sessions // 2} "
+                                             rf"out of range \[0, 2\)") as bad:
+            session.step(actions)
+        low = np.zeros(sessions, dtype=np.int64)
+        low[-1] = -1
+        with pytest.raises(ValueError, match=rf"action -1 of session {sessions - 1} "):
+            session.step(low)
+        assert "\n" not in str(wrong.value) and "\n" not in str(bad.value)
+        assert session.t == 0  # a refused step changes nothing
+    with pytest.raises(ValueError, match=r"action nan of session 0 "):
+        Session([constant_trace(2000.0)], manifest).step(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("sessions", [1, 5])
+def test_observation_arrays_shared_by_sessions_are_read_only(sessions):
+    manifest = one_level_manifest(num_chunks=3)
+    session = Session([constant_trace(2000.0 + i) for i in range(sessions)], manifest)
+    for _ in range(manifest.num_chunks):
+        obs = session.observe()
+        for shared in (obs.remaining_play_s, obs.next_sizes_bits,
+                       obs.rows(slice(0, 1)).remaining_play_s, obs.rows(0).next_sizes_bits):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[...] = 0.0
+        buffer = session.buffer_s.copy()
+        obs.buffer_s[:] = 1e9
+        assert np.array_equal(session.buffer_s, buffer)
+        assert np.array_equal(session.observe().buffer_s, buffer)
+        session.step(np.zeros(sessions, dtype=np.int64))
+    assert np.array_equal(manifest.sizes, np.array(manifest.chunk_sizes_bits))
+
+
+def test_run_session_names_the_policy_with_the_wrong_level_count():
+    manifest = one_level_manifest()
+    extra = lambda obs: np.zeros(len(obs.buffer_s) + 1, dtype=np.int64)  # noqa: E731
+    with pytest.raises(ValueError, match=r"policy 1 returned levels of shape \(4,\) "
+                                         r"for 3 sessions"):
+        run_session([lowest, extra, lowest], [constant_trace(2000.0)] * 3, manifest)
+    with pytest.raises(ValueError, match=r"policy 0 returned levels of shape \(\) "):
+        run_session([lambda obs: 0], [constant_trace(2000.0)], manifest)
+
+
 def test_capacity_must_exceed_chunk():
     manifest = one_level_manifest()
     for capacity in (4.0, 3.0):

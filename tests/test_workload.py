@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ def test_transfer_time_integrates_across_segments_and_wraps():
             walk(trace, t, 1e6)
         with pytest.raises(ValueError):
             transfer_time(trace, t, 1e6)
+
+
+def test_transfer_time_errors_name_the_row():
+    trace = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
+    table = TraceTable([trace] * 64)
+    for bad in (-1.0, math.nan, math.inf):
+        starts = np.full(64, 3.0)
+        starts[[40, 50]] = bad
+        with pytest.raises(ValueError, match=rf"start time of row 40 must be finite "
+                                             rf"and >= 0, got {bad}$") as refused:
+            table.transfer_times(starts, np.full(64, 1e6))
+        assert "\n" not in str(refused.value)
+
+
+def test_trace_hash_is_computed_once():
+    trace = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
+    twin = Trace(id="t", samples=((2.0, 1000.0), (2.0, 2000.0)))
+    assert hash(trace) == hash(twin) == hash(("t", trace.samples))
+    assert trace.__dict__["_hash"] == hash(trace)
+    assert {trace: 1}[twin] == 1
+    assert Trace(id="t", samples=((2.0, 1000.0),)) not in {trace: 1}
+    copy = pickle.loads(pickle.dumps(trace))
+    assert "_hash" not in copy.__dict__ and copy == trace and hash(copy) == hash(trace)
 
 
 @given(
