@@ -12,7 +12,7 @@ from .baselines import (
 )
 from .elo import Rating, anchor_baselines, expected_score, rate_agent
 from .elo import update as elo_update
-from .gem import HIDDEN_SIZE, GemModule, WinBuffer
+from .gem import HIDDEN_SIZE, GemModule
 from .rule import RESULT_LABELS, judge, win_rate
 from .simulator import (
     Observation, Session, SessionConfig, SessionMetrics, Trajectory, TrajectoryStep,
@@ -32,7 +32,7 @@ __all__ = [
     "Baseline", "BolaParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",
-    "HIDDEN_SIZE", "GemModule", "WinBuffer",
+    "HIDDEN_SIZE", "GemModule",
     "RESULT_LABELS", "judge", "win_rate",
     "Observation", "Session", "SessionConfig", "SessionMetrics",
     "Trajectory", "TrajectoryStep", "run_session",

@@ -36,42 +36,6 @@ def build_discriminator(rng: np.random.Generator | None) -> Sequential:
     ])
 
 
-class WinBuffer:
-    """Bounded FIFO of hidden-feature vectors from winning sessions, kept in a
-    ring array: once full, each new vector overwrites the oldest."""
-
-    def __init__(self, capacity: int = WIN_BUFFER_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items = np.zeros((capacity, HIDDEN_SIZE), dtype=DTYPE)
-        self._len = 0
-        self._next = 0  # the slot the next vector goes to
-
-    def __len__(self) -> int:
-        return self._len
-
-    def extend(self, block: np.ndarray) -> None:
-        """Append the rows of ``block`` in order, as one vector after another
-        would go in: one write of its last ``capacity`` rows at most."""
-        block = np.asarray(block, dtype=DTYPE)
-        if block.ndim != 2 or block.shape[1] != HIDDEN_SIZE:
-            raise ValueError(f"hidden features must have shape (n, {HIDDEN_SIZE}), got {block.shape}")
-        kept = block[-self.capacity:]
-        start = self._next + len(block) - len(kept)
-        self._items[(start + np.arange(len(kept))) % self.capacity] = kept
-        self._next = (self._next + len(block)) % self.capacity
-        self._len = min(self._len + len(block), self.capacity)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` vectors drawn with replacement; draw i is the i-th oldest."""
-        if not self._len:
-            raise ValueError("sampling from an empty buffer")
-        idx = rng.integers(self._len, size=size)
-        oldest = (self._next - self._len) % self.capacity
-        return self._items[(oldest + idx) % self.capacity]
-
-
 @dataclass(frozen=True)
 class GemReport:
     d_loss: float
@@ -80,14 +44,15 @@ class GemReport:
 
 
 class GemModule:
-    """One agent's generator/discriminator pair plus its winning-sample
-    buffer; with ``rng`` None every weight starts at zero."""
+    """One agent's generator/discriminator pair plus ``buffer``, a float32
+    (n, HIDDEN_SIZE) array of the newest n <= WIN_BUFFER_CAPACITY winning hidden
+    features, oldest first; with ``rng`` None every weight starts at zero."""
 
     def __init__(self, input_dim: int, *, rng: np.random.Generator | None):
         self.input_dim = input_dim
         self.gen = build_generator(input_dim + HIDDEN_SIZE, rng)
         self.disc = build_discriminator(rng)
-        self.buffer = WinBuffer(WIN_BUFFER_CAPACITY)
+        self.buffer = np.zeros((0, HIDDEN_SIZE), dtype=DTYPE)
         self.gen_opt = RMSProp(self.gen.params(), lr=GEM_LR)
         self.disc_opt = RMSProp(self.disc.params(), lr=GEM_LR)
 
@@ -108,8 +73,11 @@ class GemModule:
         """Harvest the winning sessions' hidden features from the GEM columns
         of their (sessions, chunks, flat_dim) block of flat rows, as the
         agent's ``AgentPolicy`` wrote them: session after session, each in
-        step order, in one buffer write."""
-        self.buffer.extend(rows[..., -HIDDEN_SIZE:].reshape(-1, HIDDEN_SIZE))
+        step order, appended to the buffer, which keeps its newest
+        ``WIN_BUFFER_CAPACITY`` rows in a new array."""
+        wins = rows[..., -HIDDEN_SIZE:].reshape(-1, HIDDEN_SIZE)[-WIN_BUFFER_CAPACITY:]
+        kept = self.buffer[max(0, len(self.buffer) + len(wins) - WIN_BUFFER_CAPACITY):]
+        self.buffer = np.concatenate([kept, wins], dtype=DTYPE)
 
     def disc_gradients(self, real: np.ndarray, fake: np.ndarray):
         """(L_d, discriminator gradients); the generated batch is a constant.
@@ -158,7 +126,7 @@ class GemModule:
         gen_inputs = np.asarray(gen_inputs, dtype=DTYPE)
         if gen_inputs.ndim != 2 or gen_inputs.shape[1] != self.input_dim + HIDDEN_SIZE:
             raise ValueError(f"generator inputs must be (n, {self.input_dim + HIDDEN_SIZE})")
-        real = self.buffer.sample(rng, GEM_BATCH)
+        real = self.buffer[rng.integers(len(self.buffer), size=GEM_BATCH)]
         fake_in = gen_inputs[rng.integers(len(gen_inputs), size=GEM_BATCH)]
         fake, _ = self.gen.forward(fake_in, training=True)
         d_value, disc_grads = self.disc_gradients(real, fake)

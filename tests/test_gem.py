@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from gradcheck import gradient_errors, to_float64
 
-from abr_arena.gem import HIDDEN_SIZE, GemModule, WinBuffer
+from abr_arena import gem as gem_module
+from abr_arena.gem import GEM_BATCH, HIDDEN_SIZE, GemModule
 
 STATE_DIM = 20
 
@@ -102,66 +103,95 @@ def test_losses_nonnegative_and_finite():
     assert g_value >= 0.0 and np.isfinite(g_value)
 
 
-def test_win_buffer_fifo():
+def gem_block(features):
+    """A (1, n, flat_dim) block of flat rows whose GEM columns are ``features``."""
+    rows = np.full((1, len(features), STATE_DIM + HIDDEN_SIZE), -1.0, dtype=np.float32)
+    rows[0, :, STATE_DIM:] = features
+    return rows
+
+
+def assert_buffer_is(gem, reference):
+    """The buffer holds the deque's items, oldest first, in an array of its own."""
+    assert gem.buffer.dtype == np.float32 and gem.buffer.base is None
+    assert np.array_equal(gem.buffer, np.stack(reference))
+
+
+def test_win_buffer_fifo(monkeypatch):
+    monkeypatch.setattr(gem_module, "WIN_BUFFER_CAPACITY", 5)
     gem = make_gem()
-    gem.buffer = buf = WinBuffer(5)
     rows = session_rows(10)
     gem.collect(rows[None, :0])
-    assert len(buf) == 0
+    assert gem.buffer.shape == (0, HIDDEN_SIZE)
     gem.collect(rows[None])
-    assert len(buf) == 5  # last five hidden vectors survive
-    kept = buf.sample(np.random.default_rng(0), 64)
-    assert kept.min() >= 6.0
-    with pytest.raises(ValueError):
-        WinBuffer(0)
-    with pytest.raises(ValueError):
-        WinBuffer(4).sample(np.random.default_rng(0), 2)
-    with pytest.raises(ValueError):
-        WinBuffer(4).extend(np.zeros(HIDDEN_SIZE))
+    # The last five hidden vectors survive, oldest first.
+    assert_buffer_is(gem, deque(rows[5:, -HIDDEN_SIZE:]))
 
 
-def test_win_buffer_ring_matches_deque_after_wrapping():
+def test_win_buffer_matches_deque_past_capacity(monkeypatch):
     capacity = 7
-    buf, reference = WinBuffer(capacity), deque(maxlen=capacity)
+    monkeypatch.setattr(gem_module, "WIN_BUFFER_CAPACITY", capacity)
+    gem, reference = make_gem(), deque(maxlen=capacity)
     rng = np.random.default_rng(3)
-    # One-row blocks, then longer ones: one that wraps past the end of the
-    # ring, one longer than the capacity, and an empty one.
+    # One-row blocks, then longer ones: one that pushes out older rows, one
+    # longer than the capacity, and an empty one.
     sizes = [1] * (3 * capacity + 1) + [5, 2 * capacity + 3, 4, 0, 3]
-    for count, size in enumerate(sizes, start=1):
-        block = rng.normal(size=(size, HIDDEN_SIZE)).astype(np.float32)
-        buf.extend(block)
-        reference.extend(block)
-        assert len(buf) == len(reference)
-        # Index i is the i-th oldest kept item, so one seed draws the same samples.
-        expected = np.stack(list(reference))[np.random.default_rng(count).integers(
-            len(reference), size=11)]
-        assert np.array_equal(buf.sample(np.random.default_rng(count), 11), expected)
+    for size in sizes:
+        features = rng.normal(size=(size, HIDDEN_SIZE)).astype(np.float32)
+        gem.collect(gem_block(features))
+        reference.extend(features)
+        assert_buffer_is(gem, reference)
 
 
 def test_collect_appends_all_steps():
     gem = make_gem()
     rows = session_rows(10)
     gem.collect(rows[None])
-    assert len(gem.buffer) == 10
     # Only the GEM columns, oldest step first.
-    assert np.array_equal(gem.buffer._items[:10], rows[:, -HIDDEN_SIZE:])
+    assert np.array_equal(gem.buffer, rows[:, -HIDDEN_SIZE:])
 
 
-def test_collect_of_a_block_equals_per_session_extends():
-    # Two winning sessions of 5 steps fill a capacity-7 buffer past its end
-    # on top of 4 earlier vectors.
+def test_collect_of_a_block_equals_per_session_extends(monkeypatch):
+    # Two winning sessions of 5 steps push a capacity-7 buffer past its
+    # capacity on top of 4 earlier vectors.
+    monkeypatch.setattr(gem_module, "WIN_BUFFER_CAPACITY", 7)
     earlier = np.random.default_rng(5).normal(size=(4, HIDDEN_SIZE)).astype(np.float32)
     winners = np.stack([session_rows(5, fill=0.5), session_rows(5, fill=2.0)])
-    gem, reference = make_gem(), WinBuffer(7)
-    gem.buffer = WinBuffer(7)
-    gem.buffer.extend(earlier)
-    reference.extend(earlier)
+    gem, per_session, reference = make_gem(), make_gem(), deque(earlier, maxlen=7)
+    gem.collect(gem_block(earlier))
+    per_session.collect(gem_block(earlier))
     gem.collect(winners)
     for session in winners:
+        per_session.collect(session[None])
         reference.extend(session[:, -HIDDEN_SIZE:])
-    assert len(gem.buffer) == len(reference) == 7
-    assert gem.buffer._next == reference._next
-    assert np.array_equal(gem.buffer._items, reference._items)
+    assert_buffer_is(gem, reference)
+    assert_buffer_is(per_session, reference)
+
+
+def test_update_draws_its_real_batch_from_the_buffer(monkeypatch):
+    """Draw i of ``update``'s winning batch is the i-th oldest buffered row."""
+    capacity = 7
+    monkeypatch.setattr(gem_module, "WIN_BUFFER_CAPACITY", capacity)
+    gem, reference = make_gem(12), deque(maxlen=capacity)
+    real_batches = []
+    disc_gradients = gem.disc_gradients
+
+    def spy(real, fake):
+        real_batches.append(real.copy())
+        return disc_gradients(real, fake)
+
+    monkeypatch.setattr(gem, "disc_gradients", spy)
+    rng = np.random.default_rng(13)
+    inputs = rng.normal(size=(9, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
+    # A partly filled buffer, a full one, and one pushed past its capacity.
+    for seed, size in enumerate([3, 4, 5, 2 * capacity + 1]):
+        features = rng.normal(size=(size, HIDDEN_SIZE)).astype(np.float32)
+        gem.collect(gem_block(features))
+        reference.extend(features)
+        assert not gem.update(inputs, np.random.default_rng(seed)).skipped
+        expected = np.stack(reference)[np.random.default_rng(seed).integers(
+            len(reference), size=GEM_BATCH)]
+        assert np.array_equal(real_batches[-1], expected)
+    assert len(real_batches) == 4
 
 
 def test_update_skips_on_empty_buffer():
