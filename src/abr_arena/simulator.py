@@ -1,13 +1,11 @@
 """Offline chunk-by-chunk ABR session engine, stepped in lockstep.
 
 A session streams one video over one trace: each step downloads the next
-chunk at the chosen ladder level, with exact piecewise-constant integration
-of the trace bandwidth, and accounts buffer occupancy, rebuffering, and
-bitrate-change totals. :class:`Session` streams one video over many traces,
-holding the sessions as arrays, and plays chunk index t of all of them in
-one lockstep ``step``, whose downloads one :class:`~.workload.TraceTable`
-walk integrates together. The engine works in physical units; observation
-scaling lives with the agent.
+chunk at the chosen ladder level, integrating the piecewise-constant trace
+bandwidth exactly, and records the buffer and the chunk's rebuffering; the
+totals sum the played chunks in play order. :class:`Session` steps many
+traces' sessions together as arrays, with one :class:`~.workload.TraceTable`
+walk for their downloads. Units are physical; the agent scales observations.
 """
 
 from __future__ import annotations
@@ -98,11 +96,12 @@ class Session:
     """One video streamed over many traces, one session per trace, all
     stepped in lockstep.
 
-    State is kept as arrays over sessions. The histories are
-    (sessions, num_chunks + history_len): step t writes column
-    t + history_len, so chunk index t's window is columns
-    [t, t + history_len) and nothing is ever shifted. Buffer, clock and
-    totals are vectors. Every session plays every chunk index.
+    State is kept as arrays over sessions: what the next step needs (buffer,
+    clock, histories) and a (sessions, num_chunks) per-chunk record
+    (``actions``, ``rebuffer_s``). The histories are (sessions, num_chunks +
+    history_len): step t writes column t + history_len, so chunk index t's
+    window is columns [t, t + history_len) and nothing is ever shifted.
+    Every session plays every chunk index.
     """
 
     def __init__(self, traces: Sequence[Trace], manifest: Manifest,
@@ -112,21 +111,19 @@ class Session:
         if cfg.buffer_capacity_s <= manifest.chunk_duration_s:
             raise ValueError(f"buffer capacity {cfg.buffer_capacity_s}s must exceed "
                              f"chunk duration {manifest.chunk_duration_s}s")
-        self.traces = list(traces)
         self.manifest = manifest
         self.cfg = cfg
         self.ladder_kbps = np.array(manifest.ladder_kbps)
-        self.trace_table = TraceTable(self.traces)
-        n, k, horizon = len(self.traces), cfg.history_len, manifest.num_chunks
+        self.trace_table = TraceTable(traces)
+        n, k, horizon = len(traces), cfg.history_len, manifest.num_chunks
         # Row t: chunk index t's remaining play time and next sizes, read-only, for all sessions.
         self._remaining_play_s = np.broadcast_to(
             ((horizon - np.arange(horizon)) * manifest.chunk_duration_s)[:, None], (horizon, n))
         self._next_sizes_bits = np.broadcast_to(
             manifest.sizes[:, None], (horizon, n, manifest.num_levels))
         self.throughput_kbps, self.download_time_s, self.bitrate_kbps = np.zeros((3, n, horizon + k))
-        self.actions = np.zeros((n, horizon), dtype=np.int64)
-        (self.buffer_s, self.clock_s, self.total_download_s, self.total_idle_s,
-         self.total_rebuffer_s, self.total_bitrate_kbps, self.total_change_kbps) = np.zeros((7, n))
+        self.actions, self.rebuffer_s = np.zeros((n, horizon), dtype=np.int64), np.zeros((n, horizon))
+        self.buffer_s, self.clock_s = np.zeros((2, n))
         self.t = 0
 
     @property
@@ -167,20 +164,16 @@ class Session:
         overshoot = np.maximum(self.buffer_s + chunk_s - cfg.buffer_capacity_s, 0.0)
         buffer = self.buffer_s - overshoot
         clock = self.clock_s + overshoot
-        self.total_idle_s += overshoot
 
         size = self.manifest.sizes[t, actions]
         latency = cfg.per_chunk_latency_s
         tau = latency + self.trace_table.transfer_times(clock + latency, size)
         bitrate = self.ladder_kbps[actions]
         if t:  # playback, and with it rebuffering, starts after the first chunk
-            self.total_rebuffer_s += np.maximum(0.0, tau - buffer)
+            self.rebuffer_s[:, t] = np.maximum(0.0, tau - buffer)
             buffer = np.maximum(0.0, buffer - tau)
-            self.total_change_kbps += np.abs(bitrate - self.bitrate_kbps[:, t + k - 1])
         self.clock_s = clock + tau
-        self.total_download_s += tau
         self.buffer_s = buffer + chunk_s
-        self.total_bitrate_kbps += bitrate
         self.throughput_kbps[:, t + k] = size / tau / 1000.0
         self.download_time_s[:, t + k] = tau
         self.bitrate_kbps[:, t + k] = bitrate
@@ -188,9 +181,16 @@ class Session:
         self.t += 1
 
     def metrics(self) -> list[SessionMetrics]:
-        return [SessionMetrics(*totals) for totals in zip(
-            self.total_bitrate_kbps.tolist(), self.total_rebuffer_s.tolist(),
-            self.total_change_kbps.tolist())]
+        """Totals of the played chunks, added one by one in play order, as
+        running totals would be (``np.sum`` adds pairwise)."""
+        t, k = self.t, self.cfg.history_len
+        if not t:
+            return [SessionMetrics(0.0, 0.0, 0.0)] * len(self.buffer_s)
+        bitrate = self.bitrate_kbps[:, k:k + t]
+        change = np.abs(np.diff(bitrate, axis=1, prepend=bitrate[:, :1]))  # 0 at chunk 0
+        totals = [np.add.accumulate(per_chunk, axis=1)[:, -1].tolist()
+                  for per_chunk in (bitrate, self.rebuffer_s[:, :t], change)]
+        return [SessionMetrics(*session) for session in zip(*totals)]
 
     def trajectories(self) -> list[Trajectory]:
         """The played sessions, in session order."""

@@ -94,7 +94,7 @@ def count_sessions(monkeypatch):
     class CountingSession(simulator.Session):
         def __init__(self, *args):
             super().__init__(*args)
-            built.append(len(self.traces))
+            built.append(len(self.buffer_s))
 
     monkeypatch.setattr(simulator, "Session", CountingSession)
     return built

@@ -59,9 +59,10 @@ def test_stall_session():
     manifest = one_level_manifest()
     session = single(manifest, constant_trace(500.0))
     session.step([0])  # 8 s startup, excluded from rebuffer
-    assert session.total_rebuffer_s[0] == 0.0
+    assert session.metrics()[0].total_rebuffer_s == 0.0
     assert session.buffer_s[0] == 4.0
     session.step([0])  # 8 s download drains 4 s of buffer then stalls 4 s
+    assert session.rebuffer_s.tolist() == [[0.0, 4.0]]
     [metrics] = session.metrics()
     assert metrics.total_rebuffer_s == 4.0
     assert metrics.total_bitrate_kbps == 2000.0
@@ -119,8 +120,9 @@ def test_buffer_cap_forces_idle():
     for _ in range(10):
         session.step([0])
         assert 0.0 <= session.buffer_s[0] <= cfg.buffer_capacity_s
-    assert session.total_idle_s[0] > 0.0
-    assert session.total_rebuffer_s[0] == 0.0
+    # The clock runs ahead of the downloads only by idle waits.
+    assert session.clock_s[0] > session.download_time_s[0, cfg.history_len:].sum()
+    assert session.metrics()[0].total_rebuffer_s == 0.0
 
 
 def test_step_errors():
@@ -266,21 +268,16 @@ def test_randomized_session_invariants(seed):
         traces, manifest, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 9)))
         session = Session(traces, manifest, cfg)
         k = cfg.history_len
-        last_rebuffer = session.total_rebuffer_s.copy()
         while not session.done:
             t = session.t
             actions = rng.integers(manifest.num_levels, size=len(traces))
             session.step(actions)
             assert np.all(session.buffer_s >= 0.0)
             assert np.all(session.buffer_s <= cfg.buffer_capacity_s + 1e-9)
-            assert np.all(session.total_rebuffer_s >= last_rebuffer)
-            last_rebuffer = session.total_rebuffer_s.copy()
+            assert np.all(session.rebuffer_s[:, t] >= 0.0)
             for i, action in enumerate(actions):
                 size = session.throughput_kbps[i, t + k] * 1000.0 * session.download_time_s[i, t + k]
                 assert size == pytest.approx(manifest.sizes[t, action], rel=1e-9)
-        # Wall clock closes: downloads plus idle waits.
-        np.testing.assert_allclose(
-            session.clock_s, session.total_download_s + session.total_idle_s, rtol=1e-12)
         assert all(m.total_bitrate_kbps > 0 for m in session.metrics())
 
 
@@ -294,11 +291,12 @@ def assert_same_observation(got, want):
 def assert_lockstep_equals_reference(rng, traces, manifest, cfg):
     """Every session of a lockstep run reproduces the scalar reference
     simulator bit for bit: observation windows, download times, buffer,
-    clock and idle totals after every step, and the final metrics."""
+    clock and the metrics so far before the first step and after every step."""
     session = Session(traces, manifest, cfg)
     references = [ReferenceSession(manifest, trace, cfg) for trace in traces]
     download_times = [[] for _ in traces]
     k = cfg.history_len
+    assert session.metrics() == [ref.metrics() for ref in references]
     while not session.done:
         t = session.t
         assert not any(ref.done for ref in references)
@@ -317,11 +315,8 @@ def assert_lockstep_equals_reference(rng, traces, manifest, cfg):
             download_times[i].append(ref.last_download_s)
             assert session.buffer_s[i] == ref.buffer_s
             assert session.clock_s[i] == ref.clock_s
-            assert session.total_idle_s[i] == ref.total_idle_s
-            assert session.total_download_s[i] == ref.total_download_s
-            assert session.total_rebuffer_s[i] == ref.total_rebuffer_s
+        assert session.metrics() == [ref.metrics() for ref in references]
     assert all(ref.done for ref in references)
-    assert session.metrics() == [ref.metrics() for ref in references]
     for i, (traj, ref, times) in enumerate(zip(session.trajectories(), references,
                                                download_times)):
         assert traj.metrics == ref.metrics()
@@ -334,6 +329,18 @@ def test_lockstep_engine_equals_scalar_reference(seed):
     for _ in range(15):
         traces, manifest, cfg = random_lockstep_inputs(rng, int(rng.integers(1, 10)))
         assert_lockstep_equals_reference(rng, traces, manifest, cfg)
+
+
+@pytest.mark.parametrize("num_chunks, history_len", [(1, 1), (1, 10), (5, 1)])
+def test_lockstep_engine_equals_scalar_reference_at_the_edges(num_chunks, history_len):
+    """A one-chunk video, whose change total stays zero, and a one-sample history."""
+    rng = np.random.default_rng(300 + num_chunks + history_len)
+    manifest = synth_manifest(SynthManifestConfig(num_chunks=num_chunks, vbr_jitter=0.2), seed=5)
+    traces = [synth_trace(SynthTraceConfig(mean_dwell_s=1.0, duration_s=30.0), seed=i)
+              for i in range(4)]
+    for _ in range(3):
+        assert_lockstep_equals_reference(rng, traces, manifest,
+                                         SessionConfig(history_len=history_len))
 
 
 @pytest.mark.parametrize("latency", [0.0, 0.3])
