@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError("empty training trace set")
         if not self.val_traces:
             raise ValueError("val_traces is empty: evaluation needs at least one trace")
+        for key, want in (("history_len", self.session.history_len),
+                          ("num_levels", self.manifest.num_levels)):
+            if (got := getattr(self.agent, key)) != want:
+                raise ValueError(f"agent.{key} is {got}, but the session and video need {want}")
         if len(set(self.baselines)) < 2 or not set(self.baselines) <= set(POLICY_NAMES):
             raise ValueError(f"baselines must name at least 2 distinct policies of "
                              f"{', '.join(POLICY_NAMES)}; got {list(self.baselines)}")
@@ -72,7 +76,6 @@ class EpochReport:
     epoch: int
     w0: float
     w1: float
-    elo_a0: float
     losses0: dict[str, float]
     losses1: dict[str, float]
     mean_metrics0: SessionMetrics
@@ -160,7 +163,6 @@ def run_epoch(
         epoch=epoch,
         w0=wins[0],
         w1=wins[1],
-        elo_a0=agent0.rating.value,
         losses0=losses[0],
         losses1=losses[1],
         mean_metrics0=_mean_metrics(played[0]),
@@ -243,20 +245,11 @@ class TrainResult:
     final_rating: float
 
 
-def _csv_row(report: EpochReport) -> list:
-    return [
-        report.epoch, repr(report.w0), repr(report.w1), repr(report.elo_a0),
-        repr(report.losses0.get("policy_loss", 0.0)),
-        repr(report.losses0.get("value_loss", 0.0)),
-        repr(report.losses0.get("g_loss", 0.0)),
-        repr(report.losses0.get("d_loss", 0.0)),
-        repr(report.mean_metrics0.total_bitrate_kbps),
-        repr(report.mean_metrics0.total_rebuffer_s),
-        repr(report.mean_metrics0.total_change_kbps),
-        repr(report.mean_metrics1.total_bitrate_kbps),
-        repr(report.mean_metrics1.total_rebuffer_s),
-        repr(report.mean_metrics1.total_change_kbps),
-    ]
+def _csv_row(report: EpochReport, elo_a0: float) -> list:
+    """An ``epochs.csv`` row; the ``mean_*`` columns follow ``SessionMetrics``' field order."""
+    losses = [report.losses0[name] for name in ("policy_loss", "value_loss", "g_loss", "d_loss")]
+    means = astuple(report.mean_metrics0) + astuple(report.mean_metrics1)
+    return [report.epoch, *map(repr, (report.w0, report.w1, elo_a0, *losses, *means))]
 
 
 def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
@@ -275,10 +268,12 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
     agent1 = Agent(cfg.agent, seed=cfg.seed * 2 + 2)
 
     def evaluate_a0() -> EvalResult:
-        return evaluate(
+        result = evaluate(
             agent0, baseline_policies, list(cfg.val_traces), cfg.manifest, cfg.session,
             baseline_ratings=baseline_ratings, agent_rating=agent0.rating.value,
         )
+        agent0.rating.value = result.rating
+        return result
 
     def checkpoint(tag: str) -> None:
         for idx, agent in enumerate((agent0, agent1)):
@@ -293,15 +288,9 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
         writer = csv.writer(fh)
         writer.writerow(EPOCH_CSV_COLUMNS)
 
-        initial_eval = evaluate_a0()
-        agent0.rating.value = initial_eval.rating
-        anchor_row = EpochReport(
-            epoch=0, w0=0.5, w1=0.5, elo_a0=agent0.rating.value,
-            losses0={}, losses1={},
-            mean_metrics0=SessionMetrics(0.0, 0.0, 0.0),
-            mean_metrics1=SessionMetrics(0.0, 0.0, 0.0),
-        )
-        writer.writerow(_csv_row(anchor_row))
+        evaluate_a0()  # row 0: the starting Elo, before any match or update
+        writer.writerow([0, "0.5", "0.5", repr(agent0.rating.value)]
+                        + ["0.0"] * (len(EPOCH_CSV_COLUMNS) - 4))
         fh.flush()
 
         for epoch in range(1, cfg.epochs + 1):
@@ -312,16 +301,14 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
                 seed=cfg.seed, epoch=epoch,
             )
             if epoch % cfg.eval_every == 0:
-                agent0.rating.value = evaluate_a0().rating
-                report.elo_a0 = agent0.rating.value
-            writer.writerow(_csv_row(report))
+                evaluate_a0()
+            writer.writerow(_csv_row(report, agent0.rating.value))
             fh.flush()
             reports.append(report)
             if epoch % cfg.checkpoint_every == 0:
                 checkpoint(f"ep{epoch:05d}")
 
     final_eval = evaluate_a0()
-    agent0.rating.value = final_eval.rating
     with open(out_dir / "eval.jsonl", "w") as fh:
         for record in final_eval.records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

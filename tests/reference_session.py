@@ -60,8 +60,6 @@ class ReferenceSession:
         self.clock_s = 0.0
         self.buffer_s = 0.0
         self.next_chunk = 0
-        self.total_download_s = 0.0
-        self.total_idle_s = 0.0
         self.total_rebuffer_s = 0.0
         self.total_bitrate_kbps = 0.0
         self.total_change_kbps = 0.0
@@ -96,7 +94,6 @@ class ReferenceSession:
             if overshoot > 0:
                 self.buffer_s -= overshoot
                 self.clock_s += overshoot
-                self.total_idle_s += overshoot
 
         size = float(man.sizes[self.next_chunk, action])
         latency = self.cfg.per_chunk_latency_s
@@ -106,7 +103,6 @@ class ReferenceSession:
             self.total_rebuffer_s += stall
             self.buffer_s = max(0.0, self.buffer_s - tau)
         self.clock_s += tau
-        self.total_download_s += tau
         self.buffer_s += chunk_dur
         self._playing = True
 

@@ -427,10 +427,13 @@ def small_train_config(seed=0, epochs=2):
     ({"baselines": ("bola", "pensieve")}, "baselines"),
     ({"baselines": ("bola", "bola", "throughput")}, "baseline 'bola' is named twice"),
     ({"val_traces": []}, "val_traces"),
+    ({"agent": dataclasses.replace(AGENT_CFG, history_len=5)}, "agent.history_len"),
+    ({"agent": dataclasses.replace(AGENT_CFG, num_levels=7)}, "agent.num_levels"),
 ])
-def test_train_config_rejects_settings_that_fail_later(change, word):
+def test_train_config_rejects_settings_that_fail_later(tmp_path, change, word):
     with pytest.raises(ValueError, match=word):
-        dataclasses.replace(small_train_config(), **change)
+        train(dataclasses.replace(small_train_config(), **change), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_writes_log_checkpoints_and_eval(tmp_path):
@@ -452,6 +455,21 @@ def test_train_zero_epochs_logs_anchor_row_only(tmp_path):
     lines = (tmp_path / "zero" / "epochs.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the anchoring/initial-eval row
     assert lines[1].startswith("0,0.5,0.5,")
+
+
+def test_train_carries_elo_between_evaluations(tmp_path):
+    """Row 0 is the starting Elo with placeholder outcomes; an epoch without
+    an evaluation repeats the last evaluation's Elo."""
+    cfg = dataclasses.replace(small_train_config(epochs=3), eval_every=2)
+    train(cfg, tmp_path / "run")
+    with open(tmp_path / "run" / "epochs.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 4
+    assert rows[0] == ["0", "0.5", "0.5", rows[0][3]] + ["0.0"] * 10
+    assert np.isfinite(float(rows[0][3]))
+    assert rows[1][3] == rows[0][3]
+    assert rows[2][3] != rows[1][3]  # epoch 2 evaluates
+    assert rows[3][3] == rows[2][3]
 
 
 def test_train_fixed_seed_reproduces_log(tmp_path):
