@@ -6,7 +6,7 @@ actor-critic updates augmented by a GAN-generated hidden-feature memory, and
 Elo ratings against classical baselines track progress.
 """
 
-from .agent import Agent, AgentConfig, AgentPolicy, SessionScales, dynamic_lr, normalize
+from .agent import Agent, AgentConfig, AgentPolicy, dynamic_lr, normalize
 from .baselines import (
     Baseline, BolaParams, bola, constrained, dynamic_dash, make_policy, throughput_rule,
 )
@@ -28,7 +28,7 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "AgentConfig", "AgentPolicy", "SessionScales", "dynamic_lr", "normalize",
+    "Agent", "AgentConfig", "AgentPolicy", "dynamic_lr", "normalize",
     "Baseline", "BolaParams", "bola", "constrained", "dynamic_dash",
     "make_policy", "throughput_rule",
     "Rating", "anchor_baselines", "expected_score", "rate_agent", "elo_update",

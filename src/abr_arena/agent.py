@@ -112,18 +112,8 @@ class AgentConfig:
         return 3 * self.history_len + 2 + self.num_levels + HIDDEN_SIZE
 
 
-@dataclass(frozen=True)
-class SessionScales:
-    """Divisors the config cannot know up front: the video's top bitrate and
-    length and the session's buffer capacity."""
-
-    top_bitrate_kbps: float
-    buffer_capacity_s: float
-    total_duration_s: float
-
-
-def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
-              out: np.ndarray) -> np.ndarray:
+def normalize(obs: Observation, config: AgentConfig, manifest: Manifest,
+              cfg: SessionConfig, out: np.ndarray) -> np.ndarray:
     """Write physical-unit observations, scaled into the network's input
     range, into the state columns of the flat rows ``out`` and return it.
 
@@ -134,9 +124,9 @@ def normalize(obs: Observation, config: AgentConfig, scales: SessionScales,
     k, n = config.history_len, config.num_levels
     out[..., :k] = obs.throughput_kbps / config.throughput_scale_kbps
     out[..., k:2 * k] = obs.download_time_s / config.time_scale_s
-    out[..., 2 * k:3 * k] = obs.chosen_bitrate_kbps / scales.top_bitrate_kbps
-    out[..., 3 * k] = obs.remaining_play_s / scales.total_duration_s
-    out[..., 3 * k + 1] = obs.buffer_s / scales.buffer_capacity_s
+    out[..., 2 * k:3 * k] = obs.chosen_bitrate_kbps / manifest.ladder_kbps[-1]
+    out[..., 3 * k] = obs.remaining_play_s / manifest.total_duration_s
+    out[..., 3 * k + 1] = obs.buffer_s / cfg.buffer_capacity_s
     out[..., 3 * k + 2:3 * k + 2 + n] = obs.next_sizes_bits / config.size_scale_bits
     return out
 
@@ -444,13 +434,13 @@ class Agent:
                 opt.step(grads)
         return report
 
-    def flatten_trajectory(self, observations: Observation,
-                           scales: SessionScales) -> np.ndarray:
+    def flatten_trajectory(self, observations: Observation, manifest: Manifest,
+                           cfg: SessionConfig) -> np.ndarray:
         """Flat rows rebuilt from a trajectory's observations, one batch row
         per step: the state columns equal the rows an :class:`AgentPolicy`
         wrote, the GEM columns are zero."""
         rows = np.zeros((len(observations.buffer_s), self.config.flat_dim), dtype=DTYPE)
-        return normalize(observations, self.config, scales, rows)
+        return normalize(observations, self.config, manifest, cfg, rows)
 
     # ---- persistence -----------------------------------------------------
 
@@ -556,16 +546,14 @@ class AgentPolicy:
         config = agent.config
         if cfg.history_len != config.history_len or manifest.num_levels != config.num_levels:
             raise ValueError("session shapes do not match agent config")
-        self.agent, self.rngs = agent, rngs
+        self.agent, self.rngs, self.manifest, self.cfg = agent, rngs, manifest, cfg
         self.rows = np.zeros((manifest.num_chunks, sessions, config.flat_dim), dtype=DTYPE)
-        self._scales = SessionScales(manifest.ladder_kbps[-1], cfg.buffer_capacity_s,
-                                     manifest.total_duration_s)
         self._t = 0
 
     def __call__(self, obs: Observation) -> np.ndarray:
         t, rows = self._t, self.rows
         # A module-global lookup, so wrappers of agent.normalize see each call.
-        normalize(obs, self.agent.config, self._scales, rows[t])
+        normalize(obs, self.agent.config, self.manifest, self.cfg, rows[t])
         if t:
             rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1])
         self._t += 1

@@ -11,7 +11,8 @@ onto ``SessionConfig``, ``agent`` onto ``AgentConfig`` less ``history_len`` and
 ``num_levels`` (the session's and the video's), ``traces.synthetic`` onto
 ``SynthTraceConfig``, ``manifest.synthetic`` onto ``SynthManifestConfig``.
 Extra keys: ``schema_version`` (1), ``split.train``/``split.validation``
-(default 0.8/0.2), ``traces.dir`` or ``traces.synthetic``, ``manifest.path`` or
+(default 0.8/0.2; the validation split must select at least one trace),
+``traces.dir`` or ``traces.synthetic``, ``manifest.path`` or
 ``manifest.synthetic``, ``count`` (>= 2, default 20) in ``traces.synthetic``,
 and ``seed`` (>= 0, default the top-level one) in both synthetic sections.
 """
@@ -194,8 +195,10 @@ def _build_train_config(doc) -> selfplay.TrainConfig:
     split_doc = top.pop("split", {})
     split = _checked("split", workload.split_dataset, by_id,
                      (split_doc.get("train", 0.8), split_doc.get("validation", 0.2)), seed)
+    if not split.validation:
+        raise _config_error("split.validation", f"selects none of the {len(traces)} traces")
     train_traces = [by_id[i] for i in sorted(split.train)]
-    val_traces = [by_id[i] for i in sorted(split.validation)] or train_traces
+    val_traces = [by_id[i] for i in sorted(split.validation)]
     return _checked("", selfplay.TrainConfig, train_traces=train_traces, val_traces=val_traces,
                     manifest=manifest, session=session, agent=agent_cfg, seed=seed, **top)
 
@@ -210,7 +213,7 @@ def cmd_train(args) -> int:
         doc.update(_flags(args, selfplay.TrainConfig))
     cfg = _build_train_config(doc)
     result = selfplay.train(cfg, args.out)
-    print(f"trained {cfg.epochs} epochs; final Elo {result.final_rating:.2f}")
+    print(f"trained {cfg.epochs} epochs; final Elo {result.rating:.2f}")
     print(f"log: {Path(args.out) / 'epochs.csv'}")
     return 0
 

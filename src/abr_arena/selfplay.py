@@ -238,13 +238,6 @@ def evaluate(
     return EvalResult(win_rates=win_rates, records=records, rating=rating)
 
 
-@dataclass
-class TrainResult:
-    reports: list[EpochReport]
-    baseline_ratings: dict[str, float]
-    final_rating: float
-
-
 def _csv_row(report: EpochReport, elo_a0: float) -> list:
     """An ``epochs.csv`` row; the ``mean_*`` columns follow ``SessionMetrics``' field order."""
     losses = [report.losses0[name] for name in ("policy_loss", "value_loss", "g_loss", "d_loss")]
@@ -252,9 +245,11 @@ def _csv_row(report: EpochReport, elo_a0: float) -> list:
     return [report.epoch, *map(repr, (report.w0, report.w1, elo_a0, *losses, *means))]
 
 
-def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
+def train(cfg: TrainConfig, out_dir: str | Path) -> EvalResult:
     """Run the full training loop, logging epochs.csv, checkpoints, and a
-    final evaluation dump under ``out_dir``."""
+    final evaluation dump under ``out_dir``. Returns the last evaluation: the
+    last epoch's if it evaluated (row 0's with no epochs), else one more
+    after the last update."""
     baseline_policies = {
         name: make_policy(name, cfg.manifest, cfg.session) for name in cfg.baselines
     }
@@ -281,14 +276,13 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
 
     sampler = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_SAMPLER]))
     traces = list(cfg.train_traces)
-    reports: list[EpochReport] = []
     checkpoint("ep00000")
 
     with open(out_dir / "epochs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPOCH_CSV_COLUMNS)
 
-        evaluate_a0()  # row 0: the starting Elo, before any match or update
+        last_eval = evaluate_a0()  # row 0: the starting Elo, before any match or update
         writer.writerow([0, "0.5", "0.5", repr(agent0.rating.value)]
                         + ["0.0"] * (len(EPOCH_CSV_COLUMNS) - 4))
         fh.flush()
@@ -301,20 +295,16 @@ def train(cfg: TrainConfig, out_dir: str | Path) -> TrainResult:
                 seed=cfg.seed, epoch=epoch,
             )
             if epoch % cfg.eval_every == 0:
-                evaluate_a0()
+                last_eval = evaluate_a0()
             writer.writerow(_csv_row(report, agent0.rating.value))
             fh.flush()
-            reports.append(report)
             if epoch % cfg.checkpoint_every == 0:
                 checkpoint(f"ep{epoch:05d}")
 
-    final_eval = evaluate_a0()
+    if cfg.epochs % cfg.eval_every:
+        last_eval = evaluate_a0()
     with open(out_dir / "eval.jsonl", "w") as fh:
-        for record in final_eval.records:
+        for record in last_eval.records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     checkpoint("final")
-    return TrainResult(
-        reports=reports,
-        baseline_ratings=baseline_ratings,
-        final_rating=agent0.rating.value,
-    )
+    return last_eval

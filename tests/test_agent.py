@@ -17,7 +17,7 @@ from reference_update import reference_gradients
 
 from abr_arena import neural
 from abr_arena.agent import (
-    CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, SessionScales, UpdateBatch,
+    CONV_FILTERS, CONV_KERNEL, Agent, AgentConfig, FeatureTrunk, UpdateBatch,
     _beside, dynamic_lr, normalize, sample_levels, td_targets,
 )
 from abr_arena.gem import HIDDEN_SIZE
@@ -31,7 +31,10 @@ from abr_arena.workload import (
 )
 
 CFG = AgentConfig(history_len=4, num_levels=3)
-SCALES = SessionScales(top_bitrate_kbps=4300.0, buffer_capacity_s=25.0, total_duration_s=64.0)
+# Divisors: a 4300 kbps top rung, 64 s of video and a 25 s buffer.
+VIDEO = synth_manifest(SynthManifestConfig(ladder_kbps=(750.0, 1850.0, 4300.0), num_chunks=16),
+                       seed=0)
+SESSION = SessionConfig(history_len=4)
 
 
 def physical_obs(rng=None, k=4, n=3):
@@ -60,7 +63,8 @@ def norm_rows(rng, count=3, config=CFG):
     """Flat rows of random normalized observations with random GEM features."""
     rows = np.zeros((count, config.flat_dim), dtype=np.float32)
     for row in rows:
-        normalize(physical_obs(rng, config.history_len, config.num_levels), config, SCALES, row)
+        obs = physical_obs(rng, config.history_len, config.num_levels)
+        normalize(obs, config, VIDEO, SESSION, row)
         row[-HIDDEN_SIZE:] = rng.normal(size=HIDDEN_SIZE)
     return rows
 
@@ -163,7 +167,7 @@ def test_normalize_values():
         next_sizes_bits=np.array([4e6, 8e6, 1.6e7]),
     )
     row = np.full(CFG.flat_dim, 2.0, dtype=np.float32)
-    assert normalize(obs, CFG, SCALES, row) is row
+    assert normalize(obs, CFG, VIDEO, SESSION, row) is row
     assert row[0] == pytest.approx(0.5)  # throughput
     assert row[4] == pytest.approx(0.5)  # download time
     assert row[8] == pytest.approx(1.0)  # bitrate
@@ -175,14 +179,14 @@ def test_normalize_values():
 
 def test_normalize_zero_is_zero():
     row = np.ones(CFG.flat_dim, dtype=np.float32)
-    normalize(physical_obs(), CFG, SCALES, row)
+    normalize(physical_obs(), CFG, VIDEO, SESSION, row)
     assert np.all(row[:-HIDDEN_SIZE] == 0.0)
 
 
 def test_flatten_layout():
     rng = np.random.default_rng(0)
     observations = [physical_obs(rng) for _ in range(3)]
-    flat = Agent(CFG, seed=0).flatten_trajectory(as_batch(observations), SCALES)
+    flat = Agent(CFG, seed=0).flatten_trajectory(as_batch(observations), VIDEO, SESSION)
     assert flat.shape == (3, CFG.flat_dim)
     assert flat.dtype == np.float32
     # Columns: the three histories, the two scalars, the next sizes, the GEM feature.
@@ -190,8 +194,7 @@ def test_flatten_layout():
     obs = observations[1]
     expected = np.concatenate([
         obs.throughput_kbps / CFG.throughput_scale_kbps, obs.download_time_s / CFG.time_scale_s,
-        obs.chosen_bitrate_kbps / SCALES.top_bitrate_kbps,
-        [obs.remaining_play_s / SCALES.total_duration_s, obs.buffer_s / SCALES.buffer_capacity_s],
+        obs.chosen_bitrate_kbps / 4300.0, [obs.remaining_play_s / 64.0, obs.buffer_s / 25.0],
         obs.next_sizes_bits / CFG.size_scale_bits, np.zeros(HIDDEN_SIZE),
     ]).astype(np.float32)
     assert expected.shape == (3 * k + 2 + n + HIDDEN_SIZE,)

@@ -505,8 +505,8 @@ def test_non_finite_manifest_is_rejected(tmp_path, capsys, command, field):
 @pytest.mark.parametrize("command", ["tournament", "evaluate", "train"])
 def test_buffer_capacity_must_exceed_chunk_duration(tmp_path, capsys, command, capacity):
     # The manifest's chunks last 4 s; the simulator refuses a buffer that
-    # cannot hold more than one chunk.
-    traces_dir = write_traces(tmp_path, count=2)
+    # cannot hold more than one chunk. Three traces leave train one to validate on.
+    traces_dir = write_traces(tmp_path, count=3)
     manifest_path = write_manifest(tmp_path)
     out = tmp_path / "out.json"
     args = ["--traces", str(traces_dir), "--manifest", str(manifest_path),
@@ -613,6 +613,8 @@ MALFORMED_CONFIGS = [
     ("split", [0.6, 0.4], "split"),
     ("split.train", "0.6", "split.train"),
     ("split.validation", 1.5, "split"),
+    # The default 0.8/0.2 split of 4 traces validates on none of them.
+    ("split", _DELETE, "split.validation: selects none of the 4 traces"),
     ("traces", [], "traces"),
     ("traces.synthetic", 4, "traces.synthetic"),
     ("traces.synthetic.duration_s", "60", "traces.synthetic.duration_s"),

@@ -8,8 +8,9 @@ from reference_session import ReferenceSession, as_batch
 
 from abr_arena import agent as agent_module
 from abr_arena import baselines as baselines_module
+from abr_arena import selfplay as selfplay_module
 from abr_arena import simulator
-from abr_arena.agent import Agent, AgentConfig, AgentPolicy, SessionScales
+from abr_arena.agent import Agent, AgentConfig, AgentPolicy
 from abr_arena.baselines import POLICY_NAMES, make_policy
 from abr_arena.elo import rate_agent
 from abr_arena.rule import RESULT_LABELS, judge
@@ -219,8 +220,6 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
     assert policy.rows.shape == (manifest.num_chunks, len(traces), AGENT_CFG.flat_dim)
     for m, (traj, trace) in enumerate(zip(trajectories, traces)):
         rows = policy.rows[:, m]
-        scales = SessionScales(manifest.ladder_kbps[-1], SESSION_CFG.buffer_capacity_s,
-                               manifest.total_duration_s)
         # The state columns are the normalized observations of a scalar
         # replay of the played actions.
         reference = ReferenceSession(manifest, trace, SESSION_CFG)
@@ -228,7 +227,7 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
         for level in traj.levels:
             observations.append(reference.observe())
             reference.step(level)
-        flat = agent.flatten_trajectory(as_batch(observations), scales)
+        flat = agent.flatten_trajectory(as_batch(observations), manifest, SESSION_CFG)
         assert np.array_equal(rows[:, :-HIDDEN_SIZE], flat[:, :-HIDDEN_SIZE])
         assert traj.metrics == reference.metrics()
         # Step t's hidden feature is the generator's output on step t-1's row.
@@ -250,9 +249,9 @@ def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     batches = []
     normalize = agent_module.normalize
 
-    def counting_normalize(obs, config, scales, out):
+    def counting_normalize(obs, config, manifest, cfg, out):
         batches.append(len(out))
-        return normalize(obs, config, scales, out)
+        return normalize(obs, config, manifest, cfg, out)
 
     monkeypatch.setattr(agent_module, "normalize", counting_normalize)
     run_epoch(Agent(AGENT_CFG, seed=23), Agent(AGENT_CFG, seed=24), matches, SESSION_CFG,
@@ -446,8 +445,7 @@ def test_train_writes_log_checkpoints_and_eval(tmp_path):
     for idx in (0, 1):
         assert (tmp_path / "run" / f"agent{idx}_final.ckpt").exists()
         assert (tmp_path / "run" / f"agent{idx}_ep00000.ckpt").exists()
-    assert len(result.reports) == 2
-    assert set(result.baseline_ratings) == {"constrained", "throughput"}
+    assert set(result.win_rates) == {"constrained", "throughput"}
 
 
 def test_train_zero_epochs_logs_anchor_row_only(tmp_path):
@@ -470,6 +468,26 @@ def test_train_carries_elo_between_evaluations(tmp_path):
     assert rows[1][3] == rows[0][3]
     assert rows[2][3] != rows[1][3]  # epoch 2 evaluates
     assert rows[3][3] == rows[2][3]
+
+
+@pytest.mark.parametrize("epochs,eval_every", [(0, 1), (3, 1), (4, 2), (3, 2)])
+def test_train_evaluates_once_per_schedule_point(tmp_path, monkeypatch, epochs, eval_every):
+    """Row 0 and every ``eval_every``-th epoch evaluate, and one more
+    evaluation follows only a last epoch that did not; the returned rating
+    is the final checkpoint's."""
+    calls = []
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(selfplay_module, "evaluate", counting_evaluate)
+    cfg = dataclasses.replace(small_train_config(epochs=epochs), eval_every=eval_every)
+    result = train(cfg, tmp_path / "run")
+    assert len(calls) == 1 + epochs // eval_every + (epochs % eval_every != 0)
+    assert result.rating == Agent.load(tmp_path / "run" / "agent0_final.ckpt").rating.value
+    if epochs % eval_every == 0:
+        assert result.rating == float(read_epochs(tmp_path / "run" / "epochs.csv")[-1]["elo_a0"])
 
 
 def test_train_fixed_seed_reproduces_log(tmp_path):
