@@ -224,6 +224,7 @@ class FeatureTrunk:
             lo = hi
         self._taps = np.concatenate(taps)
         self._widths = [hi - lo for _, lo, hi in self._branches] + [1]
+        self._bias_rows = np.repeat(np.arange(len(self._widths)), self._widths)
         self.order = np.concatenate([*order, CONV_FILTERS * lo + np.arange(CONV_FILTERS)], axis=None)
         self.scalars = Dense(2, CONV_FILTERS, rng=rng)
         self._scalar_cols = slice(3 * k, 3 * k + 2)
@@ -244,7 +245,7 @@ class FeatureTrunk:
         for conv, lo, hi in self._branches:
             np.matmul(windows[:, lo:hi], conv.weight[:, 0].T, out=slabs[:, lo:hi])
         np.matmul(rows[:, self._scalar_cols], self.scalars.weight, out=slabs[:, -1])
-        slabs += np.array(self.params()[1::2]).repeat(self._widths, axis=0)  # each layer's bias
+        slabs += np.array(self.params()[1::2])[self._bias_rows]  # each layer's bias
         np.maximum(features, 0, out=features)
         # np.maximum keeps NaN and +inf: the largest feature is finite iff all are.
         if not np.isfinite(features.max()):
@@ -313,22 +314,25 @@ class Agent:
         self.gem = GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
         self.rating = Rating()
 
-    def policy_probs(self, rows: np.ndarray) -> np.ndarray:
+    def policy_logits(self, rows: np.ndarray) -> np.ndarray:
         features, _ = self.trunk.forward(rows)
         logits, _ = self.policy_head.forward(features)
-        return softmax(logits)
+        return logits
+
+    def policy_probs(self, rows: np.ndarray) -> np.ndarray:
+        return softmax(self.policy_logits(rows))
 
     def act(self, rows: np.ndarray,
             rngs: Sequence[np.random.Generator] | None = None) -> np.ndarray:
         """Pick one level per flat normalized row.
 
-        With no generators it plays the argmax (ties resolve to the lowest
-        index); given ``rngs``, row i draws from its softmax distribution
-        with ``rngs[i]``.
+        With no generators it plays the argmax of the logits, no softmax
+        (ties resolve to the lowest index); given ``rngs``, row i draws from
+        its softmax distribution with ``rngs[i]``.
         """
-        probs = self.policy_probs(rows)
         if rngs is None:
-            return probs.argmax(axis=1)
+            return self.policy_logits(rows).argmax(axis=1)
+        probs = self.policy_probs(rows)
         if len(rngs) != len(probs):
             raise ValueError(f"sampling needs one random generator per row: "
                              f"{len(probs)} rows, {len(rngs)} generators")
@@ -479,8 +483,8 @@ class Agent:
     def load(cls, path) -> "Agent":
         """Read a checkpoint written by :meth:`save` into zero-initialised
         networks of its ``agent_config``. The stored names must be exactly
-        their :meth:`arrays`, each with its shape and dtype. A malformed file
-        raises one ValueError that names ``path``."""
+        their :meth:`arrays`, each finite with its shape and dtype, and no
+        running variance negative. Damage raises one ValueError naming ``path``."""
         stored = _read_npz(path)
         try:
             meta = json.loads(stored.pop("meta").item())
@@ -504,6 +508,10 @@ class Agent:
             if src.shape != dst.shape or src.dtype != dst.dtype:
                 raise ValueError(f"{path}: {name} is {src.dtype} {src.shape}, "
                                  f"expected {dst.dtype} {dst.shape}")
+            if not np.isfinite(src).all():
+                raise ValueError(f"{path}: {name} has non-finite values")
+            if name.endswith(".running_var") and (src < 0).any():
+                raise ValueError(f"{path}: {name} has negative values")
             if name in ("policy_head.0.weight", "value_head.0.weight"):
                 # Filter-major rows; "clip" (the indices are valid) skips take's buffer.
                 np.take(src, agent.trunk.order, axis=0, out=dst, mode="clip")
@@ -537,7 +545,8 @@ class AgentPolicy:
 
     ``rows`` (num_chunks, sessions, flat_dim) is the only copy of the
     normalized states and hidden features: call t normalizes into ``rows[t]``
-    and, for t > 0, fills its GEM columns from the generator on ``rows[t - 1]``.
+    and, for t > 0, fills its GEM columns from the generator on ``rows[t - 1]``,
+    folded (:meth:`GemModule.inference`) once here: updates come between runs.
     """
 
     def __init__(self, agent: Agent, sessions: int, manifest: Manifest,
@@ -548,13 +557,13 @@ class AgentPolicy:
             raise ValueError("session shapes do not match agent config")
         self.agent, self.rngs, self.manifest, self.cfg = agent, rngs, manifest, cfg
         self.rows = np.zeros((manifest.num_chunks, sessions, config.flat_dim), dtype=DTYPE)
-        self._t = 0
+        self._gen, self._t = agent.gem.inference(), 0
 
     def __call__(self, obs: Observation) -> np.ndarray:
         t, rows = self._t, self.rows
         # A module-global lookup, so wrappers of agent.normalize see each call.
         normalize(obs, self.agent.config, self.manifest, self.cfg, rows[t])
         if t:
-            rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1])
+            rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1], self._gen)
         self._t += 1
         return self.agent.act(rows[t], self.rngs)

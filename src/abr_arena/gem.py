@@ -5,11 +5,12 @@ ones harvested from winning sessions. Least-squares losses, RMSProp updates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import DTYPE, BatchNorm, Dense, LeakyRelu, RMSProp, Sequential
+from .neural import BN_EPS, DTYPE, BatchNorm, Dense, LeakyRelu, RMSProp, Sequential
 
 HIDDEN_SIZE = 16
 GEM_LR = 1e-4
@@ -56,17 +57,33 @@ class GemModule:
         self.gen_opt = RMSProp(self.gen.params(), lr=GEM_LR)
         self.disc_opt = RMSProp(self.disc.params(), lr=GEM_LR)
 
-    def hidden_for(self, prev_rows: np.ndarray) -> np.ndarray:
+    def inference(self) -> Sequential:
+        """A copy of the generator with each batch norm folded into the dense
+        layer before it at its running statistics: with ``scale = gamma /
+        sqrt(running_var + BN_EPS)``, weight ``W * scale`` and bias ``(b -
+        running_mean) * scale + beta``, in float64 rounded once. Inference
+        only; it goes stale once ``gen``'s parameters or statistics move."""
+        layers = copy.deepcopy(self.gen.layers)
+        for dense, bn in zip(layers, layers[1:]):
+            if isinstance(bn, BatchNorm):
+                scale = bn.gamma / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
+                bias = dense.bias.astype(np.float64)
+                dense.bias[...] = (bias - bn.running_mean) * scale + bn.beta
+                dense.weight *= scale
+        return Sequential([layer for layer in layers if not isinstance(layer, BatchNorm)])
+
+    def hidden_for(self, prev_rows: np.ndarray, net: Sequential | None = None) -> np.ndarray:
         """Next hidden features (n, HIDDEN_SIZE) from the previous steps' flat
         rows: a row ``concat(state, h_prev)`` is exactly the generator input.
 
-        Inference-mode forward pass; deterministic.
+        Runs ``net``, an :meth:`inference` of this module built since its
+        parameters last changed; None folds one on this call. Deterministic.
         """
         prev_rows = np.asarray(prev_rows, dtype=DTYPE)
         if prev_rows.ndim != 2 or prev_rows.shape[1] != self.input_dim + HIDDEN_SIZE:
             raise ValueError(f"previous rows must be (n, {self.input_dim + HIDDEN_SIZE}), "
                              f"got {prev_rows.shape}")
-        out, _ = self.gen.forward(prev_rows, training=False)
+        out, _ = (self.inference() if net is None else net).forward(prev_rows)
         return out
 
     def collect(self, rows: np.ndarray) -> None:

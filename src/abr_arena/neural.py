@@ -5,7 +5,8 @@ valid 1-D convolution, batch normalization, ReLU/leaky ReLU and softmax, plus
 Adam/RMSProp. Layers are functional: forward returns (output, cache) and
 backward consumes that cache, so a layer stores no activations between the
 two; only a training-mode batch-norm forward writes layer state (its running
-statistics). Checkpoints name a layer's ndarray attributes (``Agent.arrays``).
+statistics). A ReLU's cache is its input, masked only by the backward.
+Checkpoints name a layer's ndarray attributes (``Agent.arrays``).
 """
 
 from __future__ import annotations
@@ -142,10 +143,10 @@ class Relu:
         return []
 
     def forward(self, x: np.ndarray, training: bool = False):
-        return np.maximum(x, 0), x > 0
+        return np.maximum(x, 0), x
 
     def backward(self, cache, dy: np.ndarray):
-        return dy * cache, []
+        return dy * (cache > 0), []
 
 
 class LeakyRelu:
@@ -153,11 +154,11 @@ class LeakyRelu:
         return []
 
     def forward(self, x: np.ndarray, training: bool = False):
-        pos = x > 0
-        return np.where(pos, x, x * LEAKY_SLOPE), pos
+        # Bit for bit x where x > 0, else x * LEAKY_SLOPE, as 0 < LEAKY_SLOPE < 1.
+        return np.maximum(x, x * LEAKY_SLOPE), x
 
     def backward(self, cache, dy: np.ndarray):
-        return np.where(cache, dy, dy * LEAKY_SLOPE), []
+        return np.where(cache > 0, dy, dy * LEAKY_SLOPE), []
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -248,6 +248,28 @@ def test_act_sample_deterministic_given_seed():
         agent.act(rows, [np.random.default_rng(0)])  # one generator per row
 
 
+@pytest.mark.parametrize("config", [CFG, AgentConfig()], ids=["toy", "default"])
+def test_greedy_act_is_the_argmax_of_the_probabilities(config):
+    for seed in range(4):
+        agent = Agent(config, seed=seed)
+        rows = norm_rows(np.random.default_rng(40 + seed), 64, config)
+        probs = agent.policy_probs(rows)
+        top_two = np.sort(probs, axis=1)[:, -2:]
+        distinct = top_two[:, 0] < top_two[:, 1]
+        assert distinct.sum() > 60
+        assert np.array_equal(agent.act(rows)[distinct], probs.argmax(axis=1)[distinct])
+
+
+@pytest.mark.parametrize("column", [0, -1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_greedy_act_raises_on_non_finite_rows(column, value):
+    agent = Agent(CFG, seed=2)
+    rows = norm_rows(np.random.default_rng(44))
+    rows[1, column] = value
+    with pytest.raises(FloatingPointError):
+        agent.act(rows)
+
+
 def random_probability_rows(rng, count, levels):
     """Rows of mixed shape: dense, one-hot, spiky, float32-rounded, and with
     entries near 1e-12, each summing to 1 within rounding."""
@@ -828,6 +850,22 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
     assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
     with pytest.raises(AssertionError, match="random initialisation"):
         Agent(TOY_CFG)
+
+
+@pytest.mark.parametrize("name,value,words", [
+    ("policy_head.0.weight", np.nan, "non-finite"),
+    ("trunk.throughput.bias", np.inf, "non-finite"),
+    ("gem_generator.1.running_var", -1.0, "negative"),
+    ("gem_discriminator.4.running_mean", -np.inf, "non-finite"),
+])
+def test_load_rejects_non_finite_arrays_and_negative_variances(tmp_path, name, value, words):
+    agent = Agent(CFG, seed=12)
+    agent.arrays()[name].flat[3] = value
+    path = tmp_path / "agent.ckpt"
+    agent.save(path)
+    with pytest.raises(ValueError) as raised:
+        Agent.load(path)
+    assert all(word in str(raised.value) for word in (str(path), name, words))
 
 
 def test_failed_save_keeps_existing_checkpoint(tmp_path):

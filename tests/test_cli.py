@@ -357,6 +357,13 @@ def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, edit, words)
     refuses_edited_entries(tmp_path, capsys, edit, words)
 
 
+def set_entry(name, value):
+    """An edit that writes ``value`` into the first element of array ``name``."""
+    def edit(entries):
+        entries[name].flat[0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit,words", [
     (lambda e: e.pop("policy_head.2.bias"), ["missing arrays ['policy_head.2.bias']"]),
     (lambda e: e.update({"policy_head.3.bias": np.zeros(6, np.float32)}),
@@ -365,7 +372,11 @@ def test_evaluate_rejects_bad_checkpoint_metadata(tmp_path, capsys, edit, words)
      ["policy_head.2.bias", "(7,)"]),
     (lambda e: e.update({"policy_head.2.bias": np.zeros(6)}), ["policy_head.2.bias", "float64"]),
     (lambda e: e.update({"policy_head.2.bias": np.zeros(6, object)}), ["pickle"]),
-], ids=["missing-array", "extra-array", "wrong-shape", "wrong-dtype", "object-array"])
+    (set_entry("policy_head.0.weight", np.nan), ["policy_head.0.weight", "non-finite"]),
+    (set_entry("trunk.throughput.bias", np.inf), ["trunk.throughput.bias", "non-finite"]),
+    (set_entry("gem_generator.1.running_var", -1.0), ["gem_generator.1.running_var", "negative"]),
+], ids=["missing-array", "extra-array", "wrong-shape", "wrong-dtype", "object-array",
+        "nan-weight", "inf-bias", "negative-running-var"])
 def test_evaluate_rejects_mismatched_checkpoint_arrays(tmp_path, capsys, edit, words):
     refuses_edited_entries(tmp_path, capsys, edit, words)
 

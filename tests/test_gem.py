@@ -6,6 +6,7 @@ from gradcheck import gradient_errors, to_float64
 
 from abr_arena import gem as gem_module
 from abr_arena.gem import GEM_BATCH, HIDDEN_SIZE, GemModule
+from abr_arena.neural import BatchNorm, Dense, LeakyRelu
 
 STATE_DIM = 20
 
@@ -35,6 +36,45 @@ def test_gen_hidden_deterministic_and_finite():
     np.testing.assert_allclose(gem.hidden_for(prev_rows[2:3])[0], h1[2], rtol=1e-6, atol=1e-7)
     with pytest.raises(ValueError):
         gem.hidden_for(prev_rows[:, :-4])
+
+
+def moved_gem():
+    """A GEM after three updates, so its batch-norm running statistics are
+    off their initial (0, 1), and inputs drawn for it."""
+    gem = make_gem(10)
+    gem.collect(session_rows(12, fill=0.3)[None])
+    inputs = np.random.default_rng(11).normal(size=(40, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
+    for seed in range(3):
+        assert not gem.update(inputs, np.random.default_rng(seed)).skipped
+    for bn in (layer for layer in gem.gen.layers if isinstance(layer, BatchNorm)):
+        assert np.all(bn.running_mean != 0.0) and np.all(bn.running_var != 1.0)
+    return gem, inputs
+
+
+def test_inference_folds_batch_norms_at_running_statistics():
+    gem, inputs = moved_gem()
+    net = gem.inference()
+    assert [type(layer) for layer in net.layers] == [Dense, LeakyRelu, Dense, LeakyRelu, Dense]
+    want, _ = gem.gen.forward(inputs, training=False)
+    got = gem.hidden_for(inputs, net)
+    # A float32 forward computed in another order: a few ulps per layer.
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+    # With no network, hidden_for folds the same one on the call.
+    assert np.array_equal(gem.hidden_for(inputs), got)
+
+
+def test_inference_shares_no_array_with_the_generator():
+    gem, inputs = moved_gem()
+    live = [a for layer in gem.gen.layers for a in vars(layer).values()
+            if isinstance(a, np.ndarray)]
+    before = [a.copy() for a in live]
+    want = gem.hidden_for(inputs)
+    net = gem.inference()
+    for p in net.params():
+        assert not any(np.shares_memory(p, a) for a in live)
+        p[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(live, before))
+    assert np.array_equal(gem.hidden_for(inputs), want)
 
 
 def constant_disc(gem, value):

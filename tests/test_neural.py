@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from gradcheck import (
     check_input_gradient, check_network_gradients, numeric_gradient, relative_errors,
     to_float64,
 )
 
 from abr_arena.neural import (
-    BN_EPS, BN_MOMENTUM, Adam, BatchNorm, Conv1D, Dense, LeakyRelu, Relu, RMSProp, Sequential,
-    softmax,
+    BN_EPS, BN_MOMENTUM, LEAKY_SLOPE, Adam, BatchNorm, Conv1D, Dense, LeakyRelu, Relu, RMSProp,
+    Sequential, softmax,
 )
 
 
@@ -94,6 +97,46 @@ def test_batchnorm_inference_uses_running_stats():
     before = bn.running_mean.copy()
     bn.forward(x, training=False)
     assert np.array_equal(bn.running_mean, before)
+
+
+# The forms the activations had when their cache was a mask of x > 0.
+def masked_relu(x, dy):
+    mask = x > 0
+    return np.maximum(x, 0), dy * mask
+
+
+def masked_leaky_relu(x, dy):
+    mask = x > 0
+    return np.where(mask, x, x * LEAKY_SLOPE), np.where(mask, dy, dy * LEAKY_SLOPE)
+
+
+def float32_arrays():
+    """Float32 vectors mixing normals with +-0, +-inf, NaN and subnormals."""
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 3e-39,
+                               -3e-39, 1.1754942e-38, -1.1754942e-38])
+    elements = st.one_of(special, st.floats(width=32), st.floats(-10.0, 10.0, width=32))
+    return hnp.arrays(np.float32, st.integers(1, 40), elements=elements)
+
+
+def same_bits(a, b):
+    """Equal values and sign bits, NaN where the other is NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b)) and np.array_equal(np.signbit(a), np.signbit(b))
+            and np.array_equal(a[~nan].view(np.uint32), b[~nan].view(np.uint32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=float32_arrays(), data=st.data())
+def test_activations_equal_their_masked_forms(x, data):
+    # A finite upstream gradient: inf * 0 is NaN, raising in both forms alike.
+    dy = data.draw(hnp.arrays(np.float32, x.shape,
+                              elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    for layer, reference in ((Relu(), masked_relu), (LeakyRelu(), masked_leaky_relu)):
+        y, cache = layer.forward(x)
+        dx, grads = layer.backward(cache, dy)
+        want_y, want_dx = reference(x, dy)
+        assert y.dtype == dx.dtype == np.float32 and grads == []
+        assert same_bits(y, want_y) and same_bits(dx, want_dx)
 
 
 # ---- gradient fidelity -----------------------------------------------------

@@ -244,6 +244,23 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
             SESSION_CFG)
 
 
+def test_agent_policy_built_after_a_gem_update_plays_the_updated_generator():
+    """The fold an AgentPolicy plays is taken at its construction, so a policy
+    built after ``gem.update`` sees the moved parameters and statistics."""
+    agent = Agent(AGENT_CFG, seed=23)
+    traces, manifest = [trace for trace, _ in several_trace_matches()], LONG_MANIFEST
+    player(agent, traces, manifest)  # a policy built, so folded, before the update
+    before = agent.gem.inference()
+    inputs = np.random.default_rng(24).normal(size=(32, AGENT_CFG.flat_dim)).astype(np.float32)
+    agent.gem.collect(inputs[None, :8])
+    assert not agent.gem.update(inputs, np.random.default_rng(25)).skipped
+    policy = player(agent, traces, manifest)
+    run_session([policy], traces, manifest, SESSION_CFG)
+    prev, hidden = policy.rows[:-1].reshape(-1, AGENT_CFG.flat_dim), policy.rows[1:, :, -HIDDEN_SIZE:]
+    assert np.array_equal(hidden.reshape(-1, HIDDEN_SIZE), agent.gem.hidden_for(prev))
+    assert not np.allclose(agent.gem.hidden_for(prev, before), agent.gem.hidden_for(prev))
+
+
 def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     matches = several_trace_matches()
     batches = []
