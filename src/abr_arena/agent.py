@@ -192,8 +192,15 @@ class FeatureTrunk:
     Each history segment of the row (throughput, download time, bitrate, next
     sizes, hidden) feeds a 1-channel kernel-3 valid convolution; the two scalars
     feed a dense layer. Features are position-major, a (positions + 1, filters)
-    block: each branch is one matmul of its gathered windows into its own slab,
-    the scalar units come last, and one bias add and one ReLU cover the block.
+    block with the scalar units last. Each layer is one matmul of its row
+    segment against its band matrix into its own span of the block: a
+    branch's band is its kernel laid out as a (segment length, positions *
+    filters) Toeplitz matrix, tap j of position l in row l + j, and the scalar
+    layer's band is its weight. :meth:`bands` builds the branch bands and the
+    flat bias with one scatter. An :class:`AgentPolicy` builds them once per
+    rollout, next to its GEM fold; any other forward builds them on the call.
+    One bias add and one ReLU then cover the features.
+
     The backward takes one head's first dense layer as (d_h, W), output
     gradient and weight, and walks the batch in blocks of ``_ROW_BLOCK`` rows,
     so no (batch, dim) feature gradient is built. Per block d_h @ W.T is one
@@ -213,39 +220,70 @@ class FeatureTrunk:
         segments = {"throughput": (0, k), "download": (k, k), "bitrate": (2 * k, k),
                     "sizes": (3 * k + 2, n), "hidden": (3 * k + 2 + n, HIDDEN_SIZE)}
         # _taps[l]: the row columns position l's window reads; branch i owns
-        # positions lo:hi. _widths: positions per layer, the scalar units last.
-        self.convs, self._branches, taps, order, lo = {}, [], [], [], 0
-        for name, (start, length) in segments.items():
+        # positions lo:hi. _spans: each layer's row and feature columns.
+        # bands() scatters the rows of a table, each branch's kernel taps and
+        # then each layer's bias, into the filter rows of one buffer: the
+        # branch bands one after another, then the bias. Table row
+        # _sources[c] fills buffer row _cells[c]; _bands: each band's buffer
+        # rows and its row count; _bias_rows: the bias's buffer rows.
+        self.convs, self._branches, self._spans, self._bands = {}, [], [], []
+        taps, order, cells, sources, lo, size = [], [], [], [], 0, 0
+        for i, (name, (start, length)) in enumerate(segments.items()):
             conv = self.convs[name] = Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng)
-            hi = lo + length - CONV_KERNEL + 1
-            taps.append(start + np.arange(hi - lo)[:, None] + np.arange(CONV_KERNEL))
-            order.append(np.arange(CONV_FILTERS * lo, CONV_FILTERS * hi).reshape(-1, hi - lo).T)
+            width = length - CONV_KERNEL + 1
+            hi = lo + width
+            l, j = np.divmod(np.arange(width * CONV_KERNEL), CONV_KERNEL)
+            taps.append(start + (l + j).reshape(width, CONV_KERNEL))
+            order.append(np.arange(CONV_FILTERS * lo, CONV_FILTERS * hi).reshape(-1, width).T)
+            cells.append(size + (l + j) * width + l)  # band row l + j, position l
+            sources.append(CONV_KERNEL * i + j)
             self._branches.append((conv, lo, hi))
+            self._spans.append((slice(start, start + length),
+                                slice(CONV_FILTERS * lo, CONV_FILTERS * hi)))
+            self._bands.append((slice(size, size + length * width), length))
+            size += length * width
             lo = hi
         self._taps = np.concatenate(taps)
-        self._widths = [hi - lo for _, lo, hi in self._branches] + [1]
-        self._bias_rows = np.repeat(np.arange(len(self._widths)), self._widths)
         self.order = np.concatenate([*order, CONV_FILTERS * lo + np.arange(CONV_FILTERS)], axis=None)
         self.scalars = Dense(2, CONV_FILTERS, rng=rng)
         self._scalar_cols = slice(3 * k, 3 * k + 2)
+        self._spans.append((self._scalar_cols, slice(CONV_FILTERS * lo, None)))
         self.dim = CONV_FILTERS * (lo + 1)
         self.flat_dim = config.flat_dim
+        widths = [hi - lo for _, lo, hi in self._branches] + [1]
+        cells.append(size + np.arange(lo + 1))
+        sources.append(CONV_KERNEL * len(segments) + np.repeat(np.arange(len(widths)), widths))
+        self._cells, self._sources = np.concatenate(cells), np.concatenate(sources)
+        self._bias_rows = slice(size, size + lo + 1)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in (*self.convs.values(), self.scalars) for p in layer.params()]
 
-    def forward(self, rows: np.ndarray):
-        """Features of ``rows`` (batch, flat_dim), in the parameters' dtype."""
+    def bands(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """(bands, bias) at the current parameters: each layer's band matrix
+        in feature order, the scalar layer's its weight itself, and the
+        (dim,) bias. The branch bands and the bias are new arrays."""
+        table = np.vstack([*(conv.weight[:, 0].T for conv in self.convs.values()),
+                           *self.params()[1::2]])
+        buffer = np.zeros((self._bias_rows.stop, CONV_FILTERS), table.dtype)
+        buffer[self._cells] = table[self._sources]
+        bands = [buffer[at].reshape(length, -1) for at, length in self._bands]
+        return bands + [self.scalars.weight], buffer[self._bias_rows].reshape(-1)
+
+    def forward(self, rows: np.ndarray, bands=None):
+        """Features of ``rows`` (batch, flat_dim), in the parameters' dtype,
+        against ``bands`` (a :meth:`bands`), built on the call if None."""
         rows = np.asarray(rows, dtype=self.scalars.weight.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.flat_dim:
             raise ValueError(f"rows must be (batch, {self.flat_dim}), got {rows.shape}")
-        windows = rows[:, self._taps]
+        # A band's zero entries would turn an infinite input into NaN.
+        if not np.isfinite(rows).all():
+            raise FloatingPointError("non-finite network input")
+        matrices, bias = self.bands() if bands is None else bands
         features = np.empty((len(rows), self.dim), dtype=rows.dtype)
-        slabs = features.reshape(len(rows), -1, CONV_FILTERS)
-        for conv, lo, hi in self._branches:
-            np.matmul(windows[:, lo:hi], conv.weight[:, 0].T, out=slabs[:, lo:hi])
-        np.matmul(rows[:, self._scalar_cols], self.scalars.weight, out=slabs[:, -1])
-        slabs += np.array(self.params()[1::2])[self._bias_rows]  # each layer's bias
+        for (cols, span), band in zip(self._spans, matrices):
+            np.matmul(rows[:, cols], band, out=features[:, span])
+        features += bias
         np.maximum(features, 0, out=features)
         # np.maximum keeps NaN and +inf: the largest feature is finite iff all are.
         if not np.isfinite(features.max()):
@@ -314,25 +352,26 @@ class Agent:
         self.gem = GemModule(config.flat_dim - HIDDEN_SIZE, rng=gem_rng)
         self.rating = Rating()
 
-    def policy_logits(self, rows: np.ndarray) -> np.ndarray:
-        features, _ = self.trunk.forward(rows)
+    def policy_logits(self, rows: np.ndarray, bands=None) -> np.ndarray:
+        features, _ = self.trunk.forward(rows, bands)
         logits, _ = self.policy_head.forward(features)
         return logits
 
-    def policy_probs(self, rows: np.ndarray) -> np.ndarray:
-        return softmax(self.policy_logits(rows))
+    def policy_probs(self, rows: np.ndarray, bands=None) -> np.ndarray:
+        return softmax(self.policy_logits(rows, bands))
 
-    def act(self, rows: np.ndarray,
-            rngs: Sequence[np.random.Generator] | None = None) -> np.ndarray:
-        """Pick one level per flat normalized row.
+    def act(self, rows: np.ndarray, rngs: Sequence[np.random.Generator] | None = None,
+            bands=None) -> np.ndarray:
+        """Pick one level per flat normalized row, the trunk reading
+        ``bands`` (a :meth:`FeatureTrunk.bands`, built on the call if None).
 
         With no generators it plays the argmax of the logits, no softmax
         (ties resolve to the lowest index); given ``rngs``, row i draws from
         its softmax distribution with ``rngs[i]``.
         """
         if rngs is None:
-            return self.policy_logits(rows).argmax(axis=1)
-        probs = self.policy_probs(rows)
+            return self.policy_logits(rows, bands).argmax(axis=1)
+        probs = self.policy_probs(rows, bands)
         if len(rngs) != len(probs):
             raise ValueError(f"sampling needs one random generator per row: "
                              f"{len(probs)} rows, {len(rngs)} generators")
@@ -545,8 +584,9 @@ class AgentPolicy:
 
     ``rows`` (num_chunks, sessions, flat_dim) is the only copy of the
     normalized states and hidden features: call t normalizes into ``rows[t]``
-    and, for t > 0, fills its GEM columns from the generator on ``rows[t - 1]``,
-    folded (:meth:`GemModule.inference`) once here: updates come between runs.
+    and, for t > 0, fills its GEM columns from the generator on ``rows[t - 1]``.
+    The generator's fold (:meth:`GemModule.inference`) and the trunk's
+    :meth:`FeatureTrunk.bands` are built once here: updates come between runs.
     """
 
     def __init__(self, agent: Agent, sessions: int, manifest: Manifest,
@@ -557,7 +597,7 @@ class AgentPolicy:
             raise ValueError("session shapes do not match agent config")
         self.agent, self.rngs, self.manifest, self.cfg = agent, rngs, manifest, cfg
         self.rows = np.zeros((manifest.num_chunks, sessions, config.flat_dim), dtype=DTYPE)
-        self._gen, self._t = agent.gem.inference(), 0
+        self._gen, self._bands, self._t = agent.gem.inference(), agent.trunk.bands(), 0
 
     def __call__(self, obs: Observation) -> np.ndarray:
         t, rows = self._t, self.rows
@@ -566,4 +606,4 @@ class AgentPolicy:
         if t:
             rows[t, :, -HIDDEN_SIZE:] = self.agent.gem.hidden_for(rows[t - 1], self._gen)
         self._t += 1
-        return self.agent.act(rows[t], self.rngs)
+        return self.agent.act(rows[t], self.rngs, self._bands)

@@ -13,6 +13,7 @@ from gradcheck import gradient_errors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_session import as_batch
+from reference_trunk import gathered_forward
 from reference_update import reference_gradients
 
 from abr_arena import neural
@@ -390,6 +391,29 @@ def test_trunk_matches_per_branch_layers(batch):
             assert_close(grad, ref)
 
 
+def bits(features):
+    return features.view(np.int32)
+
+
+@given(batch=st.sampled_from([1, 4, 16, 768]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_banded_trunk_equals_gathered_windows_bit_for_bit(batch, seed):
+    """The band matrices' zero entries add exact zeros in tap order, so the
+    banded features are the gathered-window features bit for bit, on rows
+    mixing signed zeros, subnormal, ordinary and large-magnitude entries."""
+    rng = np.random.default_rng(seed)
+    agent = Agent(AgentConfig(), seed=int(rng.integers(1000)))
+    trunk = agent.trunk
+    for bias in trunk.params()[1::2]:  # drawn, not the initial zeros
+        bias[...] = rng.normal(scale=0.1, size=bias.shape)
+    shape = (batch, trunk.flat_dim)
+    magnitude = rng.choice([0.0, 1e-41, 1e-3, 1.0, 1e34], size=shape)
+    rows = (rng.normal(size=shape) * magnitude).astype(np.float32)
+    features, _ = trunk.forward(rows)
+    assert np.array_equal(bits(features), bits(gathered_forward(trunk, rows)))
+    assert np.array_equal(bits(trunk.forward(rows, trunk.bands())[0]), bits(features))
+
+
 @pytest.mark.parametrize("batch", [1, 768])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_trunk_rejects_non_finite_in_any_segment(batch, value):
@@ -413,7 +437,7 @@ def test_trunk_rows_do_not_depend_on_the_batch():
     rows = norm_rows(np.random.default_rng(27), 768, agent.config)
     features, _ = agent.trunk.forward(rows)
     for i in range(len(rows)):
-        assert_close(features[i:i + 1], agent.trunk.forward(rows[i:i + 1])[0])
+        assert np.array_equal(bits(features[i:i + 1]), bits(agent.trunk.forward(rows[i:i + 1])[0]))
 
 
 def float64_twin(agent):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference_session import ReferenceSession, as_batch
+from reference_trunk import gathered_forward
 
 from abr_arena import agent as agent_module
 from abr_arena import baselines as baselines_module
@@ -261,6 +262,29 @@ def test_agent_policy_built_after_a_gem_update_plays_the_updated_generator():
     assert not np.allclose(agent.gem.hidden_for(prev, before), agent.gem.hidden_for(prev))
 
 
+def test_agent_policy_built_after_an_update_plays_the_updated_trunk():
+    """The bands an AgentPolicy plays are built at its construction, so a
+    policy built after ``Agent.update`` plays the moved trunk."""
+    agent = Agent(AGENT_CFG, seed=27)
+    traces, manifest = [trace for trace, _ in several_trace_matches()], LONG_MANIFEST
+    rngs = [np.random.default_rng(m) for m in range(len(traces))]
+    before = player(agent, traces, manifest, rngs)
+    [trajectories] = run_session([before], traces, manifest, SESSION_CFG)
+    agent.update(agent.build_update_batch(before.rows.swapaxes(0, 1), trajectories,
+                                          [1.0, 0.0, 1.0, 0.0], 0.25))
+    policy = player(agent, traces, manifest)
+    [trajectories] = run_session([policy], traces, manifest, SESSION_CFG)
+    (bands, bias), (want_bands, want_bias) = policy._bands, agent.trunk.bands()
+    assert all(np.array_equal(band, want) for band, want in zip(bands, want_bands, strict=True))
+    assert np.array_equal(bias, want_bias)
+    assert not np.array_equal(bands[0], before._bands[0][0])
+    for t, rows in enumerate(policy.rows):
+        features = gathered_forward(agent.trunk, rows)
+        assert np.array_equal(agent.trunk.forward(rows, policy._bands)[0], features)
+        levels = agent.policy_head.forward(features)[0].argmax(axis=1)
+        assert levels.tolist() == [traj.levels[t] for traj in trajectories]
+
+
 def test_run_epoch_normalizes_each_observation_once(monkeypatch):
     matches = several_trace_matches()
     batches = []
@@ -284,9 +308,9 @@ def test_run_epoch_runs_one_update_forward_per_agent(monkeypatch):
     sizes = []
     forward = agent_module.FeatureTrunk.forward
 
-    def counting_forward(self, rows):
+    def counting_forward(self, rows, bands=None):
         sizes.append(len(rows))
-        return forward(self, rows)
+        return forward(self, rows, bands)
 
     monkeypatch.setattr(agent_module.FeatureTrunk, "forward", counting_forward)
     run_epoch(Agent(AGENT_CFG, seed=25), Agent(AGENT_CFG, seed=26), matches, SESSION_CFG,
