@@ -196,10 +196,10 @@ class FeatureTrunk:
     segment against its band matrix into its own span of the block: a
     branch's band is its kernel laid out as a (segment length, positions *
     filters) Toeplitz matrix, tap j of position l in row l + j, and the scalar
-    layer's band is its weight. :meth:`bands` builds the branch bands and the
-    flat bias with one scatter. An :class:`AgentPolicy` builds them once per
-    rollout, next to its GEM fold; any other forward builds them on the call.
-    One bias add and one ReLU then cover the features.
+    layer's band is its weight. :meth:`bands` builds the bands and the flat
+    bias; an :class:`AgentPolicy` builds them once per rollout, next to its
+    GEM fold, and any other forward builds them on the call. One bias add and
+    one ReLU then cover the features.
 
     The backward takes one head's first dense layer as (d_h, W), output
     gradient and weight, and walks the batch in blocks of ``_ROW_BLOCK`` rows,
@@ -221,27 +221,18 @@ class FeatureTrunk:
                     "sizes": (3 * k + 2, n), "hidden": (3 * k + 2 + n, HIDDEN_SIZE)}
         # _taps[l]: the row columns position l's window reads; branch i owns
         # positions lo:hi. _spans: each layer's row and feature columns.
-        # bands() scatters the rows of a table, each branch's kernel taps and
-        # then each layer's bias, into the filter rows of one buffer: the
-        # branch bands one after another, then the bias. Table row
-        # _sources[c] fills buffer row _cells[c]; _bands: each band's buffer
-        # rows and its row count; _bias_rows: the bias's buffer rows.
-        self.convs, self._branches, self._spans, self._bands = {}, [], [], []
-        taps, order, cells, sources, lo, size = [], [], [], [], 0, 0
-        for i, (name, (start, length)) in enumerate(segments.items()):
+        self.convs, self._branches, self._spans = {}, [], []
+        taps, order, lo = [], [], 0
+        for name, (start, length) in segments.items():
             conv = self.convs[name] = Conv1D(1, CONV_FILTERS, CONV_KERNEL, rng=rng)
             width = length - CONV_KERNEL + 1
             hi = lo + width
             l, j = np.divmod(np.arange(width * CONV_KERNEL), CONV_KERNEL)
             taps.append(start + (l + j).reshape(width, CONV_KERNEL))
             order.append(np.arange(CONV_FILTERS * lo, CONV_FILTERS * hi).reshape(-1, width).T)
-            cells.append(size + (l + j) * width + l)  # band row l + j, position l
-            sources.append(CONV_KERNEL * i + j)
             self._branches.append((conv, lo, hi))
             self._spans.append((slice(start, start + length),
                                 slice(CONV_FILTERS * lo, CONV_FILTERS * hi)))
-            self._bands.append((slice(size, size + length * width), length))
-            size += length * width
             lo = hi
         self._taps = np.concatenate(taps)
         self.order = np.concatenate([*order, CONV_FILTERS * lo + np.arange(CONV_FILTERS)], axis=None)
@@ -250,11 +241,6 @@ class FeatureTrunk:
         self._spans.append((self._scalar_cols, slice(CONV_FILTERS * lo, None)))
         self.dim = CONV_FILTERS * (lo + 1)
         self.flat_dim = config.flat_dim
-        widths = [hi - lo for _, lo, hi in self._branches] + [1]
-        cells.append(size + np.arange(lo + 1))
-        sources.append(CONV_KERNEL * len(segments) + np.repeat(np.arange(len(widths)), widths))
-        self._cells, self._sources = np.concatenate(cells), np.concatenate(sources)
-        self._bias_rows = slice(size, size + lo + 1)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in (*self.convs.values(), self.scalars) for p in layer.params()]
@@ -263,12 +249,17 @@ class FeatureTrunk:
         """(bands, bias) at the current parameters: each layer's band matrix
         in feature order, the scalar layer's its weight itself, and the
         (dim,) bias. The branch bands and the bias are new arrays."""
-        table = np.vstack([*(conv.weight[:, 0].T for conv in self.convs.values()),
-                           *self.params()[1::2]])
-        buffer = np.zeros((self._bias_rows.stop, CONV_FILTERS), table.dtype)
-        buffer[self._cells] = table[self._sources]
-        bands = [buffer[at].reshape(length, -1) for at, length in self._bands]
-        return bands + [self.scalars.weight], buffer[self._bias_rows].reshape(-1)
+        bands = []
+        for conv, lo, hi in self._branches:
+            width, length = hi - lo, hi - lo + CONV_KERNEL - 1
+            # Tap j of position l: band row l + j, buffer row (l + j) * width + l.
+            at = np.arange(width)[:, None] * (width + 1) + np.arange(CONV_KERNEL) * width
+            buffer = np.zeros((length * width, CONV_FILTERS), conv.weight.dtype)
+            buffer[at] = conv.weight[:, 0].T
+            bands.append(buffer.reshape(length, -1))
+        widths = [hi - lo for _, lo, hi in self._branches] + [1]
+        bias = np.repeat(np.stack(self.params()[1::2]), widths, axis=0).ravel()
+        return bands + [self.scalars.weight], bias
 
     def forward(self, rows: np.ndarray, bands=None):
         """Features of ``rows`` (batch, flat_dim), in the parameters' dtype,

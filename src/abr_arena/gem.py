@@ -72,18 +72,18 @@ class GemModule:
                 dense.weight *= scale
         return Sequential([layer for layer in layers if not isinstance(layer, BatchNorm)])
 
-    def hidden_for(self, prev_rows: np.ndarray, net: Sequential | None = None) -> np.ndarray:
+    def hidden_for(self, prev_rows: np.ndarray, net: Sequential) -> np.ndarray:
         """Next hidden features (n, HIDDEN_SIZE) from the previous steps' flat
         rows: a row ``concat(state, h_prev)`` is exactly the generator input.
 
         Runs ``net``, an :meth:`inference` of this module built since its
-        parameters last changed; None folds one on this call. Deterministic.
+        parameters last changed: inference runs only through the fold.
         """
         prev_rows = np.asarray(prev_rows, dtype=DTYPE)
         if prev_rows.ndim != 2 or prev_rows.shape[1] != self.input_dim + HIDDEN_SIZE:
             raise ValueError(f"previous rows must be (n, {self.input_dim + HIDDEN_SIZE}), "
                              f"got {prev_rows.shape}")
-        out, _ = (self.inference() if net is None else net).forward(prev_rows)
+        out, _ = net.forward(prev_rows)
         return out
 
     def collect(self, rows: np.ndarray) -> None:
@@ -101,13 +101,13 @@ class GemModule:
 
         Least squares: real samples are pushed toward 1, generated ones toward
         0. Both halves pass through the discriminator as one mixed batch, so
-        training-mode batch normalization sees winning and generated samples
+        its batch normalization sees winning and generated samples
         together and their contrast survives the per-batch standardization.
         """
         if not len(real) or not len(fake):
             raise ValueError("empty batch")
         stacked = np.concatenate([real, fake])
-        p, cache = self.disc.forward(stacked, training=True)
+        p, cache = self.disc.forward(stacked)
         p_real, p_fake = p[:len(real)], p[len(real):]
         loss = float(0.5 * np.mean((p_real - 1.0) ** 2) + 0.5 * np.mean(p_fake ** 2))
         if not np.isfinite(loss):
@@ -122,8 +122,8 @@ class GemModule:
         batch = len(inputs)
         if not batch:
             raise ValueError("empty batch")
-        fake, gen_cache = self.gen.forward(inputs, training=True)
-        p, disc_cache = self.disc.forward(fake, training=True)
+        fake, gen_cache = self.gen.forward(inputs)
+        p, disc_cache = self.disc.forward(fake)
         loss = float(0.5 * np.mean((p - 1.0) ** 2))
         if not np.isfinite(loss):
             return loss, None
@@ -145,7 +145,7 @@ class GemModule:
             raise ValueError(f"generator inputs must be (n, {self.input_dim + HIDDEN_SIZE})")
         real = self.buffer[rng.integers(len(self.buffer), size=GEM_BATCH)]
         fake_in = gen_inputs[rng.integers(len(gen_inputs), size=GEM_BATCH)]
-        fake, _ = self.gen.forward(fake_in, training=True)
+        fake, _ = self.gen.forward(fake_in)
         d_value, disc_grads = self.disc_gradients(real, fake)
         if disc_grads is not None:
             self.disc_opt.step(disc_grads)

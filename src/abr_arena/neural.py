@@ -4,8 +4,9 @@ Covers exactly the layer set the fixed architectures need: fully-connected,
 valid 1-D convolution, batch normalization, ReLU/leaky ReLU and softmax, plus
 Adam/RMSProp. Layers are functional: forward returns (output, cache) and
 backward consumes that cache, so a layer stores no activations between the
-two; only a training-mode batch-norm forward writes layer state (its running
-statistics). A ReLU's cache is its input, masked only by the backward.
+two; only a batch-norm forward writes layer state, folding its batch
+statistics into running ones that only ``GemModule.inference`` reads. A ReLU's
+cache is its input, masked only by the backward.
 Checkpoints name a layer's ndarray attributes (``Agent.arrays``).
 """
 
@@ -45,7 +46,7 @@ class Dense:
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         if x.shape[-1] != self.n_in:
             raise ValueError(f"dense expects {self.n_in} inputs, got shape {x.shape}")
         return x @ self.weight + self.bias, x
@@ -73,7 +74,7 @@ class Conv1D:
     def params(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ValueError(f"conv1d expects (batch, {self.in_channels}, length), got {x.shape}")
         if x.shape[2] < self.kernel:
@@ -97,8 +98,8 @@ class Conv1D:
 class BatchNorm:
     """Per-feature batch normalization for (batch, dim) inputs.
 
-    Training mode standardizes with batch statistics and folds them into the
-    running estimates; inference mode uses the running estimates only.
+    Every forward standardizes with batch statistics and folds them into the
+    running estimates, which only ``GemModule.inference``'s fold reads.
     """
 
     def __init__(self, dim: int):
@@ -111,16 +112,13 @@ class BatchNorm:
     def params(self) -> list[np.ndarray]:
         return [self.gamma, self.beta]
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"batchnorm expects (batch, {self.dim}), got {x.shape}")
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean[:] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
-            self.running_var[:] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        self.running_mean[:] = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+        self.running_var[:] = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
         y = self.gamma * x_hat + self.beta
@@ -142,7 +140,7 @@ class Relu:
     def params(self) -> list[np.ndarray]:
         return []
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         return np.maximum(x, 0), x
 
     def backward(self, cache, dy: np.ndarray):
@@ -153,7 +151,7 @@ class LeakyRelu:
     def params(self) -> list[np.ndarray]:
         return []
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         # Bit for bit x where x > 0, else x * LEAKY_SLOPE, as 0 < LEAKY_SLOPE < 1.
         return np.maximum(x, x * LEAKY_SLOPE), x
 
@@ -177,10 +175,10 @@ class Sequential:
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray, training: bool = False):
+    def forward(self, x: np.ndarray):
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x, training=training)
+            x, cache = layer.forward(x)
             caches.append(cache)
         if not np.isfinite(x).all():
             raise FloatingPointError("non-finite network output")

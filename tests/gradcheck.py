@@ -83,8 +83,7 @@ def gradient_errors(loss_fn, array, analytic, *, rng, max_coords=40,
 
 
 def check_network_gradients(net, x, dy_coeff, analytic_grads, *, rng,
-                            max_coords_per_tensor=40, step=FD_STEP,
-                            training=True, floor=1e-4):
+                            max_coords_per_tensor=40, step=FD_STEP, floor=1e-4):
     """Compare analytic parameter gradients of loss = sum(output * dy_coeff)
     against the float64 difference oracle. Returns per-coordinate errors."""
     twin = to_float64(net)
@@ -92,7 +91,7 @@ def check_network_gradients(net, x, dy_coeff, analytic_grads, *, rng,
     coeff64 = np.asarray(dy_coeff, dtype=np.float64)
 
     def loss64():
-        y, _ = twin.forward(x64, training=training)
+        y, _ = twin.forward(x64)
         return float((y * coeff64).sum())
 
     errors = []
@@ -104,14 +103,14 @@ def check_network_gradients(net, x, dy_coeff, analytic_grads, *, rng,
 
 
 def check_input_gradient(net, x, dy_coeff, analytic_dx, *, rng,
-                         max_coords=60, step=FD_STEP, training=True, floor=1e-4):
+                         max_coords=60, step=FD_STEP, floor=1e-4):
     """Same comparison for the gradient with respect to the network input."""
     twin = to_float64(net)
     x64 = np.asarray(x, dtype=np.float64)
     coeff64 = np.asarray(dy_coeff, dtype=np.float64)
 
     def loss64():
-        y, _ = twin.forward(x64, training=training)
+        y, _ = twin.forward(x64)
         return float((y * coeff64).sum())
 
     return gradient_errors(loss64, x64, analytic_dx, rng=rng,

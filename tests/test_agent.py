@@ -623,6 +623,26 @@ def test_policy_gradient_direction():
     assert log_after > log_before
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_updates_learn_a_contextual_bandit(seed):
+    """The one-step case of learning from outcomes: each of 64 fixed rows is
+    a one-step session that pays 1 for the level the untrained greedy agent
+    plays on the fewest rows and 0 for the others. Sampled play and updates
+    make that level the greedy choice on every row, seen or fresh."""
+    agent = Agent(AgentConfig(policy_lr=1e-2, value_lr=1e-2), seed=seed)
+    rng = np.random.default_rng([31, seed])
+    rows, fresh = (norm_rows(rng, 64, agent.config) for _ in range(2))
+    rows[:, -HIDDEN_SIZE:] = fresh[:, -HIDDEN_SIZE:] = 0.0
+    target = np.bincount(agent.act(rows), minlength=agent.config.num_levels).argmin()
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(rows))]
+    for _ in range(50):
+        actions = agent.act(rows, rngs)
+        rewards = (actions == target).astype(np.float64)[:, None]
+        agent.update(UpdateBatch(rows, actions, rewards, win_rate=0.0))
+    assert np.all(agent.act(rows) == target)
+    assert np.all(agent.act(fresh) == target)
+
+
 def test_update_skips_on_nonfinite_loss():
     agent = Agent(CFG, seed=11)
     batch = make_batch(agent, np.random.default_rng(10))
@@ -837,7 +857,8 @@ def test_checkpoint_reproduces_decisions(tmp_path):
             assert restored[name].dtype == array.dtype
             assert restored[name].tobytes() == array.tobytes(), name
         assert np.array_equal(agent.act(rows), loaded.act(rows))
-        assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
+        assert np.array_equal(agent.gem.hidden_for(rows, agent.gem.inference()),
+                              loaded.gem.hidden_for(rows, loaded.gem.inference()))
 
 
 def trained_agent():
@@ -871,7 +892,8 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
     rows = norm_rows(np.random.default_rng(28), 50, TOY_CFG)
     assert np.array_equal(agent.act(rows), loaded.act(rows))
     assert np.array_equal(agent.policy_probs(rows), loaded.policy_probs(rows))
-    assert np.array_equal(agent.gem.hidden_for(rows), loaded.gem.hidden_for(rows))
+    assert np.array_equal(agent.gem.hidden_for(rows, agent.gem.inference()),
+                          loaded.gem.hidden_for(rows, loaded.gem.inference()))
     with pytest.raises(AssertionError, match="random initialisation"):
         Agent(TOY_CFG)
 

@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 from gradcheck import gradient_errors, to_float64
+from reference_batchnorm import running_forward
 
 from abr_arena import gem as gem_module
 from abr_arena.gem import GEM_BATCH, HIDDEN_SIZE, GemModule
@@ -28,14 +29,16 @@ def test_gen_hidden_deterministic_and_finite():
     gem = make_gem()
     states = np.random.default_rng(1).normal(size=(5, STATE_DIM)).astype(np.float32)
     prev_rows = np.concatenate([states, np.zeros((5, HIDDEN_SIZE), dtype=np.float32)], axis=1)
-    h1 = gem.hidden_for(prev_rows)
+    net = gem.inference()
+    h1 = gem.hidden_for(prev_rows, net)
     assert h1.shape == (5, HIDDEN_SIZE)
     assert np.all(np.isfinite(h1))
-    assert np.array_equal(gem.hidden_for(prev_rows), h1)
-    # Rows are independent in inference mode: one row alone gives its own feature.
-    np.testing.assert_allclose(gem.hidden_for(prev_rows[2:3])[0], h1[2], rtol=1e-6, atol=1e-7)
+    assert np.array_equal(gem.hidden_for(prev_rows, net), h1)
+    # Rows are independent through the fold: one row alone gives its own feature.
+    np.testing.assert_allclose(gem.hidden_for(prev_rows[2:3], net)[0], h1[2],
+                               rtol=1e-6, atol=1e-7)
     with pytest.raises(ValueError):
-        gem.hidden_for(prev_rows[:, :-4])
+        gem.hidden_for(prev_rows[:, :-4], net)
 
 
 def moved_gem():
@@ -55,12 +58,12 @@ def test_inference_folds_batch_norms_at_running_statistics():
     gem, inputs = moved_gem()
     net = gem.inference()
     assert [type(layer) for layer in net.layers] == [Dense, LeakyRelu, Dense, LeakyRelu, Dense]
-    want, _ = gem.gen.forward(inputs, training=False)
+    want = running_forward(gem.gen, inputs)
     got = gem.hidden_for(inputs, net)
     # A float32 forward computed in another order: a few ulps per layer.
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
-    # With no network, hidden_for folds the same one on the call.
-    assert np.array_equal(gem.hidden_for(inputs), got)
+    # The oracle moved no statistic: a second fold plays the same network.
+    assert np.array_equal(gem.hidden_for(inputs, gem.inference()), got)
 
 
 def test_inference_shares_no_array_with_the_generator():
@@ -68,13 +71,13 @@ def test_inference_shares_no_array_with_the_generator():
     live = [a for layer in gem.gen.layers for a in vars(layer).values()
             if isinstance(a, np.ndarray)]
     before = [a.copy() for a in live]
-    want = gem.hidden_for(inputs)
     net = gem.inference()
+    want = gem.hidden_for(inputs, net)
     for p in net.params():
         assert not any(np.shares_memory(p, a) for a in live)
         p[...] = 7.0
     assert all(np.array_equal(a, b) for a, b in zip(live, before))
-    assert np.array_equal(gem.hidden_for(inputs), want)
+    assert np.array_equal(gem.hidden_for(inputs, gem.inference()), want)
 
 
 def constant_disc(gem, value):
@@ -92,7 +95,7 @@ class HalvesDisc:
     def __init__(self, real_value, fake_value, n_real=8):
         self.real_value, self.fake_value, self.n_real = real_value, fake_value, n_real
 
-    def forward(self, x, training=False):
+    def forward(self, x):
         out = np.full((len(x), 1), self.fake_value, dtype=np.float32)
         out[:self.n_real] = self.real_value
         return out, None
@@ -136,7 +139,7 @@ def test_losses_nonnegative_and_finite():
     rng = np.random.default_rng(4)
     win = rng.normal(size=(32, HIDDEN_SIZE)).astype(np.float32)
     inputs = rng.normal(size=(32, STATE_DIM + HIDDEN_SIZE)).astype(np.float32)
-    fake, _ = gem.gen.forward(inputs, training=True)
+    fake, _ = gem.gen.forward(inputs)
     d_value, _ = gem.disc_gradients(win, fake)
     g_value, _ = gem.gen_gradients(inputs)
     assert d_value >= 0.0 and np.isfinite(d_value)
@@ -276,7 +279,7 @@ def test_disc_gradients_match_finite_differences():
     stacked64 = np.concatenate([real, fake]).astype(np.float64)
 
     def loss64():
-        p, _ = twin.forward(stacked64, training=True)
+        p, _ = twin.forward(stacked64)
         p_r, p_f = p[:len(real)], p[len(real):]
         return float(0.5 * np.mean((p_r - 1.0) ** 2) + 0.5 * np.mean(p_f ** 2))
 
@@ -298,8 +301,8 @@ def test_gen_gradients_match_finite_differences():
     inputs64 = inputs.astype(np.float64)
 
     def loss64():
-        fake, _ = gen_twin.forward(inputs64, training=True)
-        p, _ = disc_twin.forward(fake, training=True)
+        fake, _ = gen_twin.forward(inputs64)
+        p, _ = disc_twin.forward(fake)
         return float(0.5 * np.mean((p - 1.0) ** 2))
 
     errors = []

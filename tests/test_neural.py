@@ -7,6 +7,7 @@ from gradcheck import (
     check_input_gradient, check_network_gradients, numeric_gradient, relative_errors,
     to_float64,
 )
+from reference_batchnorm import running_forward
 
 from abr_arena.neural import (
     BN_EPS, BN_MOMENTUM, LEAKY_SLOPE, Adam, BatchNorm, Conv1D, Dense, LeakyRelu, Relu, RMSProp,
@@ -79,24 +80,27 @@ def test_forward_shape_and_finite_errors():
 def test_batchnorm_training_statistics():
     bn = BatchNorm(6)
     x = rng_for(3).normal(2.0, 3.0, size=(64, 6)).astype(np.float32)
-    y, _ = bn.forward(x, training=True)
+    y, _ = bn.forward(x)
     assert np.all(np.abs(y.mean(axis=0)) < 1e-5)
     assert np.all(np.abs(y.var(axis=0) - 1.0) < 1e-4)
 
 
-def test_batchnorm_inference_uses_running_stats():
+def test_batchnorm_folds_batch_stats_into_running_stats():
     bn = BatchNorm(3)
     x = rng_for(4).normal(1.0, 2.0, size=(32, 3)).astype(np.float32)
-    bn.forward(x, training=True)
-    # One training step from (0, 1) moves the estimates by 1 - momentum.
+    y, _ = bn.forward(x)
+    # One forward from (0, 1) moves the estimates by 1 - momentum.
     assert np.allclose(bn.running_mean, (1 - BN_MOMENTUM) * x.mean(axis=0), rtol=1e-6)
-    y_inf, _ = bn.forward(x, training=False)
-    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
-    assert np.allclose(y_inf, expected, atol=1e-6)
-    # Inference mode must not move the running statistics.
+    assert np.allclose(bn.running_var, BN_MOMENTUM + (1 - BN_MOMENTUM) * x.var(axis=0), rtol=1e-6)
+    # The output reads the batch's statistics only: the moved estimates
+    # change nothing in a second forward of the same batch, which moves them again.
     before = bn.running_mean.copy()
-    bn.forward(x, training=False)
-    assert np.array_equal(bn.running_mean, before)
+    assert np.array_equal(bn.forward(x)[0], y)
+    assert np.allclose(bn.running_mean, (1 - BN_MOMENTUM ** 2) * x.mean(axis=0), rtol=1e-6)
+    assert not np.array_equal(bn.running_mean, before)
+    # At its running statistics, the normalization the GEM fold bakes in.
+    expected = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
+    assert np.allclose(running_forward(Sequential([bn]), x), expected, atol=1e-6)
 
 
 # The forms the activations had when their cache was a mask of x > 0.
@@ -158,7 +162,7 @@ def make_case(kind, seed):
     # Keep inputs away from the ReLU-family kink so differences stay clean.
     if kind in ("relu", "leaky_relu"):
         x = x + np.sign(x).astype(np.float32) * 0.05
-    sample_y, _ = net.forward(x, training=True)
+    sample_y, _ = net.forward(x)
     coeff = rng.normal(0.0, 1.0, size=sample_y.shape).astype(np.float32)
     return net, x, coeff
 
@@ -171,11 +175,11 @@ def test_layer_gradients_float64_exact(kind):
         twin = to_float64(net)
         x64 = x.astype(np.float64)
         coeff64 = coeff.astype(np.float64)
-        y, caches = twin.forward(x64, training=True)
+        y, caches = twin.forward(x64)
         dx, grads = twin.backward(caches, coeff64)
 
         def loss64():
-            out, _ = twin.forward(x64, training=True)
+            out, _ = twin.forward(x64)
             return float((out * coeff64).sum())
 
         for param, grad in zip(twin.params(), grads):
@@ -193,7 +197,7 @@ def test_layer_gradients_float32_production(kind):
     all_errors = []
     for seed in range(10):
         net, x, coeff = make_case(kind, seed)
-        y, caches = net.forward(x, training=True)
+        y, caches = net.forward(x)
         dx, grads = net.backward(caches, coeff)
         rng = rng_for(1000 + seed)
         all_errors += check_network_gradients(net, x, coeff, grads, rng=rng)
@@ -284,21 +288,22 @@ def build_demo_net(seed):
 def test_save_load_round_trip_bitwise(tmp_path):
     # A checkpoint stores each layer's ndarray attributes and nothing else, so
     # those must be a network's whole state: copied through a file into a
-    # differently seeded twin, they reproduce its outputs bitwise.
+    # differently seeded twin, they reproduce its outputs bitwise, at the
+    # running statistics and at the batch's.
     net = build_demo_net(9)
     x = rng_for(10).normal(size=(4, 6)).astype(np.float32)
-    net.forward(x, training=True)  # move the BN running stats off their init
+    net.forward(x)  # move the BN running stats off their init
     path = tmp_path / "net.npz"
     with open(path, "wb") as fh:
         np.savez(fh, allow_pickle=False, **{
             f"{i}.{attr}": value for i, layer in enumerate(net.layers)
             for attr, value in vars(layer).items() if isinstance(value, np.ndarray)})
     loaded = build_demo_net(11)
-    y_orig, _ = net.forward(x, training=False)
-    assert not np.array_equal(y_orig, loaded.forward(x, training=False)[0])
+    y_orig = running_forward(net, x)
+    assert not np.array_equal(y_orig, running_forward(loaded, x))
     with np.load(path, allow_pickle=False) as stored:
         for name in stored.files:
             i, attr = name.split(".")
             getattr(loaded.layers[int(i)], attr)[...] = stored[name]
-    y_loaded, _ = loaded.forward(x, training=False)
-    assert np.array_equal(y_orig, y_loaded)
+    assert np.array_equal(y_orig, running_forward(loaded, x))
+    assert np.array_equal(net.forward(x)[0], loaded.forward(x)[0])

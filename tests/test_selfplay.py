@@ -234,7 +234,8 @@ def test_agent_policy_rows_are_normalized_observations_and_gem_features():
         # Step t's hidden feature is the generator's output on step t-1's row.
         assert np.all(rows[0, -HIDDEN_SIZE:] == 0.0)
         np.testing.assert_allclose(rows[1:, -HIDDEN_SIZE:],
-                                   agent.gem.hidden_for(rows[:-1]), rtol=1e-5, atol=1e-6)
+                                   agent.gem.hidden_for(rows[:-1], agent.gem.inference()),
+                                   rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError):
         run_session([player(agent, traces, manifest, rngs[:1])], traces, manifest, SESSION_CFG)
     with pytest.raises(ValueError):
@@ -258,8 +259,9 @@ def test_agent_policy_built_after_a_gem_update_plays_the_updated_generator():
     policy = player(agent, traces, manifest)
     run_session([policy], traces, manifest, SESSION_CFG)
     prev, hidden = policy.rows[:-1].reshape(-1, AGENT_CFG.flat_dim), policy.rows[1:, :, -HIDDEN_SIZE:]
-    assert np.array_equal(hidden.reshape(-1, HIDDEN_SIZE), agent.gem.hidden_for(prev))
-    assert not np.allclose(agent.gem.hidden_for(prev, before), agent.gem.hidden_for(prev))
+    after = agent.gem.inference()
+    assert np.array_equal(hidden.reshape(-1, HIDDEN_SIZE), agent.gem.hidden_for(prev, after))
+    assert not np.allclose(agent.gem.hidden_for(prev, before), agent.gem.hidden_for(prev, after))
 
 
 def test_agent_policy_built_after_an_update_plays_the_updated_trunk():
